@@ -1,9 +1,14 @@
 """Normal-mode reduction of two bilinearly coupled harmonic oscillators.
 
-The system is ``H = (p^2 + q^2)/2 + wx^2 x^2/2 + wy^2 y^2/2 - eps*x*y``
-with ``hbar = m = 1``. Rotating positions and momenta by a common angle
-``theta`` decouples the Hamiltonian into two independent modes with
-frequencies ``vartheta_x >= vartheta_y``. The spectrum stays real only
+The system is ``H = (p^2 + q^2)/2 + wx^2 x^2/2 + wy^2 y^2/2 + eps*x*y``
+with ``hbar = m = 1``; the lab-frame rotation, Wigner functions and signed
+moments (``xy``, ``pq``) belong to this sign of the coupling. Flipping it,
+``eps -> -eps``, is the reflection ``y -> -y`` (with ``q -> -q``), which
+leaves the purity and the steering quantifiers unchanged.
+
+Rotating positions and momenta by a common angle ``theta`` decouples the
+Hamiltonian into two independent modes with frequencies
+``vartheta_x >= vartheta_y``. The spectrum stays real only
 while ``eps < wx*wy``; approaching that bound drives ``vartheta_y`` to
 zero, which motivates the cutoff mixing angle returned by
 :func:`cutoff_angle`.

@@ -19,9 +19,33 @@ where ``R = sqrt(f(u,s) O(v,w) + f(v,w) O(u,s))`` with
 and ``R'`` is the same radical with both frequencies inverted (it comes
 from the momentum half of the integral). The derivative prefactor
 ``1/(n! m!)^2`` cancels against the factorials of the coefficient
-extraction, so no numerical differentiation is involved anywhere. For
-``n = m = 0`` the coefficient reduces algebraically to the known
-ground-state closed form, which the test suite asserts at ``1e-12``.
+extraction, so no numerical differentiation is involved anywhere.
+
+Every term of the radicand carries three of the four factors
+``1/(1-k)``. With ``a = vx sin^2(theta)``, ``b = vy cos^2(theta)`` and
+``Pi = (1-u)(1-s)(1-v)(1-w)``, the ``a`` terms of ``Pi R^2 / (vx vy)`` are
+
+    ``a (1+u)(1+v) [(1+s)(1-w) + (1-s)(1+w)] = 2a (1+u)(1+v)(1-sw)``
+
+and the ``b`` terms are ``2b (1+s)(1+w)(1-uv)`` in the same way, so
+
+    ``R^2 = 2 vx vy Q / Pi``,
+    ``Q = a (1+u)(1+v)(1-sw) + b (1+s)(1+w)(1-uv)``,
+
+and ``R'^2 = 2 Q' / (vx vy Pi)`` with ``Q'`` the same polynomial at
+``(a', b') = (sin^2(theta)/vx, cos^2(theta)/vy)``. The prefactors cancel
+and the generating function is
+
+    ``P(n, m) = [u^n s^m v^n w^m]  Q^(-1/2) Q'^(-1/2)``.
+
+``Q`` and ``Q'`` are multilinear (degree at most one in each variable), so
+the jets of their inverse square roots come from the power recurrence of
+:mod:`oscpair.series` with a handful of terms per coefficient, and the one
+coefficient of the product is a single reversed dot product. At ``u = s =
+v = w = 0`` the product is ``1/sqrt((a + b)(a' + b'))``, the ground-state
+closed form, which the test suite asserts at ``1e-12``. At zero coupling
+off resonance (``theta = 0``) ``Q Q' = ((1+s)(1+w)(1-uv))^2``, whose
+coefficient is exactly 1, and ``theta = pi/2`` swaps the roles.
 
 The weak-coupling Schmidt weights ``lambda_k`` (an approximation that
 treats both normal frequencies as equal) are also provided; their linear
@@ -39,7 +63,7 @@ import numpy as np
 
 from . import model
 from .model import QuantumNumbers, SystemParams
-from .series import Jet4, jet_inv_sqrt, jet_mul
+from .series import Jet4, jet_inv_sqrt
 from .specfun import jacobi_negparam
 
 
@@ -58,30 +82,16 @@ class SchmidtSpectrum:
     lambdas: tuple[float, ...]
 
 
-def _geometric_plus(order: int) -> np.ndarray:
-    # coefficients of (1+k)/(1-k) = 1 + 2k + 2k^2 + ...
-    g = np.full(order + 1, 2.0)
-    g[0] = 1.0
-    return g
-
-
-def _delta(order: int) -> np.ndarray:
-    e = np.zeros(order + 1)
-    e[0] = 1.0
-    return e
-
-
-def _radical_squared(vx: float, vy: float, s2: float, c2: float,
-                     orders: tuple[int, int, int, int]) -> Jet4:
-    """Jet of ``f(u,s) O(v,w) + f(v,w) O(u,s)`` for frequencies (vx, vy)."""
-    du, ds, dv, dw = orders
-    f_us = vx * vy * np.outer(_geometric_plus(du), _geometric_plus(ds))
-    f_vw = vx * vy * np.outer(_geometric_plus(dv), _geometric_plus(dw))
-    om_us = vx * s2 * np.outer(_geometric_plus(du), _delta(ds)) \
-        + vy * c2 * np.outer(_delta(du), _geometric_plus(ds))
-    om_vw = vx * s2 * np.outer(_geometric_plus(dv), _delta(dw)) \
-        + vy * c2 * np.outer(_delta(dv), _geometric_plus(dw))
-    coeffs = np.multiply.outer(f_us, om_vw) + np.multiply.outer(om_us, f_vw)
+def _radicand(a: float, b: float, orders: tuple[int, int, int, int]) -> Jet4:
+    """Jet of ``Q = a (1+u)(1+v)(1-sw) + b (1+s)(1+w)(1-uv)``, axes ``(u, s, v, w)``."""
+    q = np.zeros((2, 2, 2, 2))
+    q[:, 0, :, 0] += a
+    q[:, 1, :, 1] -= a
+    q[0, :, 0, :] += b
+    q[1, :, 1, :] -= b
+    coeffs = np.zeros(tuple(o + 1 for o in orders))
+    kept = tuple(slice(0, min(o + 1, 2)) for o in orders)
+    coeffs[kept] = q[kept]
     return Jet4(orders, coeffs)
 
 
@@ -98,16 +108,10 @@ def purity_exact(params: SystemParams, nm: QuantumNumbers) -> PurityResult:
     s2, c2 = s * s, c * c
     orders = (nm.n, nm.m, nm.n, nm.m)
 
-    # 1/(R R') = inverse square root of the product of the two radicands
-    rad_pos = _radical_squared(vx, vy, s2, c2, orders)
-    rad_mom = _radical_squared(1.0 / vx, 1.0 / vy, s2, c2, orders)
-    inv = jet_inv_sqrt(jet_mul(rad_pos, rad_mom))
-
-    # multiplying by prod_k 1/(1-k) is a prefix sum along every axis
-    bracket = inv.coeffs
-    for axis in range(4):
-        bracket = np.cumsum(bracket, axis=axis)
-    p = 2.0 * float(bracket[nm.n, nm.m, nm.n, nm.m])
+    pos = jet_inv_sqrt(_radicand(vx * s2, vy * c2, orders)).coeffs
+    mom = jet_inv_sqrt(_radicand(s2 / vx, c2 / vy, orders)).coeffs
+    # [u^n s^m v^n w^m] of the product: sum over e of pos[e] mom[(n,m,n,m) - e]
+    p = float(np.dot(pos.ravel(), mom.ravel()[::-1]))
 
     if not (0.0 < p <= 1.0 + 1e-9):
         raise RuntimeError(

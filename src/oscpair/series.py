@@ -7,11 +7,20 @@ operations truncate products back to those orders, so a jet carries
 exactly the Taylor data needed to read one coefficient of an analytic
 function of the four variables.
 
-Reciprocal and square root use the graded coefficient recursion
-(forward substitution on one variable at a time, with lower-dimensional
-truncated convolutions underneath). Unlike Newton iteration on jets,
-the recursion never forms large pre-convergence transients, so it stays
-accurate even when the result's coefficients grow quickly with degree.
+Reciprocal, square root and inverse square root are one routine for the
+power ``a**alpha``: J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2,
+section 4.7). Applying the Euler operator ``D = sum_i x_i d/dx_i`` to
+``f = a**alpha`` gives ``a D f = alpha f D a``; on the coefficient of a
+monomial ``x^e`` of total degree ``D > 0`` this reads
+
+    ``a_0 D f_e = sum_{mu != 0} a_mu ((alpha + 1)|mu| - D) f_{e - mu}``,
+
+which fixes every coefficient of degree ``D`` from those of lower degree.
+The sum runs over the nonzero coefficients of ``a`` only, so a sparse
+``a`` (a few terms, as the purity generating function has) costs a few
+multiply-adds per coefficient, and each total degree is one vectorised
+gather. Truncation is exact: ``f_e`` uses only ``f_{e'}`` with ``e' <= e``
+in every variable.
 
 Jets are immutable values; orders are small in practice (per-variable
 degree below ten), so dense storage is the simple and fast choice.
@@ -23,7 +32,6 @@ from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 Orders = tuple[int, int, int, int]
 
@@ -99,47 +107,48 @@ def jet_scale(a: Jet4, c: float) -> Jet4:
     return Jet4(a.orders, a.coeffs * float(c))
 
 
-def _mul_nd(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Truncated convolution of two coefficient arrays of equal rank."""
-    if a.ndim == 0:
-        return a * b
-    full = fftconvolve(a, b)
-    return full[tuple(slice(0, s) for s in shape)]
+def _mul_nd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated convolution of two coefficient arrays of equal shape.
+
+    Each nonzero coefficient of ``a`` adds a shifted copy of ``b``.
+    """
+    out = np.zeros(a.shape)
+    for idx in zip(*np.nonzero(a)):
+        out[tuple(slice(i, None) for i in idx)] += \
+            a[idx] * b[tuple(slice(0, n - i) for i, n in zip(idx, a.shape))]
+    return out
 
 
-def _recip_nd(a: np.ndarray) -> np.ndarray:
-    if a.ndim == 0:
-        if a == 0.0:
-            raise ValueError("reciprocal requires a nonzero constant term")
-        return np.asarray(1.0 / a)
-    inner = a.shape[1:]
-    r = np.zeros_like(a, dtype=float)
-    r0 = _recip_nd(a[0])
-    r[0] = r0
-    for i in range(1, a.shape[0]):
-        acc = _mul_nd(a[1], r[i - 1], inner).copy()
-        for j in range(2, i + 1):
-            acc += _mul_nd(a[j], r[i - j], inner)
-        r[i] = -_mul_nd(r0, acc, inner)
-    return r
+def _power_nd(a: np.ndarray, alpha: float) -> np.ndarray:
+    """Coefficients of ``a**alpha`` truncated to ``a.shape`` (Miller's recurrence).
 
+    The caller checks that the constant term admits the power.
+    """
+    shape = a.shape
+    a0 = float(a.flat[0])
+    mus = np.argwhere(a)
+    mus = mus[mus.sum(axis=1) > 0]
+    a_mu = a[tuple(mus.T)]
+    mu_degree = mus.sum(axis=1)
 
-def _sqrt_nd(a: np.ndarray) -> np.ndarray:
-    if a.ndim == 0:
-        if a <= 0.0:
-            raise ValueError(f"square root requires a positive constant term, got {float(a)}")
-        return np.sqrt(a)
-    inner = a.shape[1:]
-    q = np.zeros_like(a, dtype=float)
-    q[0] = _sqrt_nd(a[0])
-    # solve 2 q0 * q_i = a_i - sum_{0<j<i} q_j q_{i-j} for each slice
-    half_iq0 = 0.5 * _recip_nd(q[0])
-    for i in range(1, a.shape[0]):
-        acc = np.array(a[i], dtype=float, copy=True)
-        for j in range(1, i):
-            acc -= _mul_nd(q[j], q[i - j], inner)
-        q[i] = _mul_nd(half_iq0, acc, inner)
-    return q
+    # f lives in a zero-padded buffer, offset by the largest shift on each
+    # axis, so f_{e - mu} with a negative component gathers a zero
+    pad = mus.max(axis=0, initial=0)
+    buf = np.zeros(np.add(shape, pad))
+    strides = np.array(buf.strides) // buf.itemsize
+    flat = buf.reshape(-1)
+    mu_offset = mus @ strides
+
+    exponents = np.indices(shape).reshape(a.ndim, -1)
+    degree = exponents.sum(axis=0)
+    position = (exponents + pad[:, None]).T @ strides
+
+    flat[position[0]] = a0 ** alpha
+    for d in range(1, degree.max() + 1):
+        pos = position[degree == d]
+        weights = a_mu * ((alpha + 1.0) * mu_degree - d)
+        flat[pos] = weights @ flat[pos - mu_offset[:, None]] / (a0 * d)
+    return buf[tuple(slice(p, None) for p in pad)].copy()
 
 
 def jet_mul(a: Jet4, b) -> Jet4:
@@ -147,27 +156,32 @@ def jet_mul(a: Jet4, b) -> Jet4:
     if isinstance(b, Real):
         return jet_scale(a, b)
     _check_orders(a, b)
-    return Jet4(a.orders, np.ascontiguousarray(_mul_nd(a.coeffs, b.coeffs, a.coeffs.shape)))
+    return Jet4(a.orders, _mul_nd(a.coeffs, b.coeffs))
 
 
 def jet_reciprocal(a: Jet4) -> Jet4:
     """Jet ``b`` with ``a*b = 1`` up to truncation."""
     if float(a.coeffs[(0, 0, 0, 0)]) == 0.0:
         raise ValueError("reciprocal requires a nonzero constant term")
-    return Jet4(a.orders, _recip_nd(a.coeffs))
+    return Jet4(a.orders, _power_nd(a.coeffs, -1.0))
+
+
+def _check_positive(a: Jet4) -> None:
+    c0 = float(a.coeffs[(0, 0, 0, 0)])
+    if c0 <= 0.0:
+        raise ValueError(f"square root requires a positive constant term, got {c0}")
 
 
 def jet_sqrt(a: Jet4) -> Jet4:
     """Jet ``b`` with ``b*b = a`` up to truncation."""
-    c0 = float(a.coeffs[(0, 0, 0, 0)])
-    if c0 <= 0.0:
-        raise ValueError(f"square root requires a positive constant term, got {c0}")
-    return Jet4(a.orders, _sqrt_nd(a.coeffs))
+    _check_positive(a)
+    return Jet4(a.orders, _power_nd(a.coeffs, 0.5))
 
 
 def jet_inv_sqrt(a: Jet4) -> Jet4:
     """Jet ``b`` with ``a * b * b = 1`` up to truncation."""
-    return jet_reciprocal(jet_sqrt(a))
+    _check_positive(a)
+    return Jet4(a.orders, _power_nd(a.coeffs, -0.5))
 
 
 def coefficient(a: Jet4, i: int, j: int, k: int, l: int) -> float:

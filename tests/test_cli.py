@@ -106,6 +106,20 @@ class TestPurityScan:
         excited = [r for r in rows if r["n"] == "1"]
         assert len({r["S_L_makarov"] for r in excited}) == 1
 
+    def test_sweep_from_zero_coupling_up_to_six_quanta(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "purity-scan", "--omega-y", "0.8", "--epsilon", "0:0.75:20",
+            "--n-max", "6", "--m-max", "6",
+        )
+        assert code == 0
+        rows = read_csv(out)
+        assert len(rows) == 20 * 49
+        for row in rows:
+            assert 0.0 < float(row["purity"]) <= 1.0
+        decoupled = [float(r["purity"]) for r in rows if float(r["epsilon"]) == 0.0]
+        assert len(decoupled) == 49
+        assert max(abs(p - 1.0) for p in decoupled) <= 1e-13
+
 
 class TestSteeringScan:
     def test_preset_has_no_mutual_steering(self, capsys):

@@ -36,6 +36,23 @@ def test_decoupled_moments_are_single_oscillator():
         assert ms.pq == 0.0
 
 
+def test_ground_state_covariance_belongs_to_plus_eps_xy():
+    # H = (p^2 + q^2)/2 + r.V.r/2 with V = [[wx^2, eps], [eps, wy^2]] is the
+    # +eps*x*y Hamiltonian; its ground state has <r r^T> = V^(-1/2)/2 and
+    # <pi pi^T> = V^(1/2)/2 for r = (x, y), pi = (p, q)
+    for wx, wy, eps in [(1.0, 0.8, 0.5), (1.0, 1.0, 0.9), (0.8, 1.0, 0.3)]:
+        evals, evecs = np.linalg.eigh(np.array([[wx * wx, eps], [eps, wy * wy]]))
+        pos = evecs @ np.diag(0.5 / np.sqrt(evals)) @ evecs.T
+        mom = evecs @ np.diag(0.5 * np.sqrt(evals)) @ evecs.T
+        ms = second_and_fourth_moments(SystemParams(wx, wy, eps), QuantumNumbers(0, 0))
+        got_pos = [[ms.xx, ms.xy], [ms.xy, ms.yy]]
+        got_mom = [[ms.pp, ms.pq], [ms.pq, ms.qq]]
+        np.testing.assert_allclose(got_pos, pos, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got_mom, mom, rtol=0.0, atol=1e-12)
+    ms = second_and_fourth_moments(SystemParams(1.0, 0.8, 0.5), QuantumNumbers(0, 0))
+    assert ms.xy == pytest.approx(-0.2355, abs=1e-4)
+
+
 def test_symmetric_resonant_state_has_no_position_correlation():
     # n = m at resonance: the (1+2n)/vx - (1+2m)/vy bracket does not cancel
     # unless the normal frequencies coincide, which needs eps -> 0

@@ -17,6 +17,18 @@ from oscpair.oracle import marginal_purity_quadrature, schmidt_oracle
 
 RESONANT_USC = SystemParams(1.0, 1.0, 0.9)
 
+# P(k, k) for k = 0..8 at 60 significant digits, rounded to float64. Weak,
+# moderate and near-bound coupling (bound 0.8), and resonance. Regenerate
+# with `python tests/purity_reference.py` (a few minutes), which computes
+# them with mpmath by a binomial series, checks the 1/sqrt(Q Q') identity
+# against the paper's integrand, and imports nothing from oscpair.
+PURITY_REFERENCE = {
+    (1.0, 0.8, 0.01): (0.9999807081832677, 0.9936885274757719, 0.9812409192695722, 0.9629072226056195, 0.9390811775645391, 0.9102690170041849, 0.8770742610622895, 0.8401797560315675, 0.8003275931699314),
+    (1.0, 0.8, 0.7): (0.810050116617045, 0.3323468003263736, 0.22219891821156984, 0.16576871742532187, 0.13786712401183032, 0.11451565375652213, 0.09924199524836848, 0.08804574124359502, 0.07944704200146582),
+    (1.0, 0.8, 0.79): (0.5258995190801162, 0.2303405584350025, 0.1520385069759127, 0.11666831029895207, 0.09571527404952225, 0.08092106048272385, 0.06938530959518796, 0.06250754440525164, 0.05599095016180962),
+    (1.0, 1.0, 0.5): (0.9634330440022851, 0.4499243652381873, 0.2823293092651319, 0.2027892119087129, 0.16157903441044935, 0.13824691602622916, 0.12200676995643987, 0.10812918273119118, 0.09583152020861484),
+}
+
 
 class TestGroundClosedForm:
     def test_decoupled_is_pure(self):
@@ -46,12 +58,20 @@ class TestPurityExact:
                 assert got == pytest.approx(purity_ground_closed(params).purity, abs=1e-12)
 
     def test_no_coupling_means_unit_purity(self):
-        # coefficient magnitudes grow with the state, so allow the same
-        # roundoff budget the ground-state criterion uses
-        for nm in [(0, 0), (2, 1), (3, 3)]:
-            res = purity_exact(SystemParams(1.0, 0.7, 0.0), QuantumNumbers(*nm))
-            assert res.purity == pytest.approx(1.0, abs=1e-10)
-            assert res.linear_entropy == pytest.approx(0.0, abs=1e-10)
+        for params in (SystemParams(1.0, 0.7, 0.0), SystemParams(1.0, 0.8, 0.0),
+                       SystemParams(0.8, 1.0, 0.0)):
+            for n in range(7):
+                for m in range(7):
+                    res = purity_exact(params, QuantumNumbers(n, m))
+                    assert res.purity == pytest.approx(1.0, abs=1e-13)
+                    assert res.linear_entropy == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("params", list(PURITY_REFERENCE),
+                             ids=lambda p: "wx%g-wy%g-eps%g" % p)
+    def test_against_high_precision_reference(self, params):
+        for k, want in enumerate(PURITY_REFERENCE[params]):
+            got = purity_exact(SystemParams(*params), QuantumNumbers(k, k)).purity
+            assert got == pytest.approx(want, abs=1e-12), f"state ({k}, {k})"
 
     def test_linear_entropy_complements_purity(self):
         res = purity_exact(RESONANT_USC, QuantumNumbers(2, 1))
@@ -65,12 +85,12 @@ class TestPurityExact:
             ref = schmidt_oracle(params, QuantumNumbers(*nm), nodes=160).purity
             assert got == pytest.approx(ref, abs=1e-6)
 
-    @pytest.mark.parametrize("nm", [(0, 0), (1, 0), (2, 2)])
+    @pytest.mark.parametrize("nm", [(0, 0), (1, 0), (2, 2), (4, 4), (6, 6)])
     def test_against_wigner_marginal_quadrature(self, nm):
         for params in (RESONANT_USC, SystemParams(1.0, 0.8, 0.72)):
             got = purity_exact(params, QuantumNumbers(*nm)).purity
             assert got == pytest.approx(marginal_purity_quadrature(params, QuantumNumbers(*nm)),
-                                        abs=1e-8)
+                                        abs=1e-12)
 
     def test_swap_symmetry(self):
         for eps in (0.2, 0.5):
