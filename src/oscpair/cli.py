@@ -11,10 +11,12 @@ Exit codes: 0 success, 1 validation error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
-from typing import Iterable
+from dataclasses import asdict, fields
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -22,10 +24,13 @@ from .model import QuantumNumbers, SystemParams, cutoff_angle, diagonalize, ener
 from .moments import second_and_fourth_moments
 from .oracle import run_verification
 from .purity import makarov_entropy, purity_exact
-from .steering import steering
+from .steering import SteeringResult, steering
 from .wigner import PhasePoint, wigner_lab
 
 STEERING_PRESETS = ("0.99", "0.8", "0.6")
+_SWEEP_FIELDS = ["omega_x", "omega_y", "epsilon", "n", "m"]
+_STEERING_FIELDS = [f.name for f in fields(SteeringResult)]
+_Columns = Callable[[SystemParams, QuantumNumbers], dict]
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -40,52 +45,82 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(start, stop, steps)
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type for an integer option that must be ``>= low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return parse
+
+
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
 
 
-def _write_rows(rows: list[dict], fieldnames: list[str], fmt: str, output: str | None) -> None:
-    if fmt == "json":
-        payload = json.dumps(rows, indent=2)
-        if output:
-            with open(output, "w") as fh:
-                fh.write(payload + "\n")
-        else:
-            sys.stdout.write(payload + "\n")
-        return
+def _opened(output: str | None):
+    return open(output, "w", newline="") if output else contextlib.nullcontext(sys.stdout)
 
-    def emit(fh) -> None:
+
+def _write_json(payload, output: str | None) -> None:
+    text = json.dumps(payload, indent=2) + "\n"
+    with _opened(output) as fh:
+        fh.write(text)
+
+
+def _write_rows(rows: Iterable[dict], fieldnames: list[str], fmt: str,
+                output: str | None) -> None:
+    if fmt == "json":
+        _write_json(list(rows), output)
+        return
+    with _opened(output) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row[name]) for name in fieldnames])
-
-    if output:
-        with open(output, "w", newline="") as fh:
-            emit(fh)
-    else:
-        emit(sys.stdout)
+        writer.writerows([_fmt(row[name]) for name in fieldnames] for row in rows)
 
 
-def _valid_epsilons(omega_x: float, omega_y: float, values: Iterable[float]) -> list[float]:
-    bound = omega_x * omega_y
-    kept = []
-    for eps in values:
+def _sweep_rows(omega_x: float, omega_y: float, eps_values: list[float],
+                states: list[QuantumNumbers], columns: _Columns) -> list[dict]:
+    """Rows of the sweep keys and ``columns(params, nm)`` per epsilon, then state."""
+    rows = []
+    for eps in eps_values:
+        params = SystemParams(omega_x, omega_y, eps)
+        rows += [{"omega_x": omega_x, "omega_y": omega_y, "epsilon": eps,
+                  "n": nm.n, "m": nm.m, **columns(params, nm)} for nm in states]
+    return rows
+
+
+def _scan(args, columns: _Columns, fieldnames: list[str]) -> int:
+    """Write the sweep over ``--epsilon`` and the ``--n-max`` x ``--m-max`` grid."""
+    bound = args.omega_x * args.omega_y
+    eps_values = []
+    for eps in _parse_range(args.epsilon):
         if 0.0 <= eps < bound:
-            kept.append(float(eps))
+            eps_values.append(float(eps))
         else:
-            print(
-                f"warning: skipping epsilon={eps:g} "
-                f"(requires 0 <= epsilon < omega_x*omega_y = {bound:g})",
-                file=sys.stderr,
-            )
-    return kept
+            print(f"warning: skipping epsilon={eps:g} "
+                  f"(requires 0 <= epsilon < omega_x*omega_y = {bound:g})", file=sys.stderr)
+    states = [QuantumNumbers(n, m) for n in range(args.n_max + 1)
+              for m in range(args.m_max + 1)]
+    rows = _sweep_rows(args.omega_x, args.omega_y, eps_values, states, columns)
+    _write_rows(rows, _SWEEP_FIELDS + fieldnames, args.format, args.output)
+    return 0
 
 
-def _state_grid(n_max: int, m_max: int) -> list[QuantumNumbers]:
-    return [QuantumNumbers(n, m) for n in range(n_max + 1) for m in range(m_max + 1)]
+def _purity_columns(params: SystemParams, nm: QuantumNumbers) -> dict:
+    res = purity_exact(params, nm)
+    slm = makarov_entropy(nm, diagonalize(params).mu)
+    return {"purity": res.purity, "S_L": res.linear_entropy,
+            "S_L_makarov": slm, "delta_S_L": res.linear_entropy - slm}
+
+
+def _steering_columns(params: SystemParams, nm: QuantumNumbers) -> dict:
+    return asdict(steering(params, nm))
 
 
 def cmd_spectrum(args) -> int:
@@ -99,73 +134,32 @@ def cmd_spectrum(args) -> int:
             rows.append({"r": float(r), "theta_c": cutoff_angle(float(r))})
         _write_rows(rows, ["r", "theta_c"], args.format, args.output)
         return 0
-
-    eps_values = _valid_epsilons(args.omega_x, args.omega_y, _parse_range(args.epsilon))
-    rows = []
-    for eps in eps_values:
-        params = SystemParams(args.omega_x, args.omega_y, eps)
-        for nm in _state_grid(args.n_max, args.m_max):
-            rows.append({
-                "omega_x": args.omega_x, "omega_y": args.omega_y, "epsilon": eps,
-                "n": nm.n, "m": nm.m, "energy": energy(params, nm),
-            })
-    _write_rows(rows, ["omega_x", "omega_y", "epsilon", "n", "m", "energy"],
-                args.format, args.output)
-    return 0
+    return _scan(args, lambda params, nm: {"energy": energy(params, nm)}, ["energy"])
 
 
 def cmd_moments(args) -> int:
     params = SystemParams(args.omega_x, args.omega_y, args.epsilon)
     ms = second_and_fourth_moments(params, QuantumNumbers(args.n, args.m))
-    payload = {
-        "omega_x": args.omega_x, "omega_y": args.omega_y, "epsilon": args.epsilon,
-        "n": args.n, "m": args.m,
-        "xx": ms.xx, "yy": ms.yy, "pp": ms.pp, "qq": ms.qq, "xy": ms.xy, "pq": ms.pq,
-        "xxyy": ms.xxyy, "ppqq": ms.ppqq, "xxqq": ms.xxqq, "yypp": ms.yypp,
-    }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json({"omega_x": args.omega_x, "omega_y": args.omega_y, "epsilon": args.epsilon,
+                 "n": args.n, "m": args.m, **asdict(ms)}, args.output)
     return 0
 
 
 def cmd_wigner_eval(args) -> int:
-    params = SystemParams(args.omega_x, args.omega_y, args.epsilon)
-    modes = diagonalize(params)
+    modes = diagonalize(SystemParams(args.omega_x, args.omega_y, args.epsilon))
     nm = QuantumNumbers(args.n, args.m)
-    rows = []
-    for x in _parse_range(args.x):
-        for p in _parse_range(args.p):
-            for y in _parse_range(args.y):
-                for q in _parse_range(args.q):
-                    value = wigner_lab(modes, nm, PhasePoint(x, p, y, q))
-                    rows.append({"x": x, "p": p, "y": y, "q": q, "W": value})
-    _write_rows(rows, ["x", "p", "y", "q", "W"], args.format, args.output)
+    axes = np.meshgrid(*(_parse_range(r) for r in (args.x, args.p, args.y, args.q)),
+                       indexing="ij")
+    w = wigner_lab(modes, nm, PhasePoint(*axes))
+    columns = [a.ravel().tolist() for a in (*axes, w)]
+    fieldnames = ["x", "p", "y", "q", "W"]
+    rows = (dict(zip(fieldnames, values)) for values in zip(*columns))
+    _write_rows(rows, fieldnames, args.format, args.output)
     return 0
 
 
 def cmd_purity_scan(args) -> int:
-    eps_values = _valid_epsilons(args.omega_x, args.omega_y, _parse_range(args.epsilon))
-    rows = []
-    for eps in eps_values:
-        params = SystemParams(args.omega_x, args.omega_y, eps)
-        mu = diagonalize(params).mu
-        for nm in _state_grid(args.n_max, args.m_max):
-            res = purity_exact(params, nm)
-            slm = makarov_entropy(nm, mu)
-            rows.append({
-                "omega_x": args.omega_x, "omega_y": args.omega_y, "epsilon": eps,
-                "n": nm.n, "m": nm.m,
-                "purity": res.purity, "S_L": res.linear_entropy,
-                "S_L_makarov": slm, "delta_S_L": res.linear_entropy - slm,
-            })
-    _write_rows(rows, ["omega_x", "omega_y", "epsilon", "n", "m",
-                       "purity", "S_L", "S_L_makarov", "delta_S_L"],
-                args.format, args.output)
-    return 0
+    return _scan(args, _purity_columns, ["purity", "S_L", "S_L_makarov", "delta_S_L"])
 
 
 def steering_preset_rows(omega_y: float, n_max: int = 6, steps: int = 161) -> list[dict]:
@@ -174,49 +168,18 @@ def steering_preset_rows(omega_y: float, n_max: int = 6, steps: int = 161) -> li
     ``omega_x = 1`` and ``epsilon`` runs over ``[0, omega_y]``; rows at or
     beyond the stability bound are dropped.
     """
-    omega_x = 1.0
-    eps_values = [float(e) for e in np.linspace(0.0, omega_y, steps)
-                  if 0.0 <= e < omega_x * omega_y]
+    eps_values = [float(e) for e in np.linspace(0.0, omega_y, steps) if 0.0 <= e < omega_y]
     states = [QuantumNumbers(n, 0) for n in range(1, n_max + 1)]
     states += [QuantumNumbers(0, m) for m in range(1, n_max + 1)]
-    rows = []
-    for eps in eps_values:
-        params = SystemParams(omega_x, omega_y, eps)
-        for nm in states:
-            res = steering(params, nm)
-            rows.append({
-                "omega_x": omega_x, "omega_y": omega_y, "epsilon": eps,
-                "n": nm.n, "m": nm.m,
-                "s_xy": res.s_xy, "s_yx": res.s_yx, "delta": res.delta,
-                "s_xy_raw": res.s_xy_raw, "s_yx_raw": res.s_yx_raw,
-            })
-    return rows
-
-
-_STEERING_FIELDS = ["omega_x", "omega_y", "epsilon", "n", "m",
-                    "s_xy", "s_yx", "delta", "s_xy_raw", "s_yx_raw"]
+    return _sweep_rows(1.0, omega_y, eps_values, states, _steering_columns)
 
 
 def cmd_steering_scan(args) -> int:
     if args.preset:
         rows = steering_preset_rows(float(args.preset), n_max=args.n_max, steps=args.steps)
-        _write_rows(rows, _STEERING_FIELDS, args.format, args.output)
+        _write_rows(rows, _SWEEP_FIELDS + _STEERING_FIELDS, args.format, args.output)
         return 0
-
-    eps_values = _valid_epsilons(args.omega_x, args.omega_y, _parse_range(args.epsilon))
-    rows = []
-    for eps in eps_values:
-        params = SystemParams(args.omega_x, args.omega_y, eps)
-        for nm in _state_grid(args.n_max, args.m_max):
-            res = steering(params, nm)
-            rows.append({
-                "omega_x": args.omega_x, "omega_y": args.omega_y, "epsilon": eps,
-                "n": nm.n, "m": nm.m,
-                "s_xy": res.s_xy, "s_yx": res.s_yx, "delta": res.delta,
-                "s_xy_raw": res.s_xy_raw, "s_yx_raw": res.s_yx_raw,
-            })
-    _write_rows(rows, _STEERING_FIELDS, args.format, args.output)
-    return 0
+    return _scan(args, _steering_columns, _STEERING_FIELDS)
 
 
 def cmd_verify(args) -> int:
@@ -250,13 +213,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega-x", type=float, default=1.0)
         p.add_argument("--omega-y", type=float, default=1.0)
 
+    def grid(p: argparse.ArgumentParser, epsilon: str, n_max: int) -> None:
+        p.add_argument("--epsilon", default=epsilon, metavar="A:B:STEPS")
+        p.add_argument("--n-max", type=_int_at_least(0), default=n_max)
+        p.add_argument("--m-max", type=_int_at_least(0), default=n_max)
+
     p = sub.add_parser("spectrum", help="cutoff-angle scan or eigenenergy table")
     physical(p)
     p.add_argument("--r-scan", default=None, metavar="A:B:STEPS",
                    help="emit (r, theta_c) rows over this resonance-rate range")
-    p.add_argument("--epsilon", default="0:0:1", metavar="A:B:STEPS")
-    p.add_argument("--n-max", type=int, default=2)
-    p.add_argument("--m-max", type=int, default=2)
+    grid(p, "0:0:1", 2)
     common(p)
     p.set_defaults(func=cmd_spectrum)
 
@@ -280,21 +246,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("purity-scan", help="purity / linear entropy sweep")
     physical(p)
-    p.add_argument("--epsilon", default="0:0.9:10", metavar="A:B:STEPS")
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--m-max", type=int, default=3)
+    grid(p, "0:0.9:10", 3)
     common(p)
     p.set_defaults(func=cmd_purity_scan)
 
     p = sub.add_parser("steering-scan", help="directional steering sweep")
     physical(p)
-    p.add_argument("--epsilon", default="0:0.9:10", metavar="A:B:STEPS")
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--m-max", type=int, default=6)
+    grid(p, "0:0.9:10", 6)
     p.add_argument("--preset", choices=STEERING_PRESETS, default=None,
                    help="detuned sweep with omega_x=1, omega_y=PRESET over the "
                         "(n,0) and (0,m) families")
-    p.add_argument("--steps", type=int, default=161,
+    p.add_argument("--steps", type=_int_at_least(1), default=161,
                    help="epsilon steps for --preset sweeps")
     common(p)
     p.set_defaults(func=cmd_steering_scan)

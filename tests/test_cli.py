@@ -121,6 +121,18 @@ class TestPurityScan:
         assert max(abs(p - 1.0) for p in decoupled) <= 1e-13
 
 
+    def test_weak_coupling_sweep_up_to_six_quanta(self, capsys):
+        # mu ~ 0.028 at eps = 0.01, where Makarov's explicit Jacobi sum cancels
+        code, out, err = run_cli(
+            capsys, "purity-scan", "--omega-y", "0.8", "--epsilon", "0.01:0.75:20",
+            "--n-max", "6", "--m-max", "6",
+        )
+        assert code == 0, err
+        rows = read_csv(out)
+        assert len(rows) == 20 * 49
+        for row in rows:
+            assert 0.0 <= float(row["S_L_makarov"]) < 1.0
+
 class TestSteeringScan:
     def test_preset_has_no_mutual_steering(self, capsys):
         code, out, _ = run_cli(capsys, "steering-scan", "--preset", "0.8",
@@ -211,3 +223,16 @@ class TestArgumentHandling:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["purity-scan", "--n-max", "-1"],
+        ["purity-scan", "--m-max", "-1"],
+        ["spectrum", "--n-max", "-2"],
+        ["steering-scan", "--m-max", "-1"],
+        ["steering-scan", "--preset", "0.8", "--steps", "0"],
+    ])
+    def test_negative_counts_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "must be at least" in err

@@ -14,6 +14,7 @@ from oscpair import (
     purity_ground_closed,
 )
 from oscpair.oracle import marginal_purity_quadrature, schmidt_oracle
+from oscpair.specfun import jacobi_negparam
 
 RESONANT_USC = SystemParams(1.0, 1.0, 0.9)
 
@@ -138,6 +139,29 @@ class TestMakarovSchmidt:
         spec = makarov_schmidt(QuantumNumbers(*nm), mu)
         assert all(v >= 0.0 for v in spec.lambdas)
         assert math.fsum(spec.lambdas) == pytest.approx(1.0, abs=1e-10)
+
+    def test_weights_sum_to_one_over_the_domain(self):
+        for mu in np.logspace(-4.0, 4.0, 33):
+            for n in range(13):
+                for m in range(13):
+                    lam = makarov_schmidt(QuantumNumbers(n, m), float(mu)).lambdas
+                    assert min(lam) >= 0.0
+                    assert abs(math.fsum(lam) - 1.0) <= 1e-14, (n, m, mu)
+
+    @pytest.mark.parametrize("mu", [0.3, 0.9, 2.0])
+    def test_matches_the_jacobi_formula(self, mu):
+        # Makarov's explicit form through the negative-parameter Jacobi sum
+        mu2 = mu * mu
+        for n in range(7):
+            for m in range(7):
+                want = [
+                    math.factorial(m) * math.factorial(n) * mu2 ** (k + n)
+                    / ((1.0 + mu2) ** (m + n) * math.factorial(k) * math.factorial(m + n - k))
+                    * jacobi_negparam(n, -(1 + m + n), m - k, -(2.0 + mu2) / mu2) ** 2
+                    for k in range(n + m + 1)
+                ]
+                got = makarov_schmidt(QuantumNumbers(n, m), mu).lambdas
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
 
     def test_matches_svd_oracle_at_weak_resonant_coupling(self):
         params = SystemParams(1.0, 1.0, 1e-3)
