@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -57,25 +57,34 @@ def gauss_hermite(order: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
 
 
-def moment_oracle(params: SystemParams, nm: QuantumNumbers,
-                  exponents: tuple[int, int, int, int], order: int | None = None) -> float:
-    """Expectation value ``<x^a p^b y^c q^d>`` by exact quadrature.
+# exponents (a, b, c, d) of <x^a p^b y^c q^d>: the ten table moments, <xq> and <py>
+_MOMENT_EXPONENTS = {
+    "xx": (2, 0, 0, 0), "yy": (0, 0, 2, 0), "pp": (0, 2, 0, 0), "qq": (0, 0, 0, 2),
+    "xy": (1, 0, 1, 0), "pq": (0, 1, 0, 1),
+    "xxyy": (2, 0, 2, 0), "ppqq": (0, 2, 0, 2), "xxqq": (2, 0, 0, 2), "yypp": (0, 2, 2, 0),
+    "xq": (1, 0, 0, 1), "py": (0, 1, 1, 0),
+}
+
+
+def _quadrature_moments(params: SystemParams, nm: QuantumNumbers,
+                        exponents: list[tuple[int, int, int, int]],
+                        order: int | None = None) -> list[float]:
+    """Expectation values ``<x^a p^b y^c q^d>`` by exact quadrature, one per exponent.
 
     The Wigner integral is taken in scaled normal-mode coordinates where
     the Gaussian weight is ``exp(-t^2)`` on each axis; the monomial and
-    Laguerre factors are polynomials, so the rule order chosen from the
-    total degree is analytically sufficient. A user-supplied ``order`` is
-    raised to that threshold if it falls short.
+    Laguerre factors are polynomials, so one rule whose order is chosen
+    from the largest total degree is analytically sufficient for every
+    monomial. A user-supplied ``order`` is raised to that threshold if it
+    falls short.
     """
-    a, b, c_exp, d = exponents
-    total = a + b + c_exp + d
-    if min(exponents) < 0 or total > 8:
+    if any(min(e) < 0 or sum(e) > 8 for e in exponents):
         raise ValueError(f"monomial exponents must be non-negative with total <= 8, got {exponents}")
 
     modes = model.diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
     s, c = math.sin(modes.theta), math.cos(modes.theta)
-    needed = (total + 2 * max(nm.n, nm.m)) // 2 + 2
+    needed = (max(map(sum, exponents)) + 2 * max(nm.n, nm.m)) // 2 + 2
     rule = gauss_hermite(max(order or 0, needed))
     t, w = rule.nodes, rule.weights
 
@@ -90,33 +99,30 @@ def moment_oracle(params: SystemParams, nm: QuantumNumbers,
     q_jl = s * big_p[:, None] + c * big_q[None, :]
 
     t2 = t * t
-    lag_n = laguerre(nm.n, 2.0 * (t2[:, None] + t2[None, :]))
-    lag_m = laguerre(nm.m, 2.0 * (t2[:, None] + t2[None, :]))
-    a_ij = w[:, None] * w[None, :] * lag_n
-    b_kl = w[:, None] * w[None, :] * lag_m
-    c_ik = x_ik**a * y_ik**c_exp
-    d_jl = p_jl**b * q_jl**d
+    r2 = 2.0 * (t2[:, None] + t2[None, :])
+    ww = w[:, None] * w[None, :]
+    a_ij = ww * laguerre(nm.n, r2)
+    b_kl = ww * laguerre(nm.m, r2)
 
-    sign = (-1.0) ** (nm.n + nm.m)
-    return sign / math.pi**2 * float(
-        np.einsum("ij,kl,ik,jl->", a_ij, b_kl, c_ik, d_jl, optimize=True)
-    )
+    # sum_ijkl a_ij b_kl c_ik d_jl = sum_ij a_ij (c b d^T)_ij, c = x^a y^c, d = p^b q^d
+    scale = (-1.0) ** (nm.n + nm.m) / math.pi**2
+    return [scale * float(np.sum(a_ij * ((x_ik**a * y_ik**c_exp) @ b_kl @ (p_jl**b * q_jl**d).T)))
+            for a, b, c_exp, d in exponents]
+
+
+def moment_oracle(params: SystemParams, nm: QuantumNumbers,
+                  exponents: tuple[int, int, int, int], order: int | None = None) -> float:
+    """Expectation value ``<x^a p^b y^c q^d>`` by exact quadrature."""
+    return _quadrature_moments(params, nm, [exponents], order)[0]
 
 
 def moment_set_oracle(params: SystemParams, nm: QuantumNumbers) -> dict[str, float]:
-    """All ten table moments plus the parity-odd ``<xq>`` and ``<py>``."""
-    exps = {
-        "xx": (2, 0, 0, 0), "yy": (0, 0, 2, 0), "pp": (0, 2, 0, 0), "qq": (0, 0, 0, 2),
-        "xy": (1, 0, 1, 0), "pq": (0, 1, 0, 1),
-        "xxyy": (2, 0, 2, 0), "ppqq": (0, 2, 0, 2), "xxqq": (2, 0, 0, 2), "yypp": (0, 2, 2, 0),
-        "xq": (1, 0, 0, 1), "py": (0, 1, 1, 0),
-    }
-    return {name: moment_oracle(params, nm, e) for name, e in exps.items()}
+    """All ten table moments plus the parity-odd ``<xq>`` and ``<py>``, on one rule."""
+    return dict(zip(_MOMENT_EXPONENTS,
+                    _quadrature_moments(params, nm, list(_MOMENT_EXPONENTS.values()))))
 
 
-def ladder_oracle(params: SystemParams, nm: QuantumNumbers) -> LadderMoments:
-    """Ladder-operator correlators rebuilt from quadrature moments only."""
-    ms = moment_set_oracle(params, nm)
+def _ladder(params: SystemParams, ms: dict[str, float]) -> LadderMoments:
     wx, wy = params.omega_x, params.omega_y
     nx = 0.5 * (wx * ms["xx"] + ms["pp"] / wx) - 0.5
     ny = 0.5 * (wy * ms["yy"] + ms["qq"] / wy) - 0.5
@@ -128,20 +134,24 @@ def ladder_oracle(params: SystemParams, nm: QuantumNumbers) -> LadderMoments:
     return LadderMoments(nx=nx, ny=ny, nxny=nxny, cross_mag_sq=cross * cross)
 
 
-def global_purity_check(params: SystemParams, nm: QuantumNumbers,
-                        wigner_fn=None, order: int | None = None) -> float:
+def ladder_oracle(params: SystemParams, nm: QuantumNumbers) -> LadderMoments:
+    """Ladder-operator correlators rebuilt from quadrature moments only."""
+    return _ladder(params, moment_set_oracle(params, nm))
+
+
+def global_purity_check(params: SystemParams, nm: QuantumNumbers, wigner_fn=None) -> float:
     """``4 pi^2`` times the phase-space integral of ``W^2``; must be 1.
 
-    The squared Laguerre factors double the polynomial degree, so the
-    automatic rule order is ``2*max(n, m) + 4``. ``wigner_fn`` defaults to
-    the package evaluator and exists so tests can feed a deliberately
-    mis-normalized function as a negative control.
+    The squared Laguerre factors double the polynomial degree, so the rule
+    order is ``2*max(n, m) + 4``. ``wigner_fn`` defaults to the package
+    evaluator and exists so tests can feed a deliberately mis-normalized
+    function as a negative control.
     """
     if wigner_fn is None:
         wigner_fn = wigner.wigner_rotated
     modes = model.diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
-    rule = gauss_hermite(max(order or 0, 2 * max(nm.n, nm.m) + 4))
+    rule = gauss_hermite(2 * max(nm.n, nm.m) + 4)
     v, w = rule.nodes, rule.weights
 
     pt = RotatedPhasePoint(
@@ -267,141 +277,121 @@ def marginal_purity_quadrature(params: SystemParams, nm: QuantumNumbers) -> floa
 
 @dataclass
 class CheckResult:
+    """One named check; ``worst`` is the first point where ``max_deviation`` was reached."""
+
     name: str
     passed: bool
     max_deviation: float
     tolerance: float
     detail: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
+    worst: str = ""
 
 
 @dataclass
 class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
+    elapsed_seconds: float
+    checks: list[CheckResult]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "elapsed_seconds": self.elapsed_seconds,
-            "checks": [c.as_dict() for c in self.checks],
-        }
+        return {"passed": self.passed, **asdict(self)}
 
 
-_GRID_OMEGA_Y = (0.8, 1.0)
-_GRID_EPS_FRACTIONS = (0.3, 0.9)
-_GRID_STATES = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))
+# check name -> (tolerance, detail), in report order
+_CHECKS = {
+    "ground-purity-closed-form": (1e-10, "coefficient extraction vs ground-state closed form"),
+    "marginal-purity-svd": (1e-6, "coefficient extraction vs Schmidt-oracle purity"),
+    "global-purity": (1e-8, "4*pi^2 * integral of W^2 == 1"),
+    "moment-table": (1e-10, "closed-form moments vs quadrature; <xq>=<py>=0"),
+    "resonance-steering-null": (0.0, "steering vanishes at resonance, post clamp"),
+    "weak-coupling-steering": (1e-3, "full quantifier vs weak-coupling closed form"),
+    "schmidt-normalization": (1e-10, "approximate Schmidt weights sum to 1"),
+    "uncertainty-areas": (1e-12, "Heisenberg bound and resonance equality"),
+    "excitation-oracle": (1e-10, "ladder correlators vs quadrature moments"),
+}
 
 
-def _reference_grid() -> list[SystemParams]:
-    return [
-        SystemParams(1.0, wy, frac * wy)
-        for wy in _GRID_OMEGA_Y
-        for frac in _GRID_EPS_FRACTIONS
-    ]
+def _point(p: SystemParams, q: QuantumNumbers) -> str:
+    return f"omega_x={p.omega_x} omega_y={p.omega_y} epsilon={p.epsilon} n={q.n} m={q.m}"
 
 
 def run_verification() -> VerificationReport:
     """Run the oracle suite over the built-in reference grid.
 
-    Module-level functions under test are resolved at call time, so a
-    fault injected by rebinding (for instance a corrupted moment formula)
-    surfaces as a named failing check.
+    Each of the 24 reference points is computed once and feeds every check
+    that needs it. Module-level functions under test are resolved at call
+    time, so a fault injected by rebinding (for instance a corrupted moment
+    formula) surfaces as a named failing check, at the point where it is largest.
     """
     start = time.perf_counter()
-    grid = _reference_grid()
-    states = [QuantumNumbers(n, m) for n, m in _GRID_STATES]
-    checks: list[CheckResult] = []
+    grid = [SystemParams(1.0, wy, frac * wy) for wy in (0.8, 1.0) for frac in (0.3, 0.9)]
+    states = [QuantumNumbers(n, m) for n, m in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))]
+    checks = {name: CheckResult(name, False, -math.inf, tol, detail)
+              for name, (tol, detail) in _CHECKS.items()}
 
-    def record(name: str, dev: float, tol: float, detail: str = "") -> None:
-        checks.append(CheckResult(name=name, passed=bool(dev <= tol),
-                                  max_deviation=float(dev), tolerance=tol, detail=detail))
+    def record(name: str, dev: float, at: str) -> None:
+        check = checks[name]
+        # a NaN deviation is kept, so that it fails its check
+        if not (dev <= check.max_deviation or math.isnan(check.max_deviation)):
+            check.max_deviation, check.worst = float(dev), at
 
-    dev = max(abs(purity.purity_exact(p, QuantumNumbers(0, 0)).purity
-                  - purity.purity_ground_closed(p).purity) for p in grid)
-    record("ground-purity-closed-form", dev, 1e-10,
-           "coefficient extraction vs ground-state closed form")
-
-    # strongly squeezed states alias on the default grid; 160 nodes resolve
-    # every reference point with margin
-    dev = max(abs(purity.purity_exact(p, q).purity - schmidt_oracle(p, q, nodes=160).purity)
-              for p in grid for q in states)
-    record("marginal-purity-svd", dev, 1e-6,
-           "coefficient extraction vs Schmidt-oracle purity")
-
-    dev = max(abs(global_purity_check(p, q) - 1.0) for p in grid for q in states)
-    record("global-purity", dev, 1e-8, "4*pi^2 * integral of W^2 == 1")
-
-    dev = 0.0
     for p in grid:
         for q in states:
+            at = _point(p, q)
+            exact = purity.purity_exact(p, q).purity
+            if (q.n, q.m) == (0, 0):
+                record("ground-purity-closed-form",
+                       abs(exact - purity.purity_ground_closed(p).purity), at)
+            # strongly squeezed states alias on the default grid; 160 nodes resolve
+            # every reference point with margin
+            record("marginal-purity-svd", abs(exact - schmidt_oracle(p, q, nodes=160).purity), at)
+            record("global-purity", abs(global_purity_check(p, q) - 1.0), at)
+
             ms = moments.second_and_fourth_moments(p, q)
             ref = moment_set_oracle(p, q)
-            for name in ("xx", "yy", "pp", "qq", "xy", "pq", "xxyy", "ppqq", "xxqq", "yypp"):
-                got = getattr(ms, name)
-                want = ref[name]
-                dev = max(dev, abs(got - want) / max(abs(want), 1e-2))
-            dev = max(dev, abs(ref["xq"]), abs(ref["py"]))
-    record("moment-table", dev, 1e-10, "closed-form moments vs quadrature; <xq>=<py>=0")
-
-    dev = 0.0
-    for frac in (0.1, 0.5, 0.9):
-        p = SystemParams(1.0, 1.0, frac)
-        for q in states:
-            res = compute_steering(p, q)
-            dev = max(dev, abs(res.s_xy), abs(res.s_yx))
-    record("resonance-steering-null", dev, 0.0, "steering vanishes at resonance, post clamp")
-
-    eps = 1e-4
-    dev = 0.0
-    for mu_target in (0.3, 0.6):
-        detune = 2.0 * eps * (1.0 - mu_target**2) / (2.0 * mu_target)
-        p = SystemParams(1.0, math.sqrt(1.0 - detune), eps)
-        mu = model.diagonalize(p).mu
-        for n in (1, 3, 5):
-            full = compute_steering(p, QuantumNumbers(n, 0)).s_xy
-            weak = steering_weak_general(QuantumNumbers(n, 0), mu)
-            dev = max(dev, abs(full - weak) / weak)
-    record("weak-coupling-steering", dev, 1e-3, "full quantifier vs weak-coupling closed form")
-
-    dev = max(abs(math.fsum(purity.makarov_schmidt(QuantumNumbers(n, m), mu).lambdas) - 1.0)
-              for n in range(4) for m in range(4) for mu in (0.2, 1.0 / math.sqrt(3.0), 0.9, 1.0))
-    record("schmidt-normalization", dev, 1e-10, "approximate Schmidt weights sum to 1")
-
-    dev = 0.0
-    for p in grid:
-        for q in states:
+            record("moment-table", max(abs(ref["xq"]), abs(ref["py"]),
+                                       *(abs(got - ref[name]) / max(abs(ref[name]), 1e-2)
+                                         for name, got in asdict(ms).items())), at)
             ax, ay = moments.uncertainty_areas(p, q)
-            dev = max(dev, 0.5 - ax, 0.5 - ay)
+            record("uncertainty-areas", max(0.5 - ax, 0.5 - ay), at)
+            ex = moments.excitation_numbers(p, q)
+            lm = moments.ladder_moments(p, q)
+            lad = _ladder(p, ref)
+            record("excitation-oracle", max(abs(ex.nx - lad.nx), abs(ex.ny - lad.ny),
+                                            abs(lm.nxny - lad.nxny),
+                                            abs(lm.cross_mag_sq - lad.cross_mag_sq)), at)
+
     for frac in (0.3, 0.9):
         p = SystemParams(1.0, 1.0, frac)
         for q in states:
             ax, ay = moments.uncertainty_areas(p, q)
-            dev = max(dev, abs(ax - ay))
-    record("uncertainty-areas", dev, 1e-12, "Heisenberg bound and resonance equality")
+            record("uncertainty-areas", abs(ax - ay), _point(p, q))
 
-    dev = 0.0
-    for p in grid:
+    for frac in (0.1, 0.5, 0.9):
+        p = SystemParams(1.0, 1.0, frac)
         for q in states:
-            ex = moments.excitation_numbers(p, q)
-            ref = ladder_oracle(p, q)
-            dev = max(dev, abs(ex.nx - ref.nx), abs(ex.ny - ref.ny))
-            lm = moments.ladder_moments(p, q)
-            dev = max(dev, abs(lm.nxny - ref.nxny), abs(lm.cross_mag_sq - ref.cross_mag_sq))
-    record("excitation-oracle", dev, 1e-10, "ladder correlators vs quadrature moments")
+            res = compute_steering(p, q)
+            record("resonance-steering-null", max(abs(res.s_xy), abs(res.s_yx)), _point(p, q))
 
-    report = VerificationReport(checks=checks)
-    report.elapsed_seconds = time.perf_counter() - start
-    return report
+    eps = 1e-4
+    for mu_target in (0.3, 0.6):
+        detune = 2.0 * eps * (1.0 - mu_target**2) / (2.0 * mu_target)
+        p = SystemParams(1.0, math.sqrt(1.0 - detune), eps)
+        mu = model.diagonalize(p).mu
+        for q in (QuantumNumbers(n, 0) for n in (1, 3, 5)):
+            weak = steering_weak_general(q, mu)
+            record("weak-coupling-steering",
+                   abs(compute_steering(p, q).s_xy - weak) / weak, _point(p, q))
+
+    for n in range(4):
+        for m in range(4):
+            for mu in (0.2, 1.0 / math.sqrt(3.0), 0.9, 1.0):
+                lam = purity.makarov_schmidt(QuantumNumbers(n, m), mu).lambdas
+                record("schmidt-normalization", abs(math.fsum(lam) - 1.0), f"n={n} m={m} mu={mu}")
+
+    for check in checks.values():
+        check.passed = bool(check.max_deviation <= check.tolerance)
+    return VerificationReport(time.perf_counter() - start, list(checks.values()))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from oscpair import (
     QuantumNumbers,
     SystemParams,
+    diagonalize,
     gauss_hermite,
     global_purity_check,
     moment_oracle,
@@ -14,8 +17,38 @@ from oscpair import (
     schmidt_oracle,
     wigner_rotated,
 )
+from oscpair import oracle, purity
+from oscpair.specfun import laguerre
 
 PARAMS = SystemParams(1.0, 0.8, 0.5)
+
+MOMENT_EXPONENTS = {
+    "xx": (2, 0, 0, 0), "yy": (0, 0, 2, 0), "pp": (0, 2, 0, 0), "qq": (0, 0, 0, 2),
+    "xy": (1, 0, 1, 0), "pq": (0, 1, 0, 1),
+    "xxyy": (2, 0, 2, 0), "ppqq": (0, 2, 0, 2), "xxqq": (2, 0, 0, 2), "yypp": (0, 2, 2, 0),
+    "xq": (1, 0, 0, 1), "py": (0, 1, 1, 0),
+}
+
+
+def einsum_moment(params, nm, exponents):
+    """Reference ``<x^a p^b y^c q^d>``: one rule per monomial, four-index einsum."""
+    a, b, c_exp, d = exponents
+    modes = diagonalize(params)
+    vx, vy = modes.vartheta_x, modes.vartheta_y
+    s, c = math.sin(modes.theta), math.cos(modes.theta)
+    t, w = np.polynomial.hermite.hermgauss((sum(exponents) + 2 * max(nm.n, nm.m)) // 2 + 2)
+    big_x, big_p = t / math.sqrt(vx), t * math.sqrt(vx)
+    big_y, big_q = t / math.sqrt(vy), t * math.sqrt(vy)
+    x_ik = c * big_x[:, None] - s * big_y[None, :]
+    y_ik = s * big_x[:, None] + c * big_y[None, :]
+    p_jl = c * big_p[:, None] - s * big_q[None, :]
+    q_jl = s * big_p[:, None] + c * big_q[None, :]
+    t2 = t * t
+    a_ij = w[:, None] * w[None, :] * laguerre(nm.n, 2.0 * (t2[:, None] + t2[None, :]))
+    b_kl = w[:, None] * w[None, :] * laguerre(nm.m, 2.0 * (t2[:, None] + t2[None, :]))
+    total = np.einsum("ij,kl,ik,jl->", a_ij, b_kl, x_ik**a * y_ik**c_exp, p_jl**b * q_jl**d,
+                      optimize=True)
+    return (-1.0) ** (nm.n + nm.m) / math.pi**2 * float(total)
 
 
 class TestQuadratureRule:
@@ -69,6 +102,17 @@ class TestMomentOracle:
             moment_oracle(PARAMS, q, (2, 0, 0, 0)), rel=1e-12
         )
 
+    @pytest.mark.parametrize("nm", [(0, 0), (2, 1), (3, 3), (6, 6)])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 0.79])
+    def test_matches_einsum_reference(self, nm, eps):
+        params, q = SystemParams(1.0, 0.8, eps), QuantumNumbers(*nm)
+        got = oracle.moment_set_oracle(params, q)
+        assert list(got) == list(MOMENT_EXPONENTS)
+        for name, exps in MOMENT_EXPONENTS.items():
+            want = einsum_moment(params, q, exps)
+            for value in (got[name], moment_oracle(params, q, exps)):
+                assert value == pytest.approx(want, rel=1e-12, abs=1e-12), (name, value, want)
+
 
 class TestGlobalPurity:
     @pytest.mark.parametrize("nm", [(0, 0), (2, 1), (3, 3)])
@@ -120,6 +164,37 @@ class TestSchmidtOracle:
 
 
 class TestVerification:
+    CHECKS = [
+        ("ground-purity-closed-form", 1e-10, "coefficient extraction vs ground-state closed form"),
+        ("marginal-purity-svd", 1e-6, "coefficient extraction vs Schmidt-oracle purity"),
+        ("global-purity", 1e-8, "4*pi^2 * integral of W^2 == 1"),
+        ("moment-table", 1e-10, "closed-form moments vs quadrature; <xq>=<py>=0"),
+        ("resonance-steering-null", 0.0, "steering vanishes at resonance, post clamp"),
+        ("weak-coupling-steering", 1e-3, "full quantifier vs weak-coupling closed form"),
+        ("schmidt-normalization", 1e-10, "approximate Schmidt weights sum to 1"),
+        ("uncertainty-areas", 1e-12, "Heisenberg bound and resonance equality"),
+        ("excitation-oracle", 1e-10, "ladder correlators vs quadrature moments"),
+    ]
+
+    def test_check_table_is_pinned(self):
+        report = run_verification()
+        assert [(c.name, c.tolerance, c.detail) for c in report.checks] == self.CHECKS
+
+    def test_each_reference_point_is_computed_once(self, monkeypatch):
+        calls = {"moments": 0, "purity": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(oracle, "moment_set_oracle",
+                            counting("moments", oracle.moment_set_oracle))
+        monkeypatch.setattr(purity, "purity_exact", counting("purity", purity.purity_exact))
+        assert run_verification().passed
+        assert calls == {"moments": 24, "purity": 24}
+
     def test_reference_grid_passes(self):
         report = run_verification()
         assert report.passed
@@ -143,3 +218,37 @@ class TestVerification:
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert "moment-table" in failed
+
+    def test_worst_point_is_named(self):
+        point = r"omega_x=\S+ omega_y=\S+ epsilon=\S+ n=\d+ m=\d+"
+        for check in run_verification().checks:
+            pattern = r"n=\d+ m=\d+ mu=\S+" if check.name == "schmidt-normalization" else point
+            assert re.fullmatch(pattern, check.worst), (check.name, check.worst)
+
+    def test_injected_fault_is_reported_at_its_point(self, monkeypatch):
+        from oscpair import moments as moments_module
+
+        true_fn = moments_module.second_and_fourth_moments
+        bad = (SystemParams(1.0, 0.8, 0.9 * 0.8), QuantumNumbers(2, 1))
+
+        def corrupted(params, nm):
+            ms = true_fn(params, nm)
+            return dataclasses.replace(ms, xx=ms.xx * (1.0 + 1e-6)) if (params, nm) == bad else ms
+
+        monkeypatch.setattr(moments_module, "second_and_fourth_moments", corrupted)
+        check = {c.name: c for c in run_verification().checks}["moment-table"]
+        assert not check.passed
+        assert check.worst == f"omega_x=1.0 omega_y=0.8 epsilon={0.9 * 0.8} n=2 m=1"
+
+    def test_nan_deviation_fails_its_check(self, monkeypatch):
+        true_fn = oracle.global_purity_check
+        bad = (SystemParams(1.0, 1.0, 0.9), QuantumNumbers(1, 1))
+
+        def broken(params, nm):
+            return math.nan if (params, nm) == bad else true_fn(params, nm)
+
+        monkeypatch.setattr(oracle, "global_purity_check", broken)
+        check = {c.name: c for c in run_verification().checks}["global-purity"]
+        assert not check.passed
+        assert math.isnan(check.max_deviation)
+        assert check.worst == "omega_x=1.0 omega_y=1.0 epsilon=0.9 n=1 m=1"
