@@ -9,9 +9,9 @@ check:
   Lab-frame monomials are evaluated through the rotation on the rotated
   tensor grid, never sampled on lab grids, which removes convergence
   questions from the comparisons.
-* An SVD-based Schmidt decomposition of the position-space wavefunction
-  sampled on a scaled Gauss-Hermite grid; its singular values give the
-  marginal purity and, as a bonus diagnostic, the von Neumann entropy.
+* The singular values of the exact Fock amplitudes of ``Psi_(n, m)`` in
+  lab-local bases (Bloch-Messiah, Braunstein, Phys. Rev. A 71, 055801
+  (2005)): the Schmidt coefficients, with their truncation residual.
 
 ``run_verification`` sweeps a built-in parameter grid through all checks
 and returns a machine-readable report; the CLI ``verify`` command wraps
@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import model, moments, purity, wigner
-from .model import QuantumNumbers, SystemParams
+from .model import NormalModes, QuantumNumbers, SystemParams
 from .moments import LadderMoments
 from .specfun import laguerre
 from .steering import steering as compute_steering
@@ -139,16 +139,13 @@ def ladder_oracle(params: SystemParams, nm: QuantumNumbers) -> LadderMoments:
     return _ladder(params, moment_set_oracle(params, nm))
 
 
-def global_purity_check(params: SystemParams, nm: QuantumNumbers, wigner_fn=None) -> float:
+def global_purity_check(params: SystemParams, nm: QuantumNumbers) -> float:
     """``4 pi^2`` times the phase-space integral of ``W^2``; must be 1.
 
     The squared Laguerre factors double the polynomial degree, so the rule
-    order is ``2*max(n, m) + 4``. ``wigner_fn`` defaults to the package
-    evaluator and exists so tests can feed a deliberately mis-normalized
-    function as a negative control.
+    order is ``2*max(n, m) + 4``. ``wigner.wigner_rotated`` is looked up at
+    call time, so a rebound evaluator is the one integrated.
     """
-    if wigner_fn is None:
-        wigner_fn = wigner.wigner_rotated
     modes = model.diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
     rule = gauss_hermite(2 * max(nm.n, nm.m) + 4)
@@ -160,68 +157,72 @@ def global_purity_check(params: SystemParams, nm: QuantumNumbers, wigner_fn=None
         Y=(v / math.sqrt(2.0 * vy))[None, None, :, None],
         Q=(v * math.sqrt(0.5 * vy))[None, None, None, :],
     )
-    w_vals = wigner_fn(modes, nm, pt)
+    w_vals = wigner.wigner_rotated(modes, nm, pt)
     rw = w * np.exp(v * v)
-    return math.pi**2 * float(
-        np.einsum("i,j,k,l,ijkl->", rw, rw, rw, rw, w_vals * w_vals, optimize=True)
-    )
+    return math.pi**2 * float(np.einsum("i,j,k,l,ijkl->", rw, rw, rw, rw, w_vals * w_vals,
+                                        optimize=True))
 
 
 @dataclass(frozen=True)
 class SchmidtOracleResult:
-    """Schmidt data of the discretized two-body wavefunction."""
+    """Schmidt data of a state's Fock amplitudes; ``norm_deficit`` is their truncation residual."""
 
-    singular_values: np.ndarray
+    singular_values: np.ndarray  # rescaled so that the Schmidt weights, their squares, sum to 1
     purity: float
     linear_entropy: float
     von_neumann: float
+    norm_deficit: float
 
 
-def schmidt_oracle(params: SystemParams, nm: QuantumNumbers,
-                   nodes: int | None = None) -> SchmidtOracleResult:
-    """Schmidt decomposition of ``Psi_(n, m)(x, y)`` sampled in lab coordinates.
+# ground-state supports tried; at 1024 the amplitude matrix stays below 10 MB
+_SUPPORTS = tuple(16 << k for k in range(7))
 
-    The wavefunction is sampled on a tensor Gauss-Hermite grid scaled
-    per axis to the state's ``<x^2>`` and ``<y^2>``; with the square-root
-    quadrature weights folded in, the singular values of the sampled
-    matrix are the Schmidt coefficients. The default grid is
-    ``2*(n+m) + 24`` nodes per axis. If the discretized norm drifts from
-    1 by more than ``5e-7`` the grid is too coarse and a ``RuntimeError``
-    is raised instead of returning a silently degraded answer.
+
+def _fock_amplitudes(modes: NormalModes, nm: QuantumNumbers) -> tuple[np.ndarray, float]:
+    """``C_jk = <j_x k_y | Psi_(n, m)>`` in lab-local Fock bases, and ``| ||C||_F^2 - 1 |``.
+
+    ``C = b_x^dag^n b_y^dag^m C0 / sqrt(n! m!)`` for the ground state ``C0`` (README, Numerical
+    conventions), in a buffer ``n + m`` wider than ``C0``'s support, grown to a deficit < 1e-14.
     """
-    modes = model.diagonalize(params)
-    n_nodes = nodes or (2 * (nm.n + nm.m) + 24)
-    rule = gauss_hermite(n_nodes)
-    t, w = rule.nodes, rule.weights
-
-    ms = moments.second_and_fourth_moments(params, nm)
-    sx = math.sqrt(2.0 * ms.xx)
-    sy = math.sqrt(2.0 * ms.yy)
-    x = sx * t
-    y = sy * t
-
+    vx, vy = modes.vartheta_x, modes.vartheta_y
     s, c = math.sin(modes.theta), math.cos(modes.theta)
-    big_x = c * x[:, None] + s * y[None, :]
-    big_y = -s * x[:, None] + c * y[None, :]
-    psi = wigner.eigenfunction(modes, nm, big_x, big_y)
+    s2, c2 = s * s, c * c
+    om_x = math.sqrt((vx * c2 + vy * s2) / (c2 / vx + s2 / vy))  # sqrt(<p^2>/<x^2>)
+    om_y = math.sqrt((vx * s2 + vy * c2) / (s2 / vx + c2 / vy))  # sqrt(<q^2>/<y^2>)
+    z = (s * c * (vx - vy)) ** 2 / (4.0 * vx * vy)  # nbar (nbar+1) = <x^2><p^2> - 1/4
+    nbar = 2.0 * z / (1.0 + math.sqrt(1.0 + 4.0 * z))
+    ratio = math.copysign(math.sqrt(nbar / (nbar + 1.0)), s * c * (vy - vx))  # sign of <xy>
+    rot = np.array([[c, s], [-s, c]])  # [i, j], i = X, Y and j = x, y: X = c x + s y, ...
+    r = np.sqrt(np.outer([vx, vy], [1.0 / om_x, 1.0 / om_y]))  # sqrt(vartheta_i / Omega_j)
+    up, dn = 0.5 * rot * (r + 1.0 / r), 0.5 * rot * (r - 1.0 / r)  # a_j^dag, a_j in b_i^dag
+    for support in _SUPPORTS:
+        root = np.sqrt(np.arange(1, support + nm.n + nm.m))  # sqrt(k) for k >= 1 in the buffer
+        amp = np.zeros((root.size + 1, root.size + 1))
+        amp[range(support), range(support)] = ratio ** np.arange(support) / math.sqrt(
+            (1.0 + nbar) * math.factorial(nm.n) * math.factorial(nm.m))
+        for i in [0] * nm.n + [1] * nm.m:
+            new = np.zeros_like(amp)
+            new[1:] += up[i, 0] * root[:, None] * amp[:-1]
+            new[:-1] += dn[i, 0] * root[:, None] * amp[1:]
+            new[:, 1:] += up[i, 1] * root * amp[:, :-1]
+            new[:, :-1] += dn[i, 1] * root * amp[:, 1:]
+            amp = new
+        deficit = abs(float(np.sum(amp * amp)) - 1.0)
+        if deficit < 1e-14:
+            return amp, deficit
+    raise RuntimeError(f"({nm.n}, {nm.m}) unresolved at support {support}: deficit {deficit:.3e}")
 
-    half_weight_x = np.sqrt(sx * w * np.exp(t * t))
-    half_weight_y = np.sqrt(sy * w * np.exp(t * t))
-    sampled = psi * half_weight_x[:, None] * half_weight_y[None, :]
 
-    sv = np.linalg.svd(sampled, compute_uv=False)
-    norm = float(np.sum(sv**2))
-    if abs(norm - 1.0) > 5e-7:
-        raise RuntimeError(
-            f"discretized norm {norm} drifts from 1 beyond 5e-7 with {n_nodes} nodes per axis; "
-            "raise the node count"
-        )
-    lam = sv**2
+def schmidt_oracle(params: SystemParams, nm: QuantumNumbers) -> SchmidtOracleResult:
+    """Schmidt coefficients of ``Psi_(n, m)``; ``RuntimeError`` very near the bound (unresolved)."""
+    amp, deficit = _fock_amplitudes(model.diagonalize(params), nm)
+    sv = np.linalg.svd(amp, compute_uv=False)
+    sv /= math.sqrt(float(np.sum(sv * sv)))
+    lam = sv[sv > 1e-9] ** 2
     pur = float(np.sum(lam**2))
-    keep = lam > 1e-18
-    vn = float(-np.sum(lam[keep] * np.log(lam[keep])))
-    return SchmidtOracleResult(singular_values=sv, purity=pur,
-                               linear_entropy=1.0 - pur, von_neumann=vn)
+    vn = float(-np.sum(lam * np.log(lam)))
+    return SchmidtOracleResult(singular_values=sv, purity=pur, linear_entropy=1.0 - pur,
+                               von_neumann=vn, norm_deficit=deficit)
 
 
 def marginal_purity_quadrature(params: SystemParams, nm: QuantumNumbers) -> float:
@@ -303,11 +304,11 @@ class VerificationReport:
 # check name -> (tolerance, detail), in report order
 _CHECKS = {
     "ground-purity-closed-form": (1e-10, "coefficient extraction vs ground-state closed form"),
-    "marginal-purity-svd": (1e-6, "coefficient extraction vs Schmidt-oracle purity"),
+    "marginal-purity-svd": (1e-12, "coefficient extraction vs Schmidt-oracle purity"),
     "global-purity": (1e-8, "4*pi^2 * integral of W^2 == 1"),
     "moment-table": (1e-10, "closed-form moments vs quadrature; <xq>=<py>=0"),
     "resonance-steering-null": (0.0, "steering vanishes at resonance, post clamp"),
-    "weak-coupling-steering": (1e-3, "full quantifier vs weak-coupling closed form"),
+    "weak-coupling-steering": (1e-6, "full quantifier vs weak-coupling closed form"),
     "schmidt-normalization": (1e-10, "approximate Schmidt weights sum to 1"),
     "uncertainty-areas": (1e-12, "Heisenberg bound and resonance equality"),
     "excitation-oracle": (1e-10, "ladder correlators vs quadrature moments"),
@@ -345,9 +346,7 @@ def run_verification() -> VerificationReport:
             if (q.n, q.m) == (0, 0):
                 record("ground-purity-closed-form",
                        abs(exact - purity.purity_ground_closed(p).purity), at)
-            # strongly squeezed states alias on the default grid; 160 nodes resolve
-            # every reference point with margin
-            record("marginal-purity-svd", abs(exact - schmidt_oracle(p, q, nodes=160).purity), at)
+            record("marginal-purity-svd", abs(exact - schmidt_oracle(p, q).purity), at)
             record("global-purity", abs(global_purity_check(p, q) - 1.0), at)
 
             ms = moments.second_and_fourth_moments(p, q)

@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 
 from oscpair import (
+    NormalModes,
     QuantumNumbers,
     SystemParams,
     diagonalize,
     gauss_hermite,
     global_purity_check,
+    makarov_schmidt,
     moment_oracle,
     purity_ground_closed,
     run_verification,
     schmidt_oracle,
     wigner_rotated,
 )
-from oscpair import oracle, purity
+from oscpair import oracle, purity, wigner
 from oscpair.specfun import laguerre
 
 PARAMS = SystemParams(1.0, 0.8, 0.5)
@@ -121,56 +123,72 @@ class TestGlobalPurity:
         params = SystemParams(1.0, 1.0, eps)
         assert global_purity_check(params, QuantumNumbers(*nm)) == pytest.approx(1.0, abs=1e-8)
 
-    def test_negative_control_scaled_wigner(self):
+    def test_negative_control_scaled_wigner(self, monkeypatch):
         def doubled(modes, nm, pt):
             return 2.0 * wigner_rotated(modes, nm, pt)
 
-        got = global_purity_check(PARAMS, QuantumNumbers(0, 0), wigner_fn=doubled)
+        monkeypatch.setattr(wigner, "wigner_rotated", doubled)
+        got = global_purity_check(PARAMS, QuantumNumbers(0, 0))
         assert got == pytest.approx(4.0, abs=1e-8)
 
 
 class TestSchmidtOracle:
     def test_decoupled_state_is_rank_one(self):
-        res = schmidt_oracle(SystemParams(1.0, 0.7, 0.0), QuantumNumbers(1, 1), nodes=64)
-        assert res.purity == pytest.approx(1.0, abs=1e-9)
-        assert res.singular_values[0] == pytest.approx(1.0, abs=1e-9)
-        assert res.singular_values[1] < 1e-6
-        assert res.von_neumann == pytest.approx(0.0, abs=1e-7)
+        for params in (SystemParams(1.0, 0.7, 0.0), SystemParams(0.8, 1.0, 0.0)):
+            for n in range(4):
+                for m in range(4):
+                    res = schmidt_oracle(params, QuantumNumbers(n, m))
+                    assert res.purity == 1.0
+                    assert res.singular_values[0] == pytest.approx(1.0, abs=1e-15)
+                    assert res.singular_values[1] < 1e-15
+                    assert res.von_neumann == 0.0
 
     def test_resonant_usc_ground_state(self):
         params = SystemParams(1.0, 1.0, 0.9)
         res = schmidt_oracle(params, QuantumNumbers(0, 0))
-        assert res.purity == pytest.approx(purity_ground_closed(params).purity, abs=1e-6)
+        assert res.purity == pytest.approx(purity_ground_closed(params).purity, abs=1e-12)
         # nonzero von Neumann entropy: the coupled ground state is entangled
         assert res.von_neumann > 0.3
 
     def test_purity_invariant_under_axis_swap(self):
-        a = schmidt_oracle(SystemParams(1.0, 0.8, 0.5), QuantumNumbers(2, 1), nodes=160).purity
-        b = schmidt_oracle(SystemParams(0.8, 1.0, 0.5), QuantumNumbers(1, 2), nodes=160).purity
-        assert a == pytest.approx(b, abs=1e-8)
+        a = schmidt_oracle(SystemParams(1.0, 0.8, 0.5), QuantumNumbers(2, 1)).purity
+        b = schmidt_oracle(SystemParams(0.8, 1.0, 0.5), QuantumNumbers(1, 2)).purity
+        assert a == pytest.approx(b, abs=1e-12)
 
-    def test_coarse_grid_is_reported_not_accepted(self):
-        params = SystemParams(1.0, 1.0, 0.95)
-        with pytest.raises(RuntimeError, match="drifts"):
-            schmidt_oracle(params, QuantumNumbers(3, 3), nodes=40)
+    def test_norm_deficit_within_gate(self):
+        for params in (SystemParams(1.0, 0.8, 0.3), SystemParams(1.0, 0.8, 0.79),
+                       SystemParams(1.0, 1.0, 0.9)):
+            for nm in [(0, 0), (1, 0), (3, 3), (8, 8)]:
+                res = schmidt_oracle(params, QuantumNumbers(*nm))
+                assert res.norm_deficit <= 1e-14
+                assert math.fsum(res.singular_values**2) == pytest.approx(1.0, abs=1e-15)
 
-    def test_norm_within_gate_on_default_grid(self):
-        # ground and singly excited states converge on the default grid;
-        # strongly squeezed excited states need an explicit node count
-        for nm in [(0, 0), (1, 0)]:
-            res = schmidt_oracle(SystemParams(1.0, 0.8, 0.3), QuantumNumbers(*nm))
-            lam = res.singular_values**2
-            assert abs(lam.sum() - 1.0) < 5e-7
+    def test_unresolved_state_is_reported_not_accepted(self):
+        # 0.9999 of the stability bound: the squeezed vacuum's tail outgrows the largest support
+        params = SystemParams(1.0, 0.8, 0.9999 * 0.8)
+        with pytest.raises(RuntimeError, match=r"\(6, 6\) unresolved at support 1024: deficit"):
+            schmidt_oracle(params, QuantumNumbers(6, 6))
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.028, 0.3, 1.0, 2.0, 50.0])
+    def test_equal_normal_frequencies_give_makarov_weights(self, mu):
+        # equal normal frequencies leave only the beam splitter: Makarov's approximation
+        modes = NormalModes(theta=math.atan(mu), mu=mu, vartheta_x=1.0, vartheta_y=1.0)
+        for n in range(7):
+            for m in range(7):
+                amp, _ = oracle._fock_amplitudes(modes, QuantumNumbers(n, m))
+                got = [amp[k, n + m - k] ** 2 for k in range(n + m + 1)]
+                want = makarov_schmidt(QuantumNumbers(n, m), mu).lambdas
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestVerification:
     CHECKS = [
         ("ground-purity-closed-form", 1e-10, "coefficient extraction vs ground-state closed form"),
-        ("marginal-purity-svd", 1e-6, "coefficient extraction vs Schmidt-oracle purity"),
+        ("marginal-purity-svd", 1e-12, "coefficient extraction vs Schmidt-oracle purity"),
         ("global-purity", 1e-8, "4*pi^2 * integral of W^2 == 1"),
         ("moment-table", 1e-10, "closed-form moments vs quadrature; <xq>=<py>=0"),
         ("resonance-steering-null", 0.0, "steering vanishes at resonance, post clamp"),
-        ("weak-coupling-steering", 1e-3, "full quantifier vs weak-coupling closed form"),
+        ("weak-coupling-steering", 1e-6, "full quantifier vs weak-coupling closed form"),
         ("schmidt-normalization", 1e-10, "approximate Schmidt weights sum to 1"),
         ("uncertainty-areas", 1e-12, "Heisenberg bound and resonance equality"),
         ("excitation-oracle", 1e-10, "ladder correlators vs quadrature moments"),

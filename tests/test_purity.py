@@ -71,8 +71,10 @@ class TestPurityExact:
                              ids=lambda p: "wx%g-wy%g-eps%g" % p)
     def test_against_high_precision_reference(self, params):
         for k, want in enumerate(PURITY_REFERENCE[params]):
-            got = purity_exact(SystemParams(*params), QuantumNumbers(k, k)).purity
-            assert got == pytest.approx(want, abs=1e-12), f"state ({k}, {k})"
+            state = SystemParams(*params), QuantumNumbers(k, k)
+            for route, got in (("exact", purity_exact(*state).purity),
+                               ("oracle", schmidt_oracle(*state).purity)):
+                assert got == pytest.approx(want, abs=1e-12), f"{route}, state ({k}, {k})"
 
     def test_linear_entropy_complements_purity(self):
         res = purity_exact(RESONANT_USC, QuantumNumbers(2, 1))
@@ -83,8 +85,8 @@ class TestPurityExact:
     def test_against_svd_oracle(self, nm):
         for params in (RESONANT_USC, SystemParams(1.0, 0.8, 0.6)):
             got = purity_exact(params, QuantumNumbers(*nm)).purity
-            ref = schmidt_oracle(params, QuantumNumbers(*nm), nodes=160).purity
-            assert got == pytest.approx(ref, abs=1e-6)
+            ref = schmidt_oracle(params, QuantumNumbers(*nm)).purity
+            assert got == pytest.approx(ref, abs=1e-12)
 
     @pytest.mark.parametrize("nm", [(0, 0), (1, 0), (2, 2), (4, 4), (6, 6)])
     def test_against_wigner_marginal_quadrature(self, nm):
