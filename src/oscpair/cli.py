@@ -1,7 +1,7 @@
 """Command-line interface: spectra, moments, Wigner grids, scans, verification.
 
 Sweep output is deterministic and byte-stable: rows are generated in
-sorted order and floats are printed with 17 significant digits. Rows
+sorted order, ``n`` and ``m`` are printed with ``%d`` and floats with ``%.17g``. Rows
 whose coupling violates ``epsilon < omega_x*omega_y`` are skipped with a
 warning on stderr instead of aborting the sweep.
 
@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
+import itertools
 import json
 import sys
 from dataclasses import asdict, fields
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ STEERING_PRESETS = ("0.99", "0.8", "0.6")
 _SWEEP_FIELDS = ["omega_x", "omega_y", "epsilon", "n", "m"]
 _STEERING_FIELDS = [f.name for f in fields(SteeringResult)]
 _Columns = Callable[[SystemParams, QuantumNumbers], dict]
+_BLOCK = 1024  # rows per formatted block: one whole-table string costs memory
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -57,12 +58,6 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def _opened(output: str | None):
     return open(output, "w", newline="") if output else contextlib.nullcontext(sys.stdout)
 
@@ -73,15 +68,22 @@ def _write_json(payload, output: str | None) -> None:
         fh.write(text)
 
 
-def _write_rows(rows: Iterable[dict], fieldnames: list[str], fmt: str,
-                output: str | None) -> None:
+def _write_table(fieldnames: list[str], columns: Sequence[Sequence], fmt: str,
+                 output: str | None) -> None:
+    """Write equal-length ``columns`` under ``fieldnames`` as CSV or JSON rows."""
+    rows = zip(*columns)
     if fmt == "json":
-        _write_json(list(rows), output)
+        _write_json([dict(zip(fieldnames, row)) for row in rows], output)
         return
+    template = ",".join("%d" if name in ("n", "m") else "%.17g" for name in fieldnames) + "\n"
     with _opened(output) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        writer.writerows([_fmt(row[name]) for name in fieldnames] for row in rows)
+        fh.write(",".join(fieldnames) + "\n")
+        while block := list(itertools.islice(rows, _BLOCK)):
+            fh.write(template * len(block) % tuple(itertools.chain.from_iterable(block)))
+
+
+def _write_rows(rows: list[dict], fieldnames: list[str], fmt: str, output: str | None) -> None:
+    _write_table(fieldnames, [[row[name] for row in rows] for name in fieldnames], fmt, output)
 
 
 def _sweep_rows(omega_x: float, omega_y: float, eps_values: list[float],
@@ -151,10 +153,8 @@ def cmd_wigner_eval(args) -> int:
     axes = np.meshgrid(*(_parse_range(r) for r in (args.x, args.p, args.y, args.q)),
                        indexing="ij")
     w = wigner_lab(modes, nm, PhasePoint(*axes))
-    columns = [a.ravel().tolist() for a in (*axes, w)]
-    fieldnames = ["x", "p", "y", "q", "W"]
-    rows = (dict(zip(fieldnames, values)) for values in zip(*columns))
-    _write_rows(rows, fieldnames, args.format, args.output)
+    _write_table(["x", "p", "y", "q", "W"], [a.ravel().tolist() for a in (*axes, w)],
+                 args.format, args.output)
     return 0
 
 

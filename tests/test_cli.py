@@ -1,10 +1,12 @@
 import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from oscpair.cli import main
+from oscpair.cli import _write_table, main
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +176,47 @@ class TestDeterminism:
         assert len(payload) == 4
         assert set(payload[0]) == {"omega_x", "omega_y", "epsilon", "n", "m",
                                    "s_xy", "s_yx", "delta", "s_xy_raw", "s_yx_raw"}
+
+
+
+# values whose 17-digit form is easy to get wrong: signed zero, subnormal,
+# extremes, non-terminating binaries, non-finite, numpy scalars
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-300, 1.7976931348623157e308, 0.1, 1 / 3,
+               math.nan, math.inf, -math.inf, np.float64(-2.5e-17), np.float64(0.7)]
+
+
+def _reference_csv(fieldnames, columns):
+    """csv.writer with one str(int) / format(float, ".17g") call per value."""
+    def fmt(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return format(float(value), ".17g")
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([fmt(v) for v in row] for row in zip(*columns))
+    return out.getvalue()
+
+
+class TestWriter:
+    FIELDS = ["omega_x", "epsilon", "n", "m", "W"]
+
+    @staticmethod
+    def _table(rows):
+        k = np.arange(rows)
+        return [[EDGE_VALUES[i % len(EDGE_VALUES)] for i in k],
+                (np.linspace(-1.0, 1.0, rows) / 3).tolist(),
+                [int(i % 7) for i in k],
+                [np.int64(i % 5) for i in k],
+                [EDGE_VALUES[(3 * i + 1) % len(EDGE_VALUES)] for i in k]]
+
+    @pytest.mark.parametrize("rows", [0, 1, 12, 1024, 1025, 2500])
+    def test_matches_csv_writer_bytes(self, tmp_path, rows):
+        columns = self._table(rows)
+        path = tmp_path / "table.csv"
+        _write_table(self.FIELDS, columns, "csv", str(path))
+        assert path.read_bytes() == _reference_csv(self.FIELDS, columns).encode()
 
 
 class TestVerify:
