@@ -10,6 +10,11 @@ weak-coupling closed form below identically and is pinned by the
 cross-validation tests. The pre-clamp values are kept on the result for
 diagnostics (steering onset thresholds sit where they cross zero).
 
+The ground state is Gaussian, so Wick's theorem gives ``<Nx Ny> = nx ny +
+|<a_x^dag a_y>|^2 + |<a_x a_y>|^2`` and its raw witness is
+``-(nx ny + |<a_x a_y>|^2 + ny/2)``: a sum of non-negative terms with no
+cancellation, so roundoff cannot lift it above zero.
+
 For these stationary states steering is maximally asymmetric: at most one
 direction is nonzero, resonant oscillators never steer, and a ground
 state never steers anything.
@@ -17,9 +22,10 @@ state never steers anything.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from . import moments
+from . import model, moments
 from .model import QuantumNumbers, SystemParams
 
 
@@ -36,13 +42,36 @@ class SteeringResult:
 
 def steering(params: SystemParams, nm: QuantumNumbers) -> SteeringResult:
     """Steering in both directions for the state ``Psi_(n, m)``."""
-    lm = moments.ladder_moments(params, nm)
-    raw_xy = lm.cross_mag_sq - (lm.nxny + 0.5 * lm.ny)
-    raw_yx = lm.cross_mag_sq - (lm.nxny + 0.5 * lm.nx)
+    if nm.n == 0 and nm.m == 0:
+        raw_xy, raw_yx = _ground_witnesses(params)
+    else:
+        lm = moments.ladder_moments(params, nm)
+        raw_xy = lm.cross_mag_sq - (lm.nxny + 0.5 * lm.ny)
+        raw_yx = lm.cross_mag_sq - (lm.nxny + 0.5 * lm.nx)
     s_xy = max(raw_xy, 0.0)
     s_yx = max(raw_yx, 0.0)
     return SteeringResult(s_xy=s_xy, s_yx=s_yx, delta=abs(s_xy - s_yx),
                           s_xy_raw=raw_xy, s_yx_raw=raw_yx)
+
+
+def _ground_witnesses(params: SystemParams) -> tuple[float, float]:
+    """Ground-state raw witnesses ``-(nx ny + |<a_x a_y>|^2 + ny/2)`` and mirror.
+
+    The occupations are written as ``(w - v)^2 / (4 w v)`` per normal mode
+    rather than ``(w/v + v/w)/4 - 1/2``, so no term can round below zero.
+    """
+    modes = model.diagonalize(params)
+    vx, vy = modes.vartheta_x, modes.vartheta_y
+    wx, wy = params.omega_x, params.omega_y
+    s2, c2 = math.sin(modes.theta) ** 2, math.cos(modes.theta) ** 2
+    nx = (c2 * (wx - vx) ** 2 / vx + s2 * (wx - vy) ** 2 / vy) / (4.0 * wx)
+    ny = (s2 * (wy - vx) ** 2 / vx + c2 * (wy - vy) ** 2 / vy) / (4.0 * wy)
+    ms = moments.second_and_fourth_moments(params, QuantumNumbers(0, 0))
+    root = math.sqrt(wx * wy)
+    pair = 0.5 * (root * ms.xy - ms.pq / root)  # <a_x a_y>
+    common = nx * ny + pair * pair
+    # 0.0 - x rather than -x: a vanishing witness is +0.0, and so is its clamp
+    return 0.0 - (common + 0.5 * ny), 0.0 - (common + 0.5 * nx)
 
 
 def steering_weak_general(nm: QuantumNumbers, mu: float) -> float:

@@ -48,7 +48,7 @@ GOLDEN = [
      0, "317acba5e706ed6c4885ad48fea7cc4236c6f2808724c5b061a2172fa40260b5", ""),
     (["steering-scan", "--omega-y", "0.8", "--epsilon", "0:0.9:7", "--n-max", "3",
       "--m-max", "3"],
-     0, "3af2767cc13973ca8b6dc2d9c41d16d9c6d95995ad1bbf050df8664ac15c2539",
+     0, "3a622937662d8b30c429ba1823da584d7afa23786e3edd77017f65c551bf74a2",
      _warn_eps(["0.9"], "0.8")),
     (["steering-scan", "--preset", "0.8"],
      0, "db86a4f10a40a98212424151b9fe8595637e0082ba0e157ed696a2a7818d9889", ""),

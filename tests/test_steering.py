@@ -39,6 +39,19 @@ class TestFullSteering:
                 assert res.s_xy == 0.0
                 assert res.s_yx == 0.0
 
+    def test_ground_state_clamp_is_exact_up_to_the_bound(self):
+        # wy from 0.05 to 3 and eps up to 0.999 of the bound; roundoff in the
+        # subtractive witness lifted it above zero on some of these points
+        fractions = np.linspace(0.0, 0.999, 100)
+        for wx in (1.0, 0.3, 2.7):
+            for wy in np.linspace(0.05, 3.0, 101):
+                for frac in fractions:
+                    res = steering(SystemParams(wx, float(wy), float(frac * wx * wy)),
+                                   QuantumNumbers(0, 0))
+                    assert math.copysign(1.0, res.s_xy) == 1.0 and res.s_xy == 0.0
+                    assert math.copysign(1.0, res.s_yx) == 1.0 and res.s_yx == 0.0
+                    assert res.s_xy_raw <= 0.0 and res.s_yx_raw <= 0.0
+
     def test_detuned_excited_state_steers_one_way(self):
         found_positive = False
         for eps in np.linspace(0.0, 0.99, 100)[:-1]:
