@@ -125,16 +125,19 @@ def purity_exact(params: SystemParams, nm: QuantumNumbers) -> PurityResult:
 def purity_ground_closed(params: SystemParams) -> PurityResult:
     """Ground-state marginal purity in closed form.
 
-    ``P(0,0) = (1 + mu^2 (vx - vy)^2 / ((1+mu^2)^2 vx vy))^{-1/2}``,
+    ``P(0,0) = (1 + 4z)^{-1/2}`` with ``4z = mu^2 (vx - vy)^2 / ((1+mu^2)^2 vx vy)``,
     evaluated through ``sin^2 cos^2`` so the expression stays finite for
-    every admissible parameter set.
+    every admissible parameter set. The linear entropy is
+    ``S_L = 4z / (sqrt(1+4z) (1 + sqrt(1+4z)))``, which keeps its relative
+    accuracy at weak coupling where ``1 - P`` loses every digit.
     """
     modes = model.diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
     s, c = math.sin(modes.theta), math.cos(modes.theta)
     s2c2 = (s * c) ** 2
-    p = 1.0 / math.sqrt(1.0 + s2c2 * (vx - vy) ** 2 / (vx * vy))
-    return PurityResult(purity=p, linear_entropy=1.0 - p)
+    four_z = s2c2 * (vx - vy) ** 2 / (vx * vy)
+    root = math.sqrt(1.0 + four_z)
+    return PurityResult(purity=1.0 / root, linear_entropy=four_z / (root * (1.0 + root)))
 
 
 def makarov_schmidt(nm: QuantumNumbers, mu: float) -> SchmidtSpectrum:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -43,6 +44,20 @@ class TestGroundClosedForm:
         assert res.purity == pytest.approx(want, abs=1e-15)
         assert round(res.purity, 4) == 0.7792
         assert round(res.linear_entropy, 4) == 0.2208
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_linear_entropy_relative_accuracy_at_weak_coupling(self, eps):
+        # S_L = 1 - (1 + 4z)^(-1/2), 4z = sin^2(2 theta) (vx - vy)^2 / (4 vx vy),
+        # in 50-digit arithmetic from the float64 inputs
+        with mp.workdps(50):
+            wx, wy, e = mp.mpf(1.0), mp.mpf(0.8), mp.mpf(eps)
+            disc = mp.sqrt((wx**2 - wy**2) ** 2 + 4 * e**2)
+            vxvy = mp.sqrt(wx**2 * wy**2 - e**2)
+            sin2_2theta = 4 * e**2 / disc**2
+            four_z = sin2_2theta * (wx**2 + wy**2 - 2 * vxvy) / (4 * vxvy)
+            want = 1 - 1 / mp.sqrt(1 + four_z)
+            got = purity_ground_closed(SystemParams(1.0, 0.8, eps)).linear_entropy
+            assert abs((got - want) / want) <= 1e-12
 
     def test_monotone_decreasing_in_coupling_at_resonance(self):
         values = [purity_ground_closed(SystemParams(1.0, 1.0, float(e))).purity
