@@ -57,6 +57,7 @@ exact diagonalisation of ``J_x`` (see :func:`makarov_schmidt`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,7 +65,7 @@ import numpy as np
 
 from . import model
 from .model import QuantumNumbers, SystemParams
-from .series import Jet4, jet_inv_sqrt
+from .series import _power_nd
 
 
 @dataclass(frozen=True)
@@ -82,17 +83,27 @@ class SchmidtSpectrum:
     lambdas: tuple[float, ...]
 
 
-def _radicand(a: float, b: float, orders: tuple[int, int, int, int]) -> Jet4:
-    """Jet of ``Q = a (1+u)(1+v)(1-sw) + b (1+s)(1+w)(1-uv)``, axes ``(u, s, v, w)``."""
-    q = np.zeros((2, 2, 2, 2))
-    q[:, 0, :, 0] += a
-    q[:, 1, :, 1] -= a
-    q[0, :, 0, :] += b
-    q[1, :, 1, :] -= b
-    coeffs = np.zeros(tuple(o + 1 for o in orders))
-    kept = tuple(slice(0, min(o + 1, 2)) for o in orders)
+# Q is linear in (a, b): the rows are the jets of (1+u)(1+v)(1-sw) and
+# (1+s)(1+w)(1-uv) on axes (u, s, v, w), flattened. Their entries are 0 or
+# +-1, so each coefficient of Q is a signed sum of a and b rounded once,
+# whatever order a BLAS product sums in
+_Q_TERMS = np.zeros((2, 2, 2, 2, 2))
+_Q_TERMS[0, :, 0, :, 0] = 1.0
+_Q_TERMS[0, :, 1, :, 1] = -1.0
+_Q_TERMS[1, 0, :, 0, :] = 1.0
+_Q_TERMS[1, 1, :, 1, :] = -1.0
+_Q_TERMS = _Q_TERMS.reshape(2, 16)
+_Q_TERMS.flags.writeable = False
+
+
+def _radicands(ab: list[tuple[float, float]], orders: tuple[int, int, int, int]) -> np.ndarray:
+    """Jet coefficients of ``Q = a (1+u)(1+v)(1-sw) + b (1+s)(1+w)(1-uv)``, axes
+    ``(u, s, v, w)``, for each ``(a, b)`` in ``ab``, stacked on a leading axis."""
+    q = (np.array(ab) @ _Q_TERMS).reshape(-1, 2, 2, 2, 2)
+    coeffs = np.zeros((len(ab),) + tuple(o + 1 for o in orders))
+    kept = (slice(None),) + tuple(slice(0, min(o + 1, 2)) for o in orders)
     coeffs[kept] = q[kept]
-    return Jet4(orders, coeffs)
+    return coeffs
 
 
 def purity_exact(params: SystemParams, nm: QuantumNumbers) -> PurityResult:
@@ -108,8 +119,8 @@ def purity_exact(params: SystemParams, nm: QuantumNumbers) -> PurityResult:
     s2, c2 = s * s, c * c
     orders = (nm.n, nm.m, nm.n, nm.m)
 
-    pos = jet_inv_sqrt(_radicand(vx * s2, vy * c2, orders)).coeffs
-    mom = jet_inv_sqrt(_radicand(s2 / vx, c2 / vy, orders)).coeffs
+    # a + b > 0 for both radicands, so the inverse square roots exist
+    pos, mom = _power_nd(_radicands([(vx * s2, vy * c2), (s2 / vx, c2 / vy)], orders), -0.5)
     # [u^n s^m v^n w^m] of the product: sum over e of pos[e] mom[(n,m,n,m) - e]
     p = float(np.dot(pos.ravel(), mom.ravel()[::-1]))
 
@@ -140,6 +151,17 @@ def purity_ground_closed(params: SystemParams) -> PurityResult:
     return PurityResult(purity=1.0 / root, linear_entropy=four_z / (root * (1.0 + root)))
 
 
+@functools.lru_cache(maxsize=64)
+def _jx_eigh(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of ``J_x`` for spin ``j = (size - 1)/2``."""
+    # <k| J_x |k-1> = sqrt(k (n+m+1-k)) / 2 in the basis |k> = |j, k-j>
+    k = np.arange(1, size)
+    off = 0.5 * np.sqrt(k * (size - k))
+    evals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    evals.flags.writeable = vecs.flags.writeable = False
+    return evals, vecs
+
+
 def makarov_schmidt(nm: QuantumNumbers, mu: float) -> SchmidtSpectrum:
     """Weak-coupling Schmidt weights ``lambda_k(n, m)`` for mixing ``mu``.
 
@@ -155,7 +177,7 @@ def makarov_schmidt(nm: QuantumNumbers, mu: float) -> SchmidtSpectrum:
     analytically: ``mu = 0`` gives a unit weight at ``k = n`` and
     ``mu = inf`` (swapped decoupling) at ``k = m``.
     """
-    if mu < 0:
+    if not mu >= 0:  # also rejects NaN
         raise ValueError(f"mixing parameter must be non-negative, got {mu}")
     n, m = nm.n, nm.m
     size = n + m + 1
@@ -164,15 +186,12 @@ def makarov_schmidt(nm: QuantumNumbers, mu: float) -> SchmidtSpectrum:
         lam[n if mu == 0.0 else m] = 1.0
         return SchmidtSpectrum(lambdas=tuple(lam))
 
-    # <k| J_x |k-1> = sqrt(k (n+m+1-k)) / 2 in the basis |k> = |j, k-j>
-    k = np.arange(1, size)
-    off = 0.5 * np.sqrt(k * (size - k))
-    evals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    evals, vecs = _jx_eigh(size)
     column = vecs @ (np.exp(-2j * math.atan(mu) * evals) * vecs[n])
     lam = (column.real**2 + column.imag**2).tolist()
 
     total = math.fsum(lam)
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:
         raise RuntimeError(
             f"Schmidt weights sum to {total}, not 1, for state ({n}, {m}) at mu={mu}"
         )

@@ -22,14 +22,30 @@ multiply-adds per coefficient, and each total degree is one vectorised
 gather. Truncation is exact: ``f_e`` uses only ``f_{e'}`` with ``e' <= e``
 in every variable.
 
+The recurrence runs on a batch: ``_power_nd`` takes coefficient arrays
+stacked along a leading axis and raises each to the same power, so the
+two radicands of the purity generating function share one degree loop.
+Where it reads and writes depends only on the batch's shape and zero
+pattern, not on the coefficient values, so that gather plan (the nonzero
+shifts ``mu``, their degrees, the padded buffer and the positions of
+each total degree) comes from a bounded ``functools.lru_cache`` keyed on
+the shape and the packed ``a != 0`` mask. Keying on the zero pattern
+keeps vanishing coefficients (``a = 0`` or ``b = 0`` at zero coupling) out
+of the sums, so every member gets exactly the terms, and the bits, it
+would get alone. Members with the same shifts share one gather per
+degree; each still gets its own ``weights @ gathered`` gemv.
+
 Jets are immutable values; orders are small in practice (per-variable
 degree below ten), so dense storage is the simple and fast choice.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,36 +135,96 @@ def _mul_nd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _power_nd(a: np.ndarray, alpha: float) -> np.ndarray:
-    """Coefficients of ``a**alpha`` truncated to ``a.shape`` (Miller's recurrence).
+class _Group(NamedTuple):
+    """Batch members with the same nonzero shifts ``mu``: one gather per degree serves them all."""
 
-    The caller checks that the constant term admits the power.
-    """
-    shape = a.shape
-    a0 = float(a.flat[0])
-    mus = np.argwhere(a)
-    mus = mus[mus.sum(axis=1) > 0]
-    a_mu = a[tuple(mus.T)]
-    mu_degree = mus.sum(axis=1)
+    members: np.ndarray  # (m,) their places in the batch
+    index: np.ndarray  # (m, K) flat indices of their shifted terms in the batch
+    mu_degree: np.ndarray  # (K,) total degree |mu| of each shift
+    mu_offset: np.ndarray  # (K, 1) flat distance of each shift in one member's buffer
+    by_degree: tuple[np.ndarray, ...]  # (m, 1, P_d) flat batch-buffer positions of degree d
+
+
+class _Plan(NamedTuple):
+    """Where Miller's recurrence reads and writes, for one batch shape and zero pattern."""
+
+    buffer: tuple[int, ...]  # (batch, *jet shape padded by the largest shift on each axis)
+    window: tuple[slice, ...]  # the unpadded jets inside the buffer
+    origins: np.ndarray  # (batch,) flat buffer position of each constant term
+    groups: tuple[_Group, ...]
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(shape: tuple[int, ...], pattern: bytes) -> _Plan:
+    """Gather plan for a batch of ``shape`` whose zero pattern ``a != 0`` packs to ``pattern``."""
+    batch, jet_shape = shape[0], shape[1:]
+    nonzero = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=math.prod(shape))
+    flat_nonzero = np.flatnonzero(nonzero)
+    member, *exponent = np.unravel_index(flat_nonzero, shape)
+    mus = np.stack(exponent, axis=1)
+    shifted = mus.sum(axis=1) > 0
 
     # f lives in a zero-padded buffer, offset by the largest shift on each
     # axis, so f_{e - mu} with a negative component gathers a zero
-    pad = mus.max(axis=0, initial=0)
-    buf = np.zeros(np.add(shape, pad))
-    strides = np.array(buf.strides) // buf.itemsize
-    flat = buf.reshape(-1)
-    mu_offset = mus @ strides
+    pad = mus[shifted].max(axis=0, initial=0)
+    padded = tuple(int(n) for n in np.add(jet_shape, pad))
+    strides = np.cumprod((1,) + padded[:0:-1])[::-1]
+    size = math.prod(padded)
 
-    exponents = np.indices(shape).reshape(a.ndim, -1)
+    exponents = np.indices(jet_shape).reshape(len(jet_shape), -1)
     degree = exponents.sum(axis=0)
-    position = (exponents + pad[:, None]).T @ strides
+    order = np.argsort(degree, kind="stable")
+    positions = (exponents[:, order] + pad[:, None]).T @ strides
+    bounds = np.searchsorted(degree[order], np.arange(degree.max() + 2))
 
-    flat[position[0]] = a0 ** alpha
-    for d in range(1, degree.max() + 1):
-        pos = position[degree == d]
-        weights = a_mu * ((alpha + 1.0) * mu_degree - d)
-        flat[pos] = weights @ flat[pos - mu_offset[:, None]] / (a0 * d)
-    return buf[tuple(slice(p, None) for p in pad)].copy()
+    shifts: dict[bytes, list[int]] = {}
+    for b in range(batch):
+        shifts.setdefault(mus[shifted & (member == b)].tobytes(), []).append(b)
+    groups = []
+    for key, members in shifts.items():
+        own = np.frombuffer(key, dtype=mus.dtype).reshape(-1, len(jet_shape))
+        rows = np.array(members)
+        base = positions + (rows * size)[:, None, None]
+        by_degree = tuple(base[..., i:j].copy() for i, j in zip(bounds[:-1], bounds[1:]))
+        group = _Group(
+            members=rows,
+            index=np.stack([flat_nonzero[shifted & (member == b)] for b in members]),
+            mu_degree=own.sum(axis=1),
+            mu_offset=(own @ strides)[:, None],
+            by_degree=by_degree,
+        )
+        for array in group[:4] + by_degree:
+            array.flags.writeable = False
+        groups.append(group)
+    return _Plan(buffer=(batch,) + padded,
+                 window=(slice(None),) + tuple(slice(int(p), None) for p in pad),
+                 origins=np.arange(batch) * size + positions[0], groups=tuple(groups))
+
+
+def _power_nd(a: np.ndarray, alpha: float) -> np.ndarray:
+    """Coefficients of ``a[i]**alpha`` truncated to ``a.shape[1:]``, for each ``i``
+    (Miller's recurrence).
+
+    ``a`` stacks a batch of coefficient arrays along its leading axis. The
+    caller checks that every constant term admits the power.
+    """
+    plan = _plan(a.shape, np.packbits(a != 0).tobytes())
+    a_flat = a.reshape(-1)
+    a0 = a.reshape(len(a), -1)[:, 0]
+    buf = np.zeros(plan.buffer)
+    flat = buf.reshape(-1)
+    flat[plan.origins] = [float(c) ** alpha for c in a0]
+    for group in plan.groups:
+        degrees = np.arange(1, len(group.by_degree))[:, None]
+        # weights[i, d - 1, k] multiplies f_{e - mu_k} in degree d of member i
+        weights = a_flat[group.index][:, None, :] * ((alpha + 1.0) * group.mu_degree - degrees)
+        c = a0[group.members, None, None]
+        for d, pos in enumerate(group.by_degree[1:], 1):
+            # a stack of one gemv per member, each as for a single jet
+            g = weights[:, d - 1:d] @ flat[pos - group.mu_offset]
+            g /= c * d
+            flat[pos] = g
+    return buf[plan.window].copy()
 
 
 def jet_mul(a: Jet4, b) -> Jet4:
@@ -163,7 +239,7 @@ def jet_reciprocal(a: Jet4) -> Jet4:
     """Jet ``b`` with ``a*b = 1`` up to truncation."""
     if float(a.coeffs[(0, 0, 0, 0)]) == 0.0:
         raise ValueError("reciprocal requires a nonzero constant term")
-    return Jet4(a.orders, _power_nd(a.coeffs, -1.0))
+    return Jet4(a.orders, _power_nd(a.coeffs[None], -1.0)[0])
 
 
 def _check_positive(a: Jet4) -> None:
@@ -175,13 +251,13 @@ def _check_positive(a: Jet4) -> None:
 def jet_sqrt(a: Jet4) -> Jet4:
     """Jet ``b`` with ``b*b = a`` up to truncation."""
     _check_positive(a)
-    return Jet4(a.orders, _power_nd(a.coeffs, 0.5))
+    return Jet4(a.orders, _power_nd(a.coeffs[None], 0.5)[0])
 
 
 def jet_inv_sqrt(a: Jet4) -> Jet4:
     """Jet ``b`` with ``a * b * b = 1`` up to truncation."""
     _check_positive(a)
-    return Jet4(a.orders, _power_nd(a.coeffs, -0.5))
+    return Jet4(a.orders, _power_nd(a.coeffs[None], -0.5)[0])
 
 
 def coefficient(a: Jet4, i: int, j: int, k: int, l: int) -> float:

@@ -150,6 +150,13 @@ class TestMakarovSchmidt:
         with pytest.raises(ValueError):
             makarov_schmidt(QuantumNumbers(1, 0), -0.5)
 
+    def test_nan_mixing_rejected(self):
+        # NaN compares false with everything, so a "mu < 0" guard lets it through
+        with pytest.raises(ValueError):
+            makarov_schmidt(QuantumNumbers(1, 1), math.nan)
+        with pytest.raises(ValueError):
+            makarov_entropy(QuantumNumbers(1, 1), math.nan)
+
     @pytest.mark.parametrize("mu", [0.2, 1.0 / math.sqrt(3.0), 0.9, 1.0])
     @pytest.mark.parametrize("nm", [(1, 1), (2, 2), (4, 4), (3, 0), (0, 4)])
     def test_normalization(self, mu, nm):
@@ -220,3 +227,131 @@ class TestEntropyGap:
         values = {makarov_entropy(QuantumNumbers(2, 1), diagonalize(SystemParams(1.0, 1.0, e)).mu)
                   for e in (0.1, 0.5, 0.9)}
         assert len(values) == 1
+
+
+# --- bit identity with the uncached, one-jet-at-a-time route -----------------
+# The functions below compute the purity and the approximate entropy one jet at
+# a time and with no cache. They are the reference: the cached, batched route
+# must return the same floats, not merely close ones.
+
+
+def _reference_radicand(a, b, orders):
+    q = np.zeros((2, 2, 2, 2))
+    q[:, 0, :, 0] += a
+    q[:, 1, :, 1] -= a
+    q[0, :, 0, :] += b
+    q[1, :, 1, :] -= b
+    coeffs = np.zeros(tuple(o + 1 for o in orders))
+    kept = tuple(slice(0, min(o + 1, 2)) for o in orders)
+    coeffs[kept] = q[kept]
+    return coeffs
+
+
+def _reference_power_nd(a, alpha):
+    shape = a.shape
+    a0 = float(a.flat[0])
+    mus = np.argwhere(a)
+    mus = mus[mus.sum(axis=1) > 0]
+    a_mu = a[tuple(mus.T)]
+    mu_degree = mus.sum(axis=1)
+
+    pad = mus.max(axis=0, initial=0)
+    buf = np.zeros(np.add(shape, pad))
+    strides = np.array(buf.strides) // buf.itemsize
+    flat = buf.reshape(-1)
+    mu_offset = mus @ strides
+
+    exponents = np.indices(shape).reshape(a.ndim, -1)
+    degree = exponents.sum(axis=0)
+    position = (exponents + pad[:, None]).T @ strides
+
+    flat[position[0]] = a0 ** alpha
+    for d in range(1, degree.max() + 1):
+        pos = position[degree == d]
+        weights = a_mu * ((alpha + 1.0) * mu_degree - d)
+        flat[pos] = weights @ flat[pos - mu_offset[:, None]] / (a0 * d)
+    return buf[tuple(slice(p, None) for p in pad)].copy()
+
+
+def _reference_purity(params, nm):
+    modes = diagonalize(params)
+    vx, vy = modes.vartheta_x, modes.vartheta_y
+    s, c = math.sin(modes.theta), math.cos(modes.theta)
+    s2, c2 = s * s, c * c
+    orders = (nm.n, nm.m, nm.n, nm.m)
+    pos = _reference_power_nd(_reference_radicand(vx * s2, vy * c2, orders), -0.5)
+    mom = _reference_power_nd(_reference_radicand(s2 / vx, c2 / vy, orders), -0.5)
+    p = float(np.dot(pos.ravel(), mom.ravel()[::-1]))
+    if not (0.0 < p <= 1.0 + 1e-9):
+        return ("raises", RuntimeError)
+    return min(p, 1.0)
+
+
+def _reference_makarov_entropy(nm, mu):
+    n, m = nm.n, nm.m
+    size = n + m + 1
+    if mu == 0.0 or math.isinf(mu):
+        lam = [0.0] * size
+        lam[n if mu == 0.0 else m] = 1.0
+    else:
+        k = np.arange(1, size)
+        off = 0.5 * np.sqrt(k * (size - k))
+        evals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        column = vecs @ (np.exp(-2j * math.atan(mu) * evals) * vecs[n])
+        lam = (column.real**2 + column.imag**2).tolist()
+        if abs(math.fsum(lam) - 1.0) > 1e-8:
+            return ("raises", RuntimeError)
+    return 1.0 - math.fsum(v * v for v in lam)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except RuntimeError:
+        return ("raises", RuntimeError)
+
+
+# both sides of resonance and resonance itself; eps = 0 changes the radicands'
+# zero pattern (a = 0 below resonance, b = 0 above it up to cos(pi/2) roundoff)
+BIT_GRID_WY = (0.1, 0.8, 1.0, 1.25, 2.0)
+BIT_GRID_EPS = (0.0, 1e-8, 0.01, 0.25, 0.5, 0.95, 0.999)
+
+
+@pytest.fixture(scope="module")
+def bit_grid_reference():
+    ref = {}
+    for wy in BIT_GRID_WY:
+        for frac in BIT_GRID_EPS:
+            params = SystemParams(1.0, wy, frac * wy)
+            mu = diagonalize(params).mu
+            for n in range(9):
+                for m in range(9):
+                    nm = QuantumNumbers(n, m)
+                    ref[wy, frac, n, m] = (_reference_purity(params, nm),
+                                           _reference_makarov_entropy(nm, mu))
+    return ref
+
+
+def _bit_grid_mismatches(ref):
+    bad = []
+    for (wy, frac, n, m), want in ref.items():
+        params = SystemParams(1.0, wy, frac * wy)
+        nm = QuantumNumbers(n, m)
+        got = (_outcome(lambda: purity_exact(params, nm).purity),
+               _outcome(makarov_entropy, nm, diagonalize(params).mu))
+        if got != want:
+            bad.append(((wy, frac, n, m), got, want))
+    return bad
+
+
+def test_cached_route_is_bit_identical_to_the_per_call_route(bit_grid_reference):
+    from oscpair.purity import _jx_eigh
+    from oscpair.series import _plan
+
+    assert _plan.cache_info().maxsize is not None
+    assert _jx_eigh.cache_info().maxsize is not None
+    assert _bit_grid_mismatches(bit_grid_reference) == []
+    # again with every plan and eigendecomposition built cold
+    _plan.cache_clear()
+    _jx_eigh.cache_clear()
+    assert _bit_grid_mismatches(bit_grid_reference) == []

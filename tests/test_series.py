@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oscpair.series import (
     Jet4,
+    _power_nd,
     coefficient,
     jet_add,
     jet_inv_sqrt,
@@ -162,3 +163,25 @@ class TestCoefficient:
             coefficient(a, 3, 0, 0, 0)
         with pytest.raises(IndexError):
             coefficient(a, 0, 0, 0, -1)
+
+
+@given(seed=st.integers(0, 10_000), batch=st.integers(1, 3),
+       orders=st.tuples(*[st.integers(0, 3)] * 4),
+       alpha=st.sampled_from([-1.0, 0.5, -0.5]), shared_zeros=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_batched_power_is_bit_identical_per_member(seed, batch, orders, alpha, shared_zeros):
+    # multilinear members with random zero terms: with shared_zeros the members
+    # share one gather per degree, otherwise each zero pattern gets its own
+    rng = np.random.default_rng(seed)
+    a = np.zeros((batch,) + tuple(o + 1 for o in orders))
+    corner = (slice(None),) + tuple(slice(0, min(o + 1, 2)) for o in orders)
+    terms = rng.uniform(-1.0, 1.0, size=a[corner].shape)
+    zeros = rng.random(terms.shape[1:] if shared_zeros else terms.shape) < 0.4
+    a[corner] = np.where(zeros, 0.0, terms)
+    a[:, 0, 0, 0, 0] = rng.uniform(0.25, 2.0, size=batch)
+
+    got = _power_nd(a, alpha)
+    assert got.shape == a.shape
+    for i in range(batch):
+        alone = _power_nd(a[i:i + 1], alpha)[0]
+        assert got[i].tobytes() == alone.tobytes()
