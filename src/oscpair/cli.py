@@ -5,7 +5,7 @@ sorted order, ``n`` and ``m`` are printed with ``%d`` and floats with ``%.17g``.
 whose coupling violates ``epsilon < omega_x*omega_y`` are skipped with a
 warning on stderr instead of aborting the sweep.
 
-Exit codes: 0 success, 1 validation error, 2 verification failure.
+Exit codes: 0 success, 1 validation or output error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import contextlib
 import itertools
 import json
 import sys
-from dataclasses import asdict, fields
-from typing import Callable, Sequence
+from dataclasses import asdict, astuple, fields
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,9 +28,11 @@ from .steering import SteeringResult, steering
 from .wigner import PhasePoint, wigner_lab
 
 STEERING_PRESETS = ("0.99", "0.8", "0.6")
-_SWEEP_FIELDS = ["omega_x", "omega_y", "epsilon", "n", "m"]
+_EPSILON_FIELDS = ["omega_x", "omega_y", "epsilon"]
+_STATE_FIELDS = ["n", "m"]
 _STEERING_FIELDS = [f.name for f in fields(SteeringResult)]
-_Columns = Callable[[SystemParams, QuantumNumbers], dict]
+_Axis = tuple[Sequence[str], Sequence[tuple]]  # field names, one tuple per point
+_Values = Callable[[SystemParams, QuantumNumbers], tuple]
 _BLOCK = 1024  # rows per formatted block: one whole-table string costs memory
 
 
@@ -68,36 +70,66 @@ def _write_json(payload, output: str | None) -> None:
         fh.write(text)
 
 
-def _write_table(fieldnames: list[str], columns: Sequence[Sequence], fmt: str,
+def _template(fieldnames: Sequence[str]) -> str:
+    return ",".join("%d" if name in ("n", "m") else "%.17g" for name in fieldnames)
+
+
+def _fieldnames(keys: list[_Axis], names: list[str]) -> list[str]:
+    return [name for axis, _ in keys for name in axis] + names
+
+
+def _rows(keys: Sequence[Sequence], columns: Sequence[Sequence], join: Callable) -> Iterator:
+    """``(join(key), *values)`` per row, ``key`` running over the product of ``keys``
+    (the last axis fastest) beside the value ``columns``; with no key axes ``join(())``."""
+    if keys:
+        points = itertools.product(*keys)
+    else:  # a bare repeat would pair an endless key with an empty column list
+        points = itertools.repeat((), len(columns[0]) if columns else 0)
+    return zip(map(join, points), *columns)
+
+
+def _records(keys: list[_Axis], names: list[str], columns: Sequence[Sequence]) -> list[dict]:
+    """The table as one dict per row, key fields first."""
+    fieldnames = _fieldnames(keys, names)
+    return [dict(zip(fieldnames, (*key, *values)))
+            for key, *values in _rows([points for _, points in keys], columns,
+                                      lambda point: sum(point, ()))]
+
+
+def _write_table(keys: list[_Axis], names: list[str], columns: Sequence[Sequence], fmt: str,
                  output: str | None) -> None:
-    """Write equal-length ``columns`` under ``fieldnames`` as CSV or JSON rows."""
-    rows = zip(*columns)
+    """Write a table as CSV or JSON rows.
+
+    ``keys`` are the key axes, each ``(fieldnames, points)`` with one tuple
+    per point; the rows run over their product, the last axis fastest, and
+    continue with the value ``columns`` named ``names``. A table with no key
+    axes is its value columns alone. Each key point is formatted once.
+    """
     if fmt == "json":
-        _write_json([dict(zip(fieldnames, row)) for row in rows], output)
+        _write_json(_records(keys, names, columns), output)
         return
-    template = ",".join("%d" if name in ("n", "m") else "%.17g" for name in fieldnames) + "\n"
+    key_text = [[_template(axis) % point + "," for point in points] for axis, points in keys]
+    rows = _rows(key_text, columns, "".join)
+    template = "%s" + _template(names) + "\n"
     with _opened(output) as fh:
-        fh.write(",".join(fieldnames) + "\n")
+        fh.write(",".join(_fieldnames(keys, names)) + "\n")
         while block := list(itertools.islice(rows, _BLOCK)):
             fh.write(template * len(block) % tuple(itertools.chain.from_iterable(block)))
 
 
-def _write_rows(rows: list[dict], fieldnames: list[str], fmt: str, output: str | None) -> None:
-    _write_table(fieldnames, [[row[name] for row in rows] for name in fieldnames], fmt, output)
-
-
-def _sweep_rows(omega_x: float, omega_y: float, eps_values: list[float],
-                states: list[QuantumNumbers], columns: _Columns) -> list[dict]:
-    """Rows of the sweep keys and ``columns(params, nm)`` per epsilon, then state."""
+def _sweep(omega_x: float, omega_y: float, eps_values: list[float],
+           states: list[QuantumNumbers], values: _Values) -> tuple[list[_Axis], list[tuple]]:
+    """Key axes and value columns of ``values(params, nm)`` per epsilon, then state."""
     rows = []
     for eps in eps_values:
         params = SystemParams(omega_x, omega_y, eps)
-        rows += [{"omega_x": omega_x, "omega_y": omega_y, "epsilon": eps,
-                  "n": nm.n, "m": nm.m, **columns(params, nm)} for nm in states]
-    return rows
+        rows += [values(params, nm) for nm in states]
+    keys = [(_EPSILON_FIELDS, [(omega_x, omega_y, eps) for eps in eps_values]),
+            (_STATE_FIELDS, [(nm.n, nm.m) for nm in states])]
+    return keys, list(zip(*rows))
 
 
-def _scan(args, columns: _Columns, fieldnames: list[str]) -> int:
+def _scan(args, values: _Values, names: list[str]) -> int:
     """Write the sweep over ``--epsilon`` and the ``--n-max`` x ``--m-max`` grid."""
     bound = args.omega_x * args.omega_y
     eps_values = []
@@ -109,20 +141,19 @@ def _scan(args, columns: _Columns, fieldnames: list[str]) -> int:
                   f"(requires 0 <= epsilon < omega_x*omega_y = {bound:g})", file=sys.stderr)
     states = [QuantumNumbers(n, m) for n in range(args.n_max + 1)
               for m in range(args.m_max + 1)]
-    rows = _sweep_rows(args.omega_x, args.omega_y, eps_values, states, columns)
-    _write_rows(rows, _SWEEP_FIELDS + fieldnames, args.format, args.output)
+    keys, columns = _sweep(args.omega_x, args.omega_y, eps_values, states, values)
+    _write_table(keys, names, columns, args.format, args.output)
     return 0
 
 
-def _purity_columns(params: SystemParams, nm: QuantumNumbers) -> dict:
+def _purity_values(params: SystemParams, nm: QuantumNumbers) -> tuple:
     res = purity_exact(params, nm)
     slm = makarov_entropy(nm, diagonalize(params).mu)
-    return {"purity": res.purity, "S_L": res.linear_entropy,
-            "S_L_makarov": slm, "delta_S_L": res.linear_entropy - slm}
+    return res.purity, res.linear_entropy, slm, res.linear_entropy - slm
 
 
-def _steering_columns(params: SystemParams, nm: QuantumNumbers) -> dict:
-    return asdict(steering(params, nm))
+def _steering_values(params: SystemParams, nm: QuantumNumbers) -> tuple:
+    return astuple(steering(params, nm))
 
 
 def cmd_spectrum(args) -> int:
@@ -133,10 +164,10 @@ def cmd_spectrum(args) -> int:
                 print(f"warning: skipping r={r:g} (resonance rate must be positive)",
                       file=sys.stderr)
                 continue
-            rows.append({"r": float(r), "theta_c": cutoff_angle(float(r))})
-        _write_rows(rows, ["r", "theta_c"], args.format, args.output)
+            rows.append((float(r), cutoff_angle(float(r))))
+        _write_table([], ["r", "theta_c"], list(zip(*rows)), args.format, args.output)
         return 0
-    return _scan(args, lambda params, nm: {"energy": energy(params, nm)}, ["energy"])
+    return _scan(args, lambda params, nm: (energy(params, nm),), ["energy"])
 
 
 def cmd_moments(args) -> int:
@@ -150,16 +181,22 @@ def cmd_moments(args) -> int:
 def cmd_wigner_eval(args) -> int:
     modes = diagonalize(SystemParams(args.omega_x, args.omega_y, args.epsilon))
     nm = QuantumNumbers(args.n, args.m)
-    axes = np.meshgrid(*(_parse_range(r) for r in (args.x, args.p, args.y, args.q)),
-                       indexing="ij")
-    w = wigner_lab(modes, nm, PhasePoint(*axes))
-    _write_table(["x", "p", "y", "q", "W"], [a.ravel().tolist() for a in (*axes, w)],
-                 args.format, args.output)
+    axes = [_parse_range(r) for r in (args.x, args.p, args.y, args.q)]
+    w = wigner_lab(modes, nm, PhasePoint(*np.meshgrid(*axes, indexing="ij")))
+    keys = [([name], list(zip(axis.tolist()))) for name, axis in zip("xpyq", axes)]
+    _write_table(keys, ["W"], [w.ravel().tolist()], args.format, args.output)
     return 0
 
 
 def cmd_purity_scan(args) -> int:
-    return _scan(args, _purity_columns, ["purity", "S_L", "S_L_makarov", "delta_S_L"])
+    return _scan(args, _purity_values, ["purity", "S_L", "S_L_makarov", "delta_S_L"])
+
+
+def _preset_table(omega_y: float, n_max: int, steps: int) -> tuple[list[_Axis], list[tuple]]:
+    eps_values = [float(e) for e in np.linspace(0.0, omega_y, steps) if 0.0 <= e < omega_y]
+    states = [QuantumNumbers(n, 0) for n in range(1, n_max + 1)]
+    states += [QuantumNumbers(0, m) for m in range(1, n_max + 1)]
+    return _sweep(1.0, omega_y, eps_values, states, _steering_values)
 
 
 def steering_preset_rows(omega_y: float, n_max: int = 6, steps: int = 161) -> list[dict]:
@@ -168,18 +205,16 @@ def steering_preset_rows(omega_y: float, n_max: int = 6, steps: int = 161) -> li
     ``omega_x = 1`` and ``epsilon`` runs over ``[0, omega_y]``; rows at or
     beyond the stability bound are dropped.
     """
-    eps_values = [float(e) for e in np.linspace(0.0, omega_y, steps) if 0.0 <= e < omega_y]
-    states = [QuantumNumbers(n, 0) for n in range(1, n_max + 1)]
-    states += [QuantumNumbers(0, m) for m in range(1, n_max + 1)]
-    return _sweep_rows(1.0, omega_y, eps_values, states, _steering_columns)
+    keys, columns = _preset_table(omega_y, n_max, steps)
+    return _records(keys, _STEERING_FIELDS, columns)
 
 
 def cmd_steering_scan(args) -> int:
     if args.preset:
-        rows = steering_preset_rows(float(args.preset), n_max=args.n_max, steps=args.steps)
-        _write_rows(rows, _SWEEP_FIELDS + _STEERING_FIELDS, args.format, args.output)
+        keys, columns = _preset_table(float(args.preset), args.n_max, args.steps)
+        _write_table(keys, _STEERING_FIELDS, columns, args.format, args.output)
         return 0
-    return _scan(args, _steering_columns, _STEERING_FIELDS)
+    return _scan(args, _steering_values, _STEERING_FIELDS)
 
 
 def cmd_verify(args) -> int:
@@ -276,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

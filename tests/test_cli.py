@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -199,6 +200,13 @@ def _reference_csv(fieldnames, columns):
     return out.getvalue()
 
 
+def _expand(keys, columns):
+    """The key columns of the product of ``keys`` (last axis fastest), then ``columns``."""
+    points = [sum(point, ()) for point in itertools.product(*(pts for _, pts in keys))]
+    width = sum(len(axis) for axis, _ in keys)
+    return [[point[i] for point in points] for i in range(width)] + columns
+
+
 class TestWriter:
     FIELDS = ["omega_x", "epsilon", "n", "m", "W"]
 
@@ -215,8 +223,27 @@ class TestWriter:
     def test_matches_csv_writer_bytes(self, tmp_path, rows):
         columns = self._table(rows)
         path = tmp_path / "table.csv"
-        _write_table(self.FIELDS, columns, "csv", str(path))
+        _write_table([], self.FIELDS, columns, "csv", str(path))
         assert path.read_bytes() == _reference_csv(self.FIELDS, columns).encode()
+
+    # (outer, inner) axis lengths: rows = outer * inner, the counts above plus empty axes
+    @pytest.mark.parametrize("outer, inner", [(0, 3), (3, 0), (1, 1), (3, 4), (16, 64),
+                                              (25, 41), (50, 50)])
+    def test_key_axes_match_csv_writer_bytes(self, tmp_path, outer, inner):
+        # edge values in a two-field float axis, np.int64 and int in the state axis
+        keys = [(["omega_x", "epsilon"],
+                 [(EDGE_VALUES[i % len(EDGE_VALUES)], EDGE_VALUES[(5 * i + 2) % len(EDGE_VALUES)])
+                  for i in range(outer)]),
+                (["n", "m"], [(np.int64(j % 7), j % 5) for j in range(inner)])]
+        columns = [[EDGE_VALUES[(3 * i + 1) % len(EDGE_VALUES)] for i in range(outer * inner)]]
+        path = tmp_path / "table.csv"
+        _write_table(keys, ["W"], columns, "csv", str(path))
+        # compared as lines: a failing diff of the whole text takes pytest minutes
+        lines = path.read_bytes().decode().splitlines(keepends=True)
+        assert lines == _reference_csv(self.FIELDS, _expand(keys, columns)).splitlines(True)
+        assert len(lines) == 1 + outer * inner
+        if outer * inner == 0:
+            assert lines == ["omega_x,epsilon,n,m,W\n"]
 
 
 class TestVerify:
@@ -279,3 +306,15 @@ class TestArgumentHandling:
         assert code == 1
         assert out == ""
         assert "must be at least" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["purity-scan", "--omega-y", "0.8", "--epsilon", "0:0.5:2", "--n-max", "1", "--m-max", "1"],
+        ["wigner-eval", "--x=-1:1:3", "--p=-1:1:3"],
+    ])
+    def test_unwritable_output_is_validation_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert not path.exists()

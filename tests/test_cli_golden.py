@@ -46,6 +46,13 @@ GOLDEN = [
     (["wigner-eval", "--omega-y", "0.8", "--epsilon", "0.3", "--n", "3", "--m", "2",
       "--x=-1:1:3", "--p=-1:1:3", "--y=-0.5:0.5:2", "--q=0:1:2", "--format", "json"],
      0, "317acba5e706ed6c4885ad48fea7cc4236c6f2808724c5b061a2172fa40260b5", ""),
+    # axes of unequal length, and a q axis holding 0 and -0: pins the key product order
+    (["wigner-eval", "--omega-y", "0.8", "--epsilon", "0.3", "--n", "2", "--m", "1",
+      "--x=-1:1:3", "--p=0:1:5", "--y=-0.5:0.5:4", "--q=-0:-0:2"],
+     0, "aa0a8557794b89d20fd3509ccef7f6daa0098731dfbbc73a0c5eeeaa52464b74", ""),
+    # n-max != m-max: pins the order of the state axis
+    (["spectrum", "--omega-y", "0.8", "--epsilon", "0:0.5:3", "--n-max", "1", "--m-max", "3"],
+     0, "abff6a1d53169a9857b7fce8cacc4f9425c9e5e219f93e0813cdb33636ec314f", ""),
     (["steering-scan", "--omega-y", "0.8", "--epsilon", "0:0.9:7", "--n-max", "3",
       "--m-max", "3"],
      0, "3a622937662d8b30c429ba1823da584d7afa23786e3edd77017f65c551bf74a2",
@@ -54,6 +61,11 @@ GOLDEN = [
      0, "db86a4f10a40a98212424151b9fe8595637e0082ba0e157ed696a2a7818d9889", ""),
     (["steering-scan", "--preset", "0.6", "--steps", "5", "--format", "json"],
      0, "9b9eb533518918206dd9e00dc9410672d8d3aadce49f590df75605a70a18b3b8", ""),
+    # every r skipped: the header alone, from a table with no key axes
+    (["spectrum", "--r-scan=-1:0:3"], 0,
+     "620459d2f35fbcf247cdb00012167c52291abf157103a07fad24a490e1359443",
+     "".join(f"warning: skipping r={r} (resonance rate must be positive)\n"
+             for r in ("-1", "-0.5", "0"))),
     # every epsilon skipped: the header alone
     (["purity-scan", "--omega-y", "0.5", "--epsilon", "0.6:0.9:3"],
      0, "beaacdf558fd3da43b3f5cdd2a0a4308212ab14a8f09709fa4c96f677e09bbc2",
