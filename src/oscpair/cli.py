@@ -16,7 +16,7 @@ import itertools
 import json
 import sys
 from dataclasses import asdict, astuple, fields
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -74,45 +74,26 @@ def _template(fieldnames: Sequence[str]) -> str:
     return ",".join("%d" if name in ("n", "m") else "%.17g" for name in fieldnames)
 
 
-def _fieldnames(keys: list[_Axis], names: list[str]) -> list[str]:
-    return [name for axis, _ in keys for name in axis] + names
-
-
-def _rows(keys: Sequence[Sequence], columns: Sequence[Sequence], join: Callable) -> Iterator:
-    """``(join(key), *values)`` per row, ``key`` running over the product of ``keys``
-    (the last axis fastest) beside the value ``columns``; with no key axes ``join(())``."""
-    if keys:
-        points = itertools.product(*keys)
-    else:  # a bare repeat would pair an endless key with an empty column list
-        points = itertools.repeat((), len(columns[0]) if columns else 0)
-    return zip(map(join, points), *columns)
-
-
-def _records(keys: list[_Axis], names: list[str], columns: Sequence[Sequence]) -> list[dict]:
-    """The table as one dict per row, key fields first."""
-    fieldnames = _fieldnames(keys, names)
-    return [dict(zip(fieldnames, (*key, *values)))
-            for key, *values in _rows([points for _, points in keys], columns,
-                                      lambda point: sum(point, ()))]
-
-
 def _write_table(keys: list[_Axis], names: list[str], columns: Sequence[Sequence], fmt: str,
                  output: str | None) -> None:
     """Write a table as CSV or JSON rows.
 
     ``keys`` are the key axes, each ``(fieldnames, points)`` with one tuple
     per point; the rows run over their product, the last axis fastest, and
-    continue with the value ``columns`` named ``names``. A table with no key
-    axes is its value columns alone. Each key point is formatted once.
+    continue with the value ``columns`` named ``names``. Each key point is
+    formatted once.
     """
+    fieldnames = [name for axis, _ in keys for name in axis] + names
     if fmt == "json":
-        _write_json(_records(keys, names, columns), output)
+        points = itertools.product(*(points for _, points in keys))
+        _write_json([dict(zip(fieldnames, (*sum(key, ()), *values)))
+                     for key, *values in zip(points, *columns)], output)
         return
     key_text = [[_template(axis) % point + "," for point in points] for axis, points in keys]
-    rows = _rows(key_text, columns, "".join)
+    rows = zip(map("".join, itertools.product(*key_text)), *columns)
     template = "%s" + _template(names) + "\n"
     with _opened(output) as fh:
-        fh.write(",".join(_fieldnames(keys, names)) + "\n")
+        fh.write(",".join(fieldnames) + "\n")
         while block := list(itertools.islice(rows, _BLOCK)):
             fh.write(template * len(block) % tuple(itertools.chain.from_iterable(block)))
 
@@ -158,14 +139,15 @@ def _steering_values(params: SystemParams, nm: QuantumNumbers) -> tuple:
 
 def cmd_spectrum(args) -> int:
     if args.r_scan:
-        rows = []
+        rates = []
         for r in _parse_range(args.r_scan):
-            if r <= 0:
+            if r > 0:
+                rates.append(float(r))
+            else:
                 print(f"warning: skipping r={r:g} (resonance rate must be positive)",
                       file=sys.stderr)
-                continue
-            rows.append((float(r), cutoff_angle(float(r))))
-        _write_table([], ["r", "theta_c"], list(zip(*rows)), args.format, args.output)
+        _write_table([(["r"], [(r,) for r in rates])], ["theta_c"],
+                     [[cutoff_angle(r) for r in rates]], args.format, args.output)
         return 0
     return _scan(args, lambda params, nm: (energy(params, nm),), ["energy"])
 
@@ -192,35 +174,24 @@ def cmd_purity_scan(args) -> int:
     return _scan(args, _purity_values, ["purity", "S_L", "S_L_makarov", "delta_S_L"])
 
 
-def _preset_table(omega_y: float, n_max: int, steps: int) -> tuple[list[_Axis], list[tuple]]:
-    eps_values = [float(e) for e in np.linspace(0.0, omega_y, steps) if 0.0 <= e < omega_y]
-    states = [QuantumNumbers(n, 0) for n in range(1, n_max + 1)]
-    states += [QuantumNumbers(0, m) for m in range(1, n_max + 1)]
-    return _sweep(1.0, omega_y, eps_values, states, _steering_values)
-
-
-def steering_preset_rows(omega_y: float, n_max: int = 6, steps: int = 161) -> list[dict]:
-    """Detuned steering sweep over the ``(n, 0)`` and ``(0, m)`` families.
-
-    ``omega_x = 1`` and ``epsilon`` runs over ``[0, omega_y]``; rows at or
-    beyond the stability bound are dropped.
-    """
-    keys, columns = _preset_table(omega_y, n_max, steps)
-    return _records(keys, _STEERING_FIELDS, columns)
-
-
 def cmd_steering_scan(args) -> int:
-    if args.preset:
-        keys, columns = _preset_table(float(args.preset), args.n_max, args.steps)
-        _write_table(keys, _STEERING_FIELDS, columns, args.format, args.output)
-        return 0
-    return _scan(args, _steering_values, _STEERING_FIELDS)
+    if not args.preset:
+        return _scan(args, _steering_values, _STEERING_FIELDS)
+    # the detuned sweep over the (n, 0) and (0, m) families: omega_x = 1 and
+    # epsilon over [0, omega_y], without the rows at or beyond the stability bound
+    omega_y = float(args.preset)
+    eps_values = [float(e) for e in np.linspace(0.0, omega_y, args.steps) if 0.0 <= e < omega_y]
+    states = [QuantumNumbers(n, 0) for n in range(1, args.n_max + 1)]
+    states += [QuantumNumbers(0, m) for m in range(1, args.n_max + 1)]
+    keys, columns = _sweep(1.0, omega_y, eps_values, states, _steering_values)
+    _write_table(keys, _STEERING_FIELDS, columns, args.format, args.output)
+    return 0
 
 
 def cmd_verify(args) -> int:
     report = run_verification()
     if args.json:
-        sys.stdout.write(json.dumps(report.as_dict(), indent=2) + "\n")
+        _write_json(report.as_dict(), None)
     else:
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"
@@ -311,6 +282,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader has gone, as under `| head`: nothing to tell it
+        return 1
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

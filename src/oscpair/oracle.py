@@ -67,16 +67,14 @@ _MOMENT_EXPONENTS = {
 
 
 def _quadrature_moments(params: SystemParams, nm: QuantumNumbers,
-                        exponents: list[tuple[int, int, int, int]],
-                        order: int | None = None) -> list[float]:
+                        exponents: list[tuple[int, int, int, int]]) -> list[float]:
     """Expectation values ``<x^a p^b y^c q^d>`` by exact quadrature, one per exponent.
 
     The Wigner integral is taken in scaled normal-mode coordinates where
     the Gaussian weight is ``exp(-t^2)`` on each axis; the monomial and
     Laguerre factors are polynomials, so one rule whose order is chosen
     from the largest total degree is analytically sufficient for every
-    monomial. A user-supplied ``order`` is raised to that threshold if it
-    falls short.
+    monomial.
     """
     if any(min(e) < 0 or sum(e) > 8 for e in exponents):
         raise ValueError(f"monomial exponents must be non-negative with total <= 8, got {exponents}")
@@ -85,7 +83,7 @@ def _quadrature_moments(params: SystemParams, nm: QuantumNumbers,
     vx, vy = modes.vartheta_x, modes.vartheta_y
     s, c = math.sin(modes.theta), math.cos(modes.theta)
     needed = (max(map(sum, exponents)) + 2 * max(nm.n, nm.m)) // 2 + 2
-    rule = gauss_hermite(max(order or 0, needed))
+    rule = gauss_hermite(needed)
     t, w = rule.nodes, rule.weights
 
     big_x = t / math.sqrt(vx)      # axis i
@@ -111,9 +109,9 @@ def _quadrature_moments(params: SystemParams, nm: QuantumNumbers,
 
 
 def moment_oracle(params: SystemParams, nm: QuantumNumbers,
-                  exponents: tuple[int, int, int, int], order: int | None = None) -> float:
+                  exponents: tuple[int, int, int, int]) -> float:
     """Expectation value ``<x^a p^b y^c q^d>`` by exact quadrature."""
-    return _quadrature_moments(params, nm, [exponents], order)[0]
+    return _quadrature_moments(params, nm, [exponents])[0]
 
 
 def moment_set_oracle(params: SystemParams, nm: QuantumNumbers) -> dict[str, float]:

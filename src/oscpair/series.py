@@ -2,10 +2,10 @@
 
 A :class:`Jet4` stores the dense coefficient array of a polynomial in
 four variables truncated at a fixed maximum degree per variable; entry
-``[i, j, k, l]`` is the coefficient of ``u^i s^j v^k w^l``. Ring
-operations truncate products back to those orders, so a jet carries
-exactly the Taylor data needed to read one coefficient of an analytic
-function of the four variables.
+``[i, j, k, l]`` is the coefficient of ``u^i s^j v^k w^l``. The ring
+operations ``jet_add`` and ``jet_mul`` truncate products back to those
+orders, so a jet carries exactly the Taylor data needed to read one
+coefficient of an analytic function of the four variables.
 
 Reciprocal, square root and inverse square root are one routine for the
 power ``a**alpha``: J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2,
@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -67,46 +66,6 @@ class Jet4:
             raise ValueError(
                 f"coefficient array shape {self.coeffs.shape} does not match orders {self.orders}"
             )
-
-    @staticmethod
-    def constant(value: float, orders: Orders) -> "Jet4":
-        coeffs = np.zeros(tuple(o + 1 for o in orders))
-        coeffs[(0, 0, 0, 0)] = value
-        return Jet4(orders, coeffs)
-
-    @staticmethod
-    def variable(axis: int, orders: Orders) -> "Jet4":
-        """The jet of the bare variable along ``axis`` (0..3)."""
-        if orders[axis] < 1:
-            raise ValueError(f"axis {axis} has order {orders[axis]} < 1")
-        coeffs = np.zeros(tuple(o + 1 for o in orders))
-        idx = [0, 0, 0, 0]
-        idx[axis] = 1
-        coeffs[tuple(idx)] = 1.0
-        return Jet4(orders, coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, Real):
-            c = self.coeffs.copy()
-            c[(0, 0, 0, 0)] += other
-            return Jet4(self.orders, c)
-        return jet_add(self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet4(self.orders, -self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        return jet_mul(self, other)
-
-    __rmul__ = __mul__
 
 
 def _check_orders(a: Jet4, b: Jet4) -> None:
@@ -227,10 +186,8 @@ def _power_nd(a: np.ndarray, alpha: float) -> np.ndarray:
     return buf[plan.window].copy()
 
 
-def jet_mul(a: Jet4, b) -> Jet4:
-    """Truncated product; ``b`` may be a jet of matching orders or a scalar."""
-    if isinstance(b, Real):
-        return jet_scale(a, b)
+def jet_mul(a: Jet4, b: Jet4) -> Jet4:
+    """Truncated product of two jets of matching orders."""
     _check_orders(a, b)
     return Jet4(a.orders, _mul_nd(a.coeffs, b.coeffs))
 

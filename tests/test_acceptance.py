@@ -4,6 +4,7 @@ Each test prints one PASS line with the observed worst deviation so the
 suite doubles as a verification report (`pytest -s tests/test_acceptance.py`).
 """
 
+import json
 import math
 import time
 
@@ -26,7 +27,7 @@ from oscpair import (
     steering_weak_general,
     uncertainty_areas,
 )
-from oscpair.cli import main, steering_preset_rows
+from oscpair.cli import main
 from oscpair.moments import second_and_fourth_moments
 from oscpair.oracle import ladder_oracle, moment_set_oracle
 
@@ -133,17 +134,28 @@ def test_criterion_07_sixteenth_quantization():
     report(7, "weak steering quantized in units of 1/16", dev, 1e-12)
 
 
-def test_criterion_08_detuned_magnitude():
-    rows = steering_preset_rows(0.8)
+def preset_rows(tmp_path, omega_y):
+    """The records of ``oscpair steering-scan --preset omega_y --format json``.
+
+    Read from a file, not stdout, so that the PASS line still prints under ``-s``.
+    """
+    path = tmp_path / f"preset-{omega_y}.json"
+    assert main(["steering-scan", "--preset", omega_y, "--format", "json",
+                 "--output", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def test_criterion_08_detuned_magnitude(tmp_path):
+    rows = preset_rows(tmp_path, "0.8")
     peak = max(max(r["s_xy"], r["s_yx"]) for r in rows)
     assert 0.15 <= peak <= 0.25
     report(8, f"omega_y=0.8 preset peak steering {peak:.4f}", peak, 0.25)
 
 
-def test_criterion_09_full_asymmetry():
+def test_criterion_09_full_asymmetry(tmp_path):
     worst = 0.0
-    for wy in (0.99, 0.8, 0.6):
-        for r in steering_preset_rows(wy):
+    for wy in ("0.99", "0.8", "0.6"):
+        for r in preset_rows(tmp_path, wy):
             worst = max(worst, r["s_xy"] * r["s_yx"])
     for eps in np.linspace(0.1, 0.95, 10):
         p = SystemParams(1.0, 1.0, float(eps))

@@ -3,11 +3,17 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oscpair.cli import _write_table, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -223,7 +229,9 @@ class TestWriter:
     def test_matches_csv_writer_bytes(self, tmp_path, rows):
         columns = self._table(rows)
         path = tmp_path / "table.csv"
-        _write_table([], self.FIELDS, columns, "csv", str(path))
+        # the first four columns as one four-field key axis, one point per row
+        _write_table([(self.FIELDS[:4], list(zip(*columns[:4])))], self.FIELDS[4:],
+                     columns[4:], "csv", str(path))
         assert path.read_bytes() == _reference_csv(self.FIELDS, columns).encode()
 
     # (outer, inner) axis lengths: rows = outer * inner, the counts above plus empty axes
@@ -318,3 +326,21 @@ class TestArgumentHandling:
         assert out == ""
         assert err.startswith("error: ") and str(path) in err
         assert not path.exists()
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        # a 41^3-row CSV of about 3.5 MB, far more than a pipe buffers
+        argv = [sys.executable, "-m", "oscpair", "wigner-eval",
+                "--x=-2:2:41", "--p=-2:2:41", "--y=-2:2:41"]
+        proc = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            head = proc.stdout.read(20)
+            proc.stdout.close()  # like `| head -c 20`
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert head == b"x,p,y,q,W\n-2,-2,-2,0"
+        assert err == b""
+        assert code == 1

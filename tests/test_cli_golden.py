@@ -61,7 +61,13 @@ GOLDEN = [
      0, "db86a4f10a40a98212424151b9fe8595637e0082ba0e157ed696a2a7818d9889", ""),
     (["steering-scan", "--preset", "0.6", "--steps", "5", "--format", "json"],
      0, "9b9eb533518918206dd9e00dc9410672d8d3aadce49f590df75605a70a18b3b8", ""),
-    # every r skipped: the header alone, from a table with no key axes
+    # the JSON side of the r table
+    (["spectrum", "--r-scan=0.5:2:4", "--format", "json"],
+     0, "7ba4679d89958510c513ea297c55d323242bd3b7c94aeeab8348337b555251d2", ""),
+    # a preset sweep with non-default state and epsilon counts
+    (["steering-scan", "--preset", "0.99", "--n-max", "2", "--steps", "7"],
+     0, "3b05156c5e221ae5b7760a397c9eb2f68f6f7b6dbffcad83bbf96e816cb34a07", ""),
+    # every r skipped: the header alone
     (["spectrum", "--r-scan=-1:0:3"], 0,
      "620459d2f35fbcf247cdb00012167c52291abf157103a07fad24a490e1359443",
      "".join(f"warning: skipping r={r} (resonance rate must be positive)\n"

@@ -90,19 +90,20 @@ class TestMomentOracle:
         with pytest.raises(ValueError):
             moment_oracle(PARAMS, QuantumNumbers(0, 0), (-1, 0, 0, 0))
 
-    def test_exactness_plateau(self):
+    def test_exactness_plateau(self, monkeypatch):
         # once the rule covers the polynomial degree, more nodes change nothing
         q = QuantumNumbers(3, 2)
-        base = moment_oracle(PARAMS, q, (2, 0, 2, 0))
-        for extra in (8, 16):
-            refined = moment_oracle(PARAMS, q, (2, 0, 2, 0), order=12 + extra)
-            assert abs(refined - base) < 1e-13
+        base = moment_oracle(PARAMS, q, (2, 0, 2, 0))  # on (4 + 2*3)//2 + 2 = 7 nodes
+        rule, used = oracle.gauss_hermite, []
+        for extra in (13, 21):
+            def grown(order, extra=extra):
+                used.append(order + extra)
+                return rule(order + extra)
 
-    def test_user_order_is_raised_when_too_small(self):
-        q = QuantumNumbers(3, 3)
-        assert moment_oracle(PARAMS, q, (2, 0, 0, 0), order=2) == pytest.approx(
-            moment_oracle(PARAMS, q, (2, 0, 0, 0)), rel=1e-12
-        )
+            monkeypatch.setattr(oracle, "gauss_hermite", grown)
+            refined = moment_oracle(PARAMS, q, (2, 0, 2, 0))
+            assert abs(refined - base) < 1e-13
+        assert used == [20, 28]
 
     @pytest.mark.parametrize("nm", [(0, 0), (2, 1), (3, 3), (6, 6)])
     @pytest.mark.parametrize("eps", [0.0, 0.5, 0.79])

@@ -19,6 +19,18 @@ ORDERS = (2, 1, 1, 2)
 SHAPE = tuple(o + 1 for o in ORDERS)
 
 
+def jet(orders, terms):
+    """The jet whose only nonzero coefficients are ``terms``, ``{(i, j, k, l): value}``."""
+    coeffs = np.zeros(tuple(o + 1 for o in orders))
+    for idx, value in terms.items():
+        coeffs[idx] = value
+    return Jet4(orders, coeffs)
+
+
+ONE_PLUS_U = jet((2, 0, 0, 0), {(0, 0, 0, 0): 1.0, (1, 0, 0, 0): 1.0})
+U = jet(ORDERS, {(1, 0, 0, 0): 1.0})
+
+
 def random_jet(seed, orders=ORDERS, constant=None):
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, size=tuple(o + 1 for o in orders))
@@ -29,26 +41,19 @@ def random_jet(seed, orders=ORDERS, constant=None):
 
 def geometric(axis, orders=ORDERS):
     """Jet of 1 - k along one axis; its reciprocal is the geometric series."""
-    coeffs = np.zeros(tuple(o + 1 for o in orders))
-    coeffs[(0, 0, 0, 0)] = 1.0
-    idx = [0, 0, 0, 0]
-    idx[axis] = 1
-    coeffs[tuple(idx)] = -1.0
-    return Jet4(orders, coeffs)
+    return jet(orders, {(0, 0, 0, 0): 1.0, tuple(int(i == axis) for i in range(4)): -1.0})
 
 
 def test_square_of_one_plus_u():
-    orders = (2, 0, 0, 0)
-    a = Jet4.constant(1.0, orders) + Jet4.variable(0, orders)
-    sq = jet_mul(a, a)
+    sq = jet_mul(ONE_PLUS_U, ONE_PLUS_U)
     np.testing.assert_allclose(sq.coeffs.ravel(), [1.0, 2.0, 1.0])
 
 
 def test_scalar_multiplication_and_zero():
     a = random_jet(3)
-    assert np.all(jet_mul(a, 0.0).coeffs == 0.0)
+    assert np.all(jet_scale(a, 0.0).coeffs == 0.0)
     np.testing.assert_allclose(jet_scale(a, -2.0).coeffs, -2.0 * a.coeffs)
-    np.testing.assert_allclose((2.0 * a).coeffs, 2.0 * a.coeffs)
+    np.testing.assert_allclose(jet_scale(a, 2).coeffs, 2.0 * a.coeffs)
 
 
 def test_order_mismatch_rejected():
@@ -99,9 +104,8 @@ class TestReciprocal:
                 assert coefficient(inv, i, 0, 0, l) == pytest.approx(1.0)
 
     def test_zero_constant_term_rejected(self):
-        bad = Jet4.variable(0, ORDERS)
         with pytest.raises(ValueError):
-            jet_reciprocal(bad)
+            jet_reciprocal(U)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -117,21 +121,19 @@ class TestReciprocal:
 
 class TestSqrt:
     def test_binomial_series_of_one_plus_u(self):
-        orders = (2, 0, 0, 0)
-        a = Jet4.constant(1.0, orders) + Jet4.variable(0, orders)
-        root = jet_sqrt(a)
+        root = jet_sqrt(ONE_PLUS_U)
         np.testing.assert_allclose(root.coeffs.ravel(), [1.0, 0.5, -0.125], atol=1e-14)
 
     def test_constant_jet(self):
-        root = jet_sqrt(Jet4.constant(4.0, ORDERS))
+        root = jet_sqrt(jet(ORDERS, {(0, 0, 0, 0): 4.0}))
         assert coefficient(root, 0, 0, 0, 0) == pytest.approx(2.0)
         assert np.max(np.abs(root.coeffs)) == pytest.approx(2.0)
 
     def test_non_positive_constant_rejected(self):
         with pytest.raises(ValueError):
-            jet_sqrt(Jet4.constant(-1.0, ORDERS))
+            jet_sqrt(jet(ORDERS, {(0, 0, 0, 0): -1.0}))
         with pytest.raises(ValueError):
-            jet_sqrt(Jet4.variable(0, ORDERS))
+            jet_sqrt(U)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -154,7 +156,7 @@ class TestCoefficient:
     def test_reads_stored_value(self):
         a = random_jet(5)
         assert coefficient(a, 1, 0, 1, 2) == a.coeffs[1, 0, 1, 2]
-        c = Jet4.constant(3.25, ORDERS)
+        c = jet(ORDERS, {(0, 0, 0, 0): 3.25})
         assert coefficient(c, 0, 0, 0, 0) == 3.25
 
     def test_out_of_range_index(self):
