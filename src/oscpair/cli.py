@@ -16,7 +16,7 @@ import itertools
 import json
 import sys
 from dataclasses import asdict, astuple, fields
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -64,10 +64,8 @@ def _opened(output: str | None):
     return open(output, "w", newline="") if output else contextlib.nullcontext(sys.stdout)
 
 
-def _write_json(payload, output: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    with _opened(output) as fh:
-        fh.write(text)
+def _write_json(payload, out: TextIO) -> None:
+    out.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _template(fieldnames: Sequence[str]) -> str:
@@ -75,7 +73,7 @@ def _template(fieldnames: Sequence[str]) -> str:
 
 
 def _write_table(keys: list[_Axis], names: list[str], columns: Sequence[Sequence], fmt: str,
-                 output: str | None) -> None:
+                 out: TextIO) -> None:
     """Write a table as CSV or JSON rows.
 
     ``keys`` are the key axes, each ``(fieldnames, points)`` with one tuple
@@ -87,15 +85,14 @@ def _write_table(keys: list[_Axis], names: list[str], columns: Sequence[Sequence
     if fmt == "json":
         points = itertools.product(*(points for _, points in keys))
         _write_json([dict(zip(fieldnames, (*sum(key, ()), *values)))
-                     for key, *values in zip(points, *columns)], output)
+                     for key, *values in zip(points, *columns)], out)
         return
     key_text = [[_template(axis) % point + "," for point in points] for axis, points in keys]
     rows = zip(map("".join, itertools.product(*key_text)), *columns)
     template = "%s" + _template(names) + "\n"
-    with _opened(output) as fh:
-        fh.write(",".join(fieldnames) + "\n")
-        while block := list(itertools.islice(rows, _BLOCK)):
-            fh.write(template * len(block) % tuple(itertools.chain.from_iterable(block)))
+    out.write(",".join(fieldnames) + "\n")
+    while block := list(itertools.islice(rows, _BLOCK)):
+        out.write(template * len(block) % tuple(itertools.chain.from_iterable(block)))
 
 
 def _sweep(omega_x: float, omega_y: float, eps_values: list[float],
@@ -110,7 +107,7 @@ def _sweep(omega_x: float, omega_y: float, eps_values: list[float],
     return keys, list(zip(*rows))
 
 
-def _scan(args, values: _Values, names: list[str]) -> int:
+def _scan(args, out: TextIO, values: _Values, names: list[str]) -> int:
     """Write the sweep over ``--epsilon`` and the ``--n-max`` x ``--m-max`` grid."""
     bound = args.omega_x * args.omega_y
     eps_values = []
@@ -123,7 +120,7 @@ def _scan(args, values: _Values, names: list[str]) -> int:
     states = [QuantumNumbers(n, m) for n in range(args.n_max + 1)
               for m in range(args.m_max + 1)]
     keys, columns = _sweep(args.omega_x, args.omega_y, eps_values, states, values)
-    _write_table(keys, names, columns, args.format, args.output)
+    _write_table(keys, names, columns, args.format, out)
     return 0
 
 
@@ -137,7 +134,7 @@ def _steering_values(params: SystemParams, nm: QuantumNumbers) -> tuple:
     return astuple(steering(params, nm))
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args, out: TextIO) -> int:
     if args.r_scan:
         rates = []
         for r in _parse_range(args.r_scan):
@@ -147,36 +144,36 @@ def cmd_spectrum(args) -> int:
                 print(f"warning: skipping r={r:g} (resonance rate must be positive)",
                       file=sys.stderr)
         _write_table([(["r"], [(r,) for r in rates])], ["theta_c"],
-                     [[cutoff_angle(r) for r in rates]], args.format, args.output)
+                     [[cutoff_angle(r) for r in rates]], args.format, out)
         return 0
-    return _scan(args, lambda params, nm: (energy(params, nm),), ["energy"])
+    return _scan(args, out, lambda params, nm: (energy(params, nm),), ["energy"])
 
 
-def cmd_moments(args) -> int:
+def cmd_moments(args, out: TextIO) -> int:
     params = SystemParams(args.omega_x, args.omega_y, args.epsilon)
     ms = second_and_fourth_moments(params, QuantumNumbers(args.n, args.m))
     _write_json({"omega_x": args.omega_x, "omega_y": args.omega_y, "epsilon": args.epsilon,
-                 "n": args.n, "m": args.m, **asdict(ms)}, args.output)
+                 "n": args.n, "m": args.m, **asdict(ms)}, out)
     return 0
 
 
-def cmd_wigner_eval(args) -> int:
+def cmd_wigner_eval(args, out: TextIO) -> int:
     modes = diagonalize(SystemParams(args.omega_x, args.omega_y, args.epsilon))
     nm = QuantumNumbers(args.n, args.m)
     axes = [_parse_range(r) for r in (args.x, args.p, args.y, args.q)]
     w = wigner_lab(modes, nm, PhasePoint(*np.meshgrid(*axes, indexing="ij")))
     keys = [([name], list(zip(axis.tolist()))) for name, axis in zip("xpyq", axes)]
-    _write_table(keys, ["W"], [w.ravel().tolist()], args.format, args.output)
+    _write_table(keys, ["W"], [w.ravel().tolist()], args.format, out)
     return 0
 
 
-def cmd_purity_scan(args) -> int:
-    return _scan(args, _purity_values, ["purity", "S_L", "S_L_makarov", "delta_S_L"])
+def cmd_purity_scan(args, out: TextIO) -> int:
+    return _scan(args, out, _purity_values, ["purity", "S_L", "S_L_makarov", "delta_S_L"])
 
 
-def cmd_steering_scan(args) -> int:
+def cmd_steering_scan(args, out: TextIO) -> int:
     if not args.preset:
-        return _scan(args, _steering_values, _STEERING_FIELDS)
+        return _scan(args, out, _steering_values, _STEERING_FIELDS)
     # the detuned sweep over the (n, 0) and (0, m) families: omega_x = 1 and
     # epsilon over [0, omega_y], without the rows at or beyond the stability bound
     omega_y = float(args.preset)
@@ -184,21 +181,21 @@ def cmd_steering_scan(args) -> int:
     states = [QuantumNumbers(n, 0) for n in range(1, args.n_max + 1)]
     states += [QuantumNumbers(0, m) for m in range(1, args.n_max + 1)]
     keys, columns = _sweep(1.0, omega_y, eps_values, states, _steering_values)
-    _write_table(keys, _STEERING_FIELDS, columns, args.format, args.output)
+    _write_table(keys, _STEERING_FIELDS, columns, args.format, out)
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out: TextIO) -> int:
     report = run_verification()
     if args.json:
-        _write_json(report.as_dict(), None)
+        _write_json(report.as_dict(), out)
     else:
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"
             print(f"{status} {check.name}: max deviation {check.max_deviation:.3e} "
-                  f"(tolerance {check.tolerance:.1e}) - {check.detail}")
+                  f"(tolerance {check.tolerance:.1e}) - {check.detail}", file=out)
         print(f"{'all checks passed' if report.passed else 'VERIFICATION FAILED'} "
-              f"in {report.elapsed_seconds:.1f} s")
+              f"in {report.elapsed_seconds:.1f} s", file=out)
     return 0 if report.passed else 2
 
 
@@ -281,7 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        # opened before the command runs, so an unwritable path fails before any sweep
+        with _opened(getattr(args, "output", None)) as out:
+            return args.func(args, out)
     except BrokenPipeError:  # the reader has gone, as under `| head`: nothing to tell it
         return 1
     except (ValueError, RuntimeError, OSError) as exc:

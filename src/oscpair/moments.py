@@ -1,17 +1,19 @@
-"""Closed-form phase-space moments of the stationary states.
+"""Closed-form phase-space moments and ladder correlators of the stationary states.
 
 Second and fourth moments of the lab-frame quadratures follow from the
-separable normal-mode state by rotating the quadrature operators. All
-expressions are written in terms of ``sin``/``cos`` of the rotation angle
-rather than ``mu = tan(theta)``, which keeps them finite on the whole
-parameter domain (the swapped decoupled corner has ``mu = inf``). Every
-entry is validated against the exact Gauss-Hermite quadrature oracle in
-the test suite.
+separable normal-mode state by rotating the quadrature operators. They are
+written with ``sin``/``cos`` of the rotation angle rather than ``mu =
+tan(theta)``, which keeps them finite on the whole parameter domain (the
+swapped decoupled corner has ``mu = inf``). Every entry is validated
+against the exact Gauss-Hermite quadrature oracle in the test suite.
 
-Only commuting operator pairs appear in the fourth moments (``x`` with
-``y`` and ``q``, ``p`` with ``y`` and ``q``), so the phase-space averages
-coincide with the operator expectation values and can be combined into
-number-operator correlators without ordering corrections.
+The ladder correlators come from the Bogoliubov expansion of ``a_x`` and
+``a_y`` instead: a normal mode of frequency ``v`` with ``k`` quanta enters
+``a`` of the lab frequency ``w`` as ``U A + V A^dag``, ``U, V = (w +/- v) /
+(2 sqrt(wv))``, with rotation weights ``(c, -s)`` in ``a_x`` and ``(s, c)``
+in ``a_y``. Occupations are sums of non-negative terms, and ``<Nx Ny>`` is
+its Wick part plus the Fock-state fourth cumulant ``-k(k+1)`` of each mode,
+so no terms of order one cancel in floating point at weak coupling.
 """
 
 from __future__ import annotations
@@ -49,11 +51,10 @@ class ExcitationNumbers:
 
 
 class LadderMoments(NamedTuple):
-    """Ladder-operator correlators assembled from the moment table.
+    """Ladder-operator correlators; ``cross_mag_sq`` is ``|<a_x a_y^dag>|^2``.
 
-    ``cross_mag_sq`` is ``|<a_x a_y^dag>|^2``; the imaginary part of the
-    cross correlator vanishes for these stationary states (``<xq>`` and
-    ``<py>`` are zero, confirmed numerically by the oracle tests).
+    The cross correlator is real for these stationary states (``<xq>`` and
+    ``<py>`` vanish, confirmed numerically by the oracle tests).
     """
 
     nx: float
@@ -106,42 +107,42 @@ def uncertainty_areas(params: SystemParams, nm: QuantumNumbers) -> tuple[float, 
     return math.sqrt(ms.xx * ms.pp), math.sqrt(ms.yy * ms.qq)
 
 
+def _bogoliubov(params: SystemParams, nm: QuantumNumbers) -> tuple[float, ...]:
+    """``(nx, ny, <a_x a_y^dag>, <a_x a_y>, kappa)``, ``-kappa`` the fourth cumulant of ``Nx Ny``.
+
+    ``c^2``, ``s^2`` and ``sc`` come from ``mu``, so each is exactly 1/2 at resonance.
+    """
+    modes = model.diagonalize(params)
+    mu = modes.mu
+    c2, s2, sc = ((0.0, 1.0, 0.0) if math.isinf(mu)
+                  else (1.0 / (1.0 + mu * mu), mu * mu / (1.0 + mu * mu), mu / (1.0 + mu * mu)))
+    wx, wy = params.omega_x, params.omega_y
+    nx = ny = cross = pair = kappa = 0.0
+    for v, k, rx2, ry2, rxy in ((modes.vartheta_x, nm.n, c2, s2, sc),
+                                (modes.vartheta_y, nm.m, s2, c2, -sc)):
+        ux, vx = (wx + v) / (2.0 * math.sqrt(wx * v)), (wx - v) / (2.0 * math.sqrt(wx * v))
+        uy, vy = (wy + v) / (2.0 * math.sqrt(wy * v)), (wy - v) / (2.0 * math.sqrt(wy * v))
+        nx += rx2 * (ux * ux * k + vx * vx * (k + 1))
+        ny += ry2 * (uy * uy * k + vy * vy * (k + 1))
+        cross += rxy * (ux * uy * (k + 1) + vx * vy * k)
+        pair += rxy * (ux * vy * (k + 1) + vx * uy * k)
+        kappa += rx2 * ry2 * k * (k + 1) * ((ux * ux + vx * vx) * (uy * uy + vy * vy)
+                                            + 2.0 * ux * vx * uy * vy)
+    return nx, ny, cross, pair, kappa
+
+
 def excitation_numbers(params: SystemParams, nm: QuantumNumbers) -> ExcitationNumbers:
     """Mean excitations of the lab-frame modes, including virtual ones.
 
-    Each term carries the frequency mismatch factor
-    ``omega/vartheta + vartheta/omega``, which exceeds 2 whenever the
-    normal and bare frequencies differ; that is why the coupled ground
-    state is populated at ultra-strong coupling.
+    ``V^2 (k+1)`` is nonzero whenever the normal and bare frequencies
+    differ; that is why the coupled ground state is populated.
     """
-    modes = model.diagonalize(params)
-    vx, vy = modes.vartheta_x, modes.vartheta_y
-    wx, wy = params.omega_x, params.omega_y
-    s, c = math.sin(modes.theta), math.cos(modes.theta)
-    s2, c2 = s * s, c * c
-    nn = 2 * nm.n + 1
-    mm = 2 * nm.m + 1
-
-    nx = 0.25 * c2 * (wx / vx + vx / wx) * nn + 0.25 * s2 * (wx / vy + vy / wx) * mm - 0.5
-    ny = 0.25 * s2 * (wy / vx + vx / wy) * nn + 0.25 * c2 * (wy / vy + vy / wy) * mm - 0.5
+    nx, ny, *_ = _bogoliubov(params, nm)
     return ExcitationNumbers(nx=nx, ny=ny)
 
 
 def ladder_moments(params: SystemParams, nm: QuantumNumbers) -> LadderMoments:
-    """Correlators ``<Nx>``, ``<Ny>``, ``<Nx Ny>`` and ``|<a_x a_y^dag>|^2``.
-
-    With ``A = (wx x^2 + p^2/wx)/2`` and ``B = (wy y^2 + q^2/wy)/2`` one has
-    ``Nx Ny = AB - A/2 - B/2 + 1/4``, and ``<AB>`` expands over the four
-    fourth moments of commuting quadrature pairs.
-    """
-    ms = second_and_fourth_moments(params, nm)
-    ex = excitation_numbers(params, nm)
-    wx, wy = params.omega_x, params.omega_y
-
-    ab = 0.25 * (wx * wy * ms.xxyy + (wx / wy) * ms.xxqq
-                 + (wy / wx) * ms.yypp + ms.ppqq / (wx * wy))
-    nxny = ab - 0.5 * (ex.nx + ex.ny) - 0.25
-
-    root = math.sqrt(wx * wy)
-    cross = 0.5 * root * ms.xy + 0.5 * ms.pq / root
-    return LadderMoments(nx=ex.nx, ny=ex.ny, nxny=nxny, cross_mag_sq=cross * cross)
+    """Correlators ``<Nx>``, ``<Ny>``, ``<Nx Ny>`` and ``|<a_x a_y^dag>|^2``."""
+    nx, ny, cross, pair, kappa = _bogoliubov(params, nm)
+    return LadderMoments(nx=nx, ny=ny, nxny=nx * ny + cross * cross + pair * pair - kappa,
+                         cross_mag_sq=cross * cross)

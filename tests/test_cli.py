@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oscpair import cli
 from oscpair.cli import _write_table, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -230,8 +231,9 @@ class TestWriter:
         columns = self._table(rows)
         path = tmp_path / "table.csv"
         # the first four columns as one four-field key axis, one point per row
-        _write_table([(self.FIELDS[:4], list(zip(*columns[:4])))], self.FIELDS[4:],
-                     columns[4:], "csv", str(path))
+        with open(path, "w", newline="") as out:
+            _write_table([(self.FIELDS[:4], list(zip(*columns[:4])))], self.FIELDS[4:],
+                         columns[4:], "csv", out)
         assert path.read_bytes() == _reference_csv(self.FIELDS, columns).encode()
 
     # (outer, inner) axis lengths: rows = outer * inner, the counts above plus empty axes
@@ -245,7 +247,8 @@ class TestWriter:
                 (["n", "m"], [(np.int64(j % 7), j % 5) for j in range(inner)])]
         columns = [[EDGE_VALUES[(3 * i + 1) % len(EDGE_VALUES)] for i in range(outer * inner)]]
         path = tmp_path / "table.csv"
-        _write_table(keys, ["W"], columns, "csv", str(path))
+        with open(path, "w", newline="") as out:
+            _write_table(keys, ["W"], columns, "csv", out)
         # compared as lines: a failing diff of the whole text takes pytest minutes
         lines = path.read_bytes().decode().splitlines(keepends=True)
         assert lines == _reference_csv(self.FIELDS, _expand(keys, columns)).splitlines(True)
@@ -326,6 +329,20 @@ class TestArgumentHandling:
         assert out == ""
         assert err.startswith("error: ") and str(path) in err
         assert not path.exists()
+
+    def test_unwritable_output_fails_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def purity_exact(params, nm):
+            calls.append((params, nm))
+            raise RuntimeError("the sweep ran")
+
+        monkeypatch.setattr(cli, "purity_exact", purity_exact)
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "purity-scan", "--output", str(path))
+        assert code == 1
+        assert err.startswith("error: ") and str(path) in err
+        assert calls == []
 
     def test_closed_stdout_pipe_exits_quietly(self):
         # a 41^3-row CSV of about 3.5 MB, far more than a pipe buffers

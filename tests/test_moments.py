@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from ladder_reference import ladder
 
 from oscpair import (
     QuantumNumbers,
@@ -135,6 +136,24 @@ class TestExcitationNumbers:
         ref = ladder_oracle(params, QuantumNumbers(0, 0))
         assert ex.nx == pytest.approx(ref.nx, abs=1e-10)
         assert ex.ny == pytest.approx(ref.ny, abs=1e-10)
+
+
+    @pytest.mark.parametrize("wy", [0.1, 0.8])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+    def test_ground_state_relative_accuracy_at_weak_coupling(self, wy, eps):
+        ex = excitation_numbers(SystemParams(1.0, wy, eps), QuantumNumbers(0, 0))
+        want_nx, want_ny, *_ = ladder(1.0, wy, eps, 0, 0)
+        assert abs((ex.nx - want_nx) / want_nx) <= 1e-12
+        assert abs((ex.ny - want_ny) / want_ny) <= 1e-12
+
+    def test_ground_state_occupations_are_never_negative(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20_000):
+            wx, wy = np.exp(rng.uniform(-3.0, 3.0, 2))
+            eps = 10.0 ** rng.uniform(-12.0, 0.0) * rng.uniform(0.0, 1.0) * wx * wy
+            ex = excitation_numbers(SystemParams(float(wx), float(wy), float(eps)),
+                                    QuantumNumbers(0, 0))
+            assert ex.nx >= 0.0 and ex.ny >= 0.0, (wx, wy, eps)
 
 
 class TestLadderMoments:

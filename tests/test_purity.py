@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 
 import mpmath as mp
 import numpy as np
@@ -210,6 +212,36 @@ class TestMakarovEntropy:
             assert makarov_entropy(QuantumNumbers(*nm), 0.0) == 0.0
 
 
+    @pytest.mark.parametrize("mu", [1e-4, 1e-6, 1e-8, 0.3, 1.0, 5.0])
+    def test_relative_accuracy_against_the_jacobi_sum(self, mu):
+        # Makarov's explicit weights at 60 digits; at weak coupling the entropy
+        # is O(mu^2) and 1 - sum(lambda_k^2) in float64 lost every digit
+        for n in range(7):
+            for m in range(7):
+                want = _makarov_entropy_jacobi(n, m, mu)
+                got = makarov_entropy(QuantumNumbers(n, m), mu)
+                assert abs(got - want) <= 1e-12 * abs(want), (n, m)
+
+
+def _makarov_entropy_jacobi(n, m, mu):
+    """``1 - sum(lambda_k^2)`` from Makarov's Jacobi-sum weights, in 60-digit arithmetic."""
+    def comb(a, j):  # generalized binomial coefficient, exact for integer a of any sign
+        if a >= 0:
+            return math.comb(a, j) if j <= a else 0
+        return (-1) ** j * math.comb(j - a - 1, j)
+
+    with mp.workdps(60):
+        mu2 = mp.mpf(mu) ** 2
+        zm, zp = -1 / mu2 - 1, -1 / mu2  # (z -/+ 1)/2 at z = -(2 + mu^2)/mu^2
+        lam = []
+        for k in range(n + m + 1):
+            jacobi = mp.fsum(comb(-1 - m, n - s) * comb(n + m - k, s) * zm**s * zp ** (n - s)
+                             for s in range(n + 1))
+            lam.append(math.factorial(m) * math.factorial(n) * mu2 ** (k + n) * jacobi**2
+                       / ((1 + mu2) ** (m + n) * math.factorial(k) * math.factorial(m + n - k)))
+        return 1 - mp.fsum(v * v for v in lam)
+
+
 class TestEntropyGap:
     def test_no_coupling_no_gap(self):
         assert entropy_gap(SystemParams(1.0, 0.7, 0.0), QuantumNumbers(1, 1)) == pytest.approx(
@@ -301,7 +333,7 @@ def _reference_makarov_entropy(nm, mu):
         lam = (column.real**2 + column.imag**2).tolist()
         if abs(math.fsum(lam) - 1.0) > 1e-8:
             return ("raises", RuntimeError)
-    return 1.0 - math.fsum(v * v for v in lam)
+    return 2.0 * math.fsum(map(operator.mul, lam[1:], itertools.accumulate(lam)))
 
 
 def _outcome(f, *args):

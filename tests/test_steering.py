@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from ladder_reference import witnesses
 
 from oscpair import (
     QuantumNumbers,
@@ -91,6 +92,29 @@ class TestFullSteering:
             assert got == pytest.approx(want, rel=1e-3)
             mirrored = steering(params, QuantumNumbers(0, n)).s_yx
             assert mirrored == pytest.approx(want, rel=1e-3)
+
+
+    @pytest.mark.parametrize("wy", [0.1, 0.8])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+    def test_raw_witness_relative_accuracy_at_weak_coupling(self, wy, eps):
+        # the witness is O(mu^2); a difference of O(1) fourth moments lost every digit by 1e-8
+        params = SystemParams(1.0, wy, eps)
+        for k in range(1, 7):
+            for n, m in ((k, 0), (0, k)):
+                res = steering(params, QuantumNumbers(n, m))
+                for got, want in zip((res.s_xy_raw, res.s_yx_raw), witnesses(1.0, wy, eps, n, m)):
+                    assert abs((got - want) / want) <= 1e-12, (n, m)
+
+    def test_weak_coupling_selection_rules_hold_exactly(self):
+        # the grid of steering-scan --omega-y 0.8 --epsilon 0:1e-8:3 --n-max 6 --m-max 6
+        for eps in np.linspace(0.0, 1e-8, 3):
+            params = SystemParams(1.0, 0.8, float(eps))
+            for n in range(7):
+                for m in range(7):
+                    nm = QuantumNumbers(n, m)
+                    res = steering(params, nm)
+                    x_can, y_can = selection_rules(nm) if eps > 0.0 else (False, False)
+                    assert (res.s_xy > 0.0, res.s_yx > 0.0) == (x_can, y_can), (eps, n, m)
 
 
 class TestWeakClosedForm:
