@@ -55,18 +55,18 @@ GOLDEN = [
      0, "abff6a1d53169a9857b7fce8cacc4f9425c9e5e219f93e0813cdb33636ec314f", ""),
     (["steering-scan", "--omega-y", "0.8", "--epsilon", "0:0.9:7", "--n-max", "3",
       "--m-max", "3"],
-     0, "3a622937662d8b30c429ba1823da584d7afa23786e3edd77017f65c551bf74a2",
+     0, "4552d969b2aa4b858312e0d7fc44b9a441f54712e352bdb8135511b3335de0fe",
      _warn_eps(["0.9"], "0.8")),
     (["steering-scan", "--preset", "0.8"],
-     0, "db86a4f10a40a98212424151b9fe8595637e0082ba0e157ed696a2a7818d9889", ""),
+     0, "b58a2f2ca7eddf4320bd6511f349069cd0b1fcb11a5e6c83670595c9d0592989", ""),
     (["steering-scan", "--preset", "0.6", "--steps", "5", "--format", "json"],
-     0, "9b9eb533518918206dd9e00dc9410672d8d3aadce49f590df75605a70a18b3b8", ""),
+     0, "bd14c72797415100abbb8fa1e9455bd92fe78bd9d7d7f79705e1b7f0d04ea4d6", ""),
     # the JSON side of the r table
     (["spectrum", "--r-scan=0.5:2:4", "--format", "json"],
      0, "7ba4679d89958510c513ea297c55d323242bd3b7c94aeeab8348337b555251d2", ""),
     # a preset sweep with non-default state and epsilon counts
     (["steering-scan", "--preset", "0.99", "--n-max", "2", "--steps", "7"],
-     0, "3b05156c5e221ae5b7760a397c9eb2f68f6f7b6dbffcad83bbf96e816cb34a07", ""),
+     0, "2639c989c1eb83acd6a60b66405058b8a182539c8c9cdda7d3b0faf2556446e3", ""),
     # every r skipped: the header alone
     (["spectrum", "--r-scan=-1:0:3"], 0,
      "620459d2f35fbcf247cdb00012167c52291abf157103a07fad24a490e1359443",
