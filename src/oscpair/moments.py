@@ -110,6 +110,7 @@ def uncertainty_areas(params: SystemParams, nm: QuantumNumbers) -> tuple[float, 
 def _bogoliubov(params: SystemParams, nm: QuantumNumbers) -> tuple[float, ...]:
     """``(nx, ny, <a_x a_y^dag>, <a_x a_y>, kappa)``, ``-kappa`` the fourth cumulant of ``Nx Ny``.
 
+    ``ux, vx`` and ``uy, vy`` are ``U, V`` of ``a_x`` and ``a_y`` for each normal mode.
     ``c^2``, ``s^2`` and ``sc`` come from ``mu``, so each is exactly 1/2 at resonance.
     """
     modes = model.diagonalize(params)

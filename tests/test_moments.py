@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from ladder_reference import ladder
 
 from oscpair import (
     QuantumNumbers,
@@ -13,6 +12,7 @@ from oscpair import (
     uncertainty_areas,
 )
 from oscpair.oracle import ladder_oracle, moment_set_oracle
+from ladder_reference import ladder
 
 MOMENT_NAMES = ("xx", "yy", "pp", "qq", "xy", "pq", "xxyy", "ppqq", "xxqq", "yypp")
 
@@ -136,7 +136,6 @@ class TestExcitationNumbers:
         ref = ladder_oracle(params, QuantumNumbers(0, 0))
         assert ex.nx == pytest.approx(ref.nx, abs=1e-10)
         assert ex.ny == pytest.approx(ref.ny, abs=1e-10)
-
 
     @pytest.mark.parametrize("wy", [0.1, 0.8])
     @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])

@@ -211,7 +211,6 @@ class TestMakarovEntropy:
         for nm in [(1, 0), (2, 3)]:
             assert makarov_entropy(QuantumNumbers(*nm), 0.0) == 0.0
 
-
     @pytest.mark.parametrize("mu", [1e-4, 1e-6, 1e-8, 0.3, 1.0, 5.0])
     def test_relative_accuracy_against_the_jacobi_sum(self, mu):
         # Makarov's explicit weights at 60 digits; at weak coupling the entropy

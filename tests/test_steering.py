@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from ladder_reference import witnesses
 
 from oscpair import (
     QuantumNumbers,
@@ -12,6 +11,7 @@ from oscpair import (
     steering,
     steering_weak_general,
 )
+from ladder_reference import witnesses
 
 
 def weakly_coupled_params(mu_target, eps=1e-4):
@@ -92,7 +92,6 @@ class TestFullSteering:
             assert got == pytest.approx(want, rel=1e-3)
             mirrored = steering(params, QuantumNumbers(0, n)).s_yx
             assert mirrored == pytest.approx(want, rel=1e-3)
-
 
     @pytest.mark.parametrize("wy", [0.1, 0.8])
     @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
