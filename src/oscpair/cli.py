@@ -83,9 +83,17 @@ def _write_table(keys: list[_Axis], names: list[str], columns: Sequence[Sequence
     """
     fieldnames = [name for axis, _ in keys for name in axis] + names
     if fmt == "json":
+        # the bytes of json.dumps(rows, indent=2), one block of rows at a time: each block
+        # is encoded as a list and its brackets dropped
         points = itertools.product(*(points for _, points in keys))
-        _write_json([dict(zip(fieldnames, (*sum(key, ()), *values)))
-                     for key, *values in zip(points, *columns)], out)
+        records = (dict(zip(fieldnames, (*sum(key, ()), *values)))
+                   for key, *values in zip(points, *columns))
+        encoder = json.JSONEncoder(indent=2)
+        opening = "[\n"
+        while block := list(itertools.islice(records, _BLOCK)):
+            out.write(opening + encoder.encode(block)[2:-2])
+            opening = ",\n"
+        out.write("[]\n" if opening == "[\n" else "\n]\n")
         return
     key_text = [[_template(axis) % point + "," for point in points] for axis, points in keys]
     rows = zip(map("".join, itertools.product(*key_text)), *columns)
@@ -195,7 +203,7 @@ def cmd_verify(args, out: TextIO) -> int:
             print(f"{status} {check.name}: max deviation {check.max_deviation:.3e} "
                   f"(tolerance {check.tolerance:.1e}) - {check.detail}", file=out)
         print(f"{'all checks passed' if report.passed else 'VERIFICATION FAILED'} "
-              f"in {report.elapsed_seconds:.1f} s", file=out)
+              f"in {report.elapsed_seconds * 1e3:.0f} ms", file=out)
     return 0 if report.passed else 2
 
 

@@ -20,6 +20,7 @@ it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -102,10 +103,15 @@ def _quadrature_moments(params: SystemParams, nm: QuantumNumbers,
     a_ij = ww * laguerre(nm.n, r2)
     b_kl = ww * laguerre(nm.m, r2)
 
-    # sum_ijkl a_ij b_kl c_ik d_jl = sum_ij a_ij (c b d^T)_ij, c = x^a y^c, d = p^b q^d
+    # sum_ijkl a_ij b_kl c_ik d_jl = sum_ij a_ij (c b d^T)_ij, c = x^a y^c, d = p^b q^d,
+    # for every exponent in one batched product; row e of ``exps`` holds (a, b, c, d)
+    exps = np.array(exponents)
+    powers = [z ** np.arange(top + 1)[:, None, None]
+              for z, top in zip((x_ik, p_jl, y_ik, q_jl), exps.max(axis=0))]
+    cs = powers[0][exps[:, 0]] * powers[2][exps[:, 2]]
+    ds = powers[1][exps[:, 1]] * powers[3][exps[:, 3]]
     scale = (-1.0) ** (nm.n + nm.m) / math.pi**2
-    return [scale * float(np.sum(a_ij * ((x_ik**a * y_ik**c_exp) @ b_kl @ (p_jl**b * q_jl**d).T)))
-            for a, b, c_exp, d in exponents]
+    return (scale * np.sum(a_ij * (cs @ b_kl @ ds.transpose(0, 2, 1)), axis=(1, 2))).tolist()
 
 
 def moment_oracle(params: SystemParams, nm: QuantumNumbers,
@@ -157,8 +163,8 @@ def global_purity_check(params: SystemParams, nm: QuantumNumbers) -> float:
     )
     w_vals = wigner.wigner_rotated(modes, nm, pt)
     rw = w * np.exp(v * v)
-    return math.pi**2 * float(np.einsum("i,j,k,l,ijkl->", rw, rw, rw, rw, w_vals * w_vals,
-                                        optimize=True))
+    # each product contracts the last remaining axis: l, k, j, then i
+    return math.pi**2 * float((w_vals * w_vals) @ rw @ rw @ rw @ rw)
 
 
 @dataclass(frozen=True)
@@ -263,10 +269,9 @@ def marginal_purity_quadrature(params: SystemParams, nm: QuantumNumbers) -> floa
                    + big_p[None, :, None, :] ** 2 / vx)   # (k, l, i, j)
     arg_m = 2.0 * (vy * big_y[:, None, :, None] ** 2
                    + big_q[None, :, None, :] ** 2 / vy)
-    inner_sum = np.einsum("i,j,klij->kl", wi, wi,
-                          laguerre(nm.n, arg_n) * laguerre(nm.m, arg_m), optimize=True)
-
-    total = float(np.einsum("k,l,kl->", wo, wo, inner_sum**2, optimize=True))
+    # contract j, then i; then l and k of the squared inner sum
+    inner_sum = laguerre(nm.n, arg_n) * laguerre(nm.m, arg_m) @ wi @ wi
+    total = float(wo @ inner_sum**2 @ wo)
     return total * math.pi / math.sqrt(gam_x * gam_p) / (math.pi**4 * a_y * a_q)
 
 
@@ -288,8 +293,11 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
+    """The checks of one run; ``stage_seconds`` is its wall time summed per stage (``_STAGES``)."""
+
     elapsed_seconds: float
     checks: list[CheckResult]
+    stage_seconds: dict[str, float]
 
     @property
     def passed(self) -> bool:
@@ -313,6 +321,11 @@ _CHECKS = {
 }
 
 
+# stages timed in the report: the purity routes (exact, ground-state closed form, Makarov
+# weights), the Schmidt oracle, the quadrature oracles, and the closed-form moments and steering
+_STAGES = ("purity", "schmidt-oracle", "quadrature-oracles", "closed-forms")
+
+
 def _point(p: SystemParams, q: QuantumNumbers) -> str:
     return f"omega_x={p.omega_x} omega_y={p.omega_y} epsilon={p.epsilon} n={q.n} m={q.m}"
 
@@ -330,6 +343,15 @@ def run_verification() -> VerificationReport:
     states = [QuantumNumbers(n, m) for n, m in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))]
     checks = {name: CheckResult(name, False, -math.inf, tol, detail)
               for name, (tol, detail) in _CHECKS.items()}
+    stage_seconds = dict.fromkeys(_STAGES, 0.0)
+
+    @contextlib.contextmanager
+    def stage(name: str):
+        begin = time.perf_counter()
+        try:
+            yield
+        finally:
+            stage_seconds[name] += time.perf_counter() - begin
 
     def record(name: str, dev: float, at: str) -> None:
         check = checks[name]
@@ -340,55 +362,66 @@ def run_verification() -> VerificationReport:
     for p in grid:
         for q in states:
             at = _point(p, q)
-            exact = purity.purity_exact(p, q).purity
-            if (q.n, q.m) == (0, 0):
-                record("ground-purity-closed-form",
-                       abs(exact - purity.purity_ground_closed(p).purity), at)
-            record("marginal-purity-svd", abs(exact - schmidt_oracle(p, q).purity), at)
-            record("global-purity", abs(global_purity_check(p, q) - 1.0), at)
+            with stage("purity"):
+                exact = purity.purity_exact(p, q).purity
+                ground = purity.purity_ground_closed(p).purity if (q.n, q.m) == (0, 0) else None
+            with stage("schmidt-oracle"):
+                svd = schmidt_oracle(p, q).purity
+            with stage("quadrature-oracles"):
+                norm = global_purity_check(p, q)
+                ref = moment_set_oracle(p, q)
+                lad = _ladder(p, ref)
+            with stage("closed-forms"):
+                ms = moments.second_and_fourth_moments(p, q)
+                ax, ay = moments.uncertainty_areas(p, q)
+                ex = moments.excitation_numbers(p, q)
+                lm = moments.ladder_moments(p, q)
 
-            ms = moments.second_and_fourth_moments(p, q)
-            ref = moment_set_oracle(p, q)
+            if ground is not None:
+                record("ground-purity-closed-form", abs(exact - ground), at)
+            record("marginal-purity-svd", abs(exact - svd), at)
+            record("global-purity", abs(norm - 1.0), at)
             record("moment-table", max(abs(ref["xq"]), abs(ref["py"]),
                                        *(abs(got - ref[name]) / max(abs(ref[name]), 1e-2)
-                                         for name, got in asdict(ms).items())), at)
-            ax, ay = moments.uncertainty_areas(p, q)
+                                         for name, got in vars(ms).items())), at)
             record("uncertainty-areas", max(0.5 - ax, 0.5 - ay), at)
-            ex = moments.excitation_numbers(p, q)
-            lm = moments.ladder_moments(p, q)
-            lad = _ladder(p, ref)
             record("excitation-oracle", max(abs(ex.nx - lad.nx), abs(ex.ny - lad.ny),
                                             abs(lm.nxny - lad.nxny),
                                             abs(lm.cross_mag_sq - lad.cross_mag_sq)), at)
 
-    for frac in (0.3, 0.9):
-        p = SystemParams(1.0, 1.0, frac)
-        for q in states:
-            ax, ay = moments.uncertainty_areas(p, q)
-            record("uncertainty-areas", abs(ax - ay), _point(p, q))
+    # the remaining loops are cheap; each is timed whole, its bookkeeping included
+    with stage("closed-forms"):
+        for frac in (0.3, 0.9):
+            p = SystemParams(1.0, 1.0, frac)
+            for q in states:
+                ax, ay = moments.uncertainty_areas(p, q)
+                record("uncertainty-areas", abs(ax - ay), _point(p, q))
 
-    for frac in (0.1, 0.5, 0.9):
-        p = SystemParams(1.0, 1.0, frac)
-        for q in states:
-            res = compute_steering(p, q)
-            record("resonance-steering-null", max(abs(res.s_xy), abs(res.s_yx)), _point(p, q))
+        for frac in (0.1, 0.5, 0.9):
+            p = SystemParams(1.0, 1.0, frac)
+            for q in states:
+                res = compute_steering(p, q)
+                record("resonance-steering-null", max(abs(res.s_xy), abs(res.s_yx)),
+                       _point(p, q))
 
-    eps = 1e-4
-    for mu_target in (0.3, 0.6):
-        detune = 2.0 * eps * (1.0 - mu_target**2) / (2.0 * mu_target)
-        p = SystemParams(1.0, math.sqrt(1.0 - detune), eps)
-        mu = model.diagonalize(p).mu
-        for q in (QuantumNumbers(n, 0) for n in (1, 3, 5)):
-            weak = steering_weak_general(q, mu)
-            record("weak-coupling-steering",
-                   abs(compute_steering(p, q).s_xy - weak) / weak, _point(p, q))
+        eps = 1e-4
+        for mu_target in (0.3, 0.6):
+            detune = 2.0 * eps * (1.0 - mu_target**2) / (2.0 * mu_target)
+            p = SystemParams(1.0, math.sqrt(1.0 - detune), eps)
+            mu = model.diagonalize(p).mu
+            for q in (QuantumNumbers(n, 0) for n in (1, 3, 5)):
+                weak = steering_weak_general(q, mu)
+                record("weak-coupling-steering",
+                       abs(compute_steering(p, q).s_xy - weak) / weak, _point(p, q))
 
-    for n in range(4):
-        for m in range(4):
-            for mu in (0.2, 1.0 / math.sqrt(3.0), 0.9, 1.0):
-                lam = purity.makarov_schmidt(QuantumNumbers(n, m), mu).lambdas
-                record("schmidt-normalization", abs(math.fsum(lam) - 1.0), f"n={n} m={m} mu={mu}")
+    with stage("purity"):
+        for n in range(4):
+            for m in range(4):
+                for mu in (0.2, 1.0 / math.sqrt(3.0), 0.9, 1.0):
+                    lam = purity.makarov_schmidt(QuantumNumbers(n, m), mu).lambdas
+                    record("schmidt-normalization", abs(math.fsum(lam) - 1.0),
+                           f"n={n} m={m} mu={mu}")
 
     for check in checks.values():
         check.passed = bool(check.max_deviation <= check.tolerance)
-    return VerificationReport(time.perf_counter() - start, list(checks.values()))
+    return VerificationReport(time.perf_counter() - start, list(checks.values()), stage_seconds)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -236,6 +237,16 @@ class TestWriter:
                          columns[4:], "csv", out)
         assert path.read_bytes() == _reference_csv(self.FIELDS, columns).encode()
 
+    @pytest.mark.parametrize("rows", [0, 1, 1024, 1025])
+    def test_json_matches_json_dumps(self, rows):
+        columns = self._table(rows)
+        columns[3] = [int(m) for m in columns[3]]  # json encodes no numpy integers
+        out = io.StringIO()
+        _write_table([(self.FIELDS[:4], list(zip(*columns[:4])))], self.FIELDS[4:],
+                     columns[4:], "json", out)
+        records = [dict(zip(self.FIELDS, row)) for row in zip(*columns)]
+        assert out.getvalue() == json.dumps(records, indent=2) + "\n"
+
     # (outer, inner) axis lengths: rows = outer * inner, the counts above plus empty axes
     @pytest.mark.parametrize("outer, inner", [(0, 3), (3, 0), (1, 1), (3, 4), (16, 64),
                                               (25, 41), (50, 50)])
@@ -262,7 +273,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
         assert "PASS moment-table" in out
-        assert "all checks passed" in out
+        assert re.fullmatch(r"all checks passed in \d+ ms", out.splitlines()[-1])
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--json")
@@ -275,6 +286,14 @@ class TestVerify:
         }
         for check in report["checks"]:
             assert check["max_deviation"] <= check["tolerance"]
+
+    def test_json_report_times_each_stage(self, capsys):
+        _, out, _ = run_cli(capsys, "verify", "--json")
+        report = json.loads(out)
+        stages = report["stage_seconds"]
+        assert list(stages) == ["purity", "schmidt-oracle", "quadrature-oracles", "closed-forms"]
+        assert all(seconds >= 0.0 for seconds in stages.values())
+        assert sum(stages.values()) <= report["elapsed_seconds"]
 
     def test_injected_fault_fails_with_exit_two(self, capsys, monkeypatch):
         from oscpair import moments as moments_module

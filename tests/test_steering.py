@@ -167,3 +167,16 @@ class TestSelectionRules:
                 s_yx = steering_weak_general(QuantumNumbers(m, n), mu)
                 assert (s_xy > 0.0) == x_can
                 assert (s_yx > 0.0) == y_can
+
+    def test_far_from_resonance_the_weak_forms_do_not_hold(self):
+        # weak coupling alone is not enough: at omega_y = 0.1 the exact (1, 0) witness is
+        # negative (its 50-digit value agrees), yet the closed form and the rules say x steers y
+        params = SystemParams(1.0, 0.1, 1e-4)
+        nm = QuantumNumbers(1, 0)
+        res = steering(params, nm)
+        want = witnesses(1.0, 0.1, 1e-4, 1, 0)[0]
+        assert res.s_xy_raw == pytest.approx(float(want), rel=1e-12)
+        assert res.s_xy_raw == pytest.approx(-8.787e-8, rel=1e-3)
+        assert res.s_xy == 0.0
+        assert steering_weak_general(nm, diagonalize(params).mu) == pytest.approx(5.10e-9, rel=1e-2)
+        assert selection_rules(nm) == (True, False)
