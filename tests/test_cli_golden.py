@@ -67,6 +67,13 @@ GOLDEN = [
     # a preset sweep with non-default state and epsilon counts
     (["steering-scan", "--preset", "0.99", "--n-max", "2", "--steps", "7"],
      0, "2639c989c1eb83acd6a60b66405058b8a182539c8c9cdda7d3b0faf2556446e3", ""),
+    # JSON tables of many blocks: the 11^4 (6,6) grid (14,641 records) and the
+    # 0.8 preset sweep (1,920 records)
+    (["wigner-eval", "--omega-y", "0.8", "--epsilon", "0.76", "--n", "6", "--m", "6"] + GRID_11
+     + ["--format", "json"],
+     0, "8d59f20da08033ec3e82cd8a4da3249ba3752e2021c1dfceafd0f21a95ae0650", ""),
+    (["steering-scan", "--preset", "0.8", "--format", "json"],
+     0, "48738dddf53a214d83b398df88145ee52dbf5fad98f0fa205130ee98fd8ba728", ""),
     # every r skipped: the header alone
     (["spectrum", "--r-scan=-1:0:3"], 0,
      "620459d2f35fbcf247cdb00012167c52291abf157103a07fad24a490e1359443",
