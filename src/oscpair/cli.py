@@ -3,7 +3,10 @@
 Sweep output is deterministic and byte-stable: rows are generated in
 sorted order, ``n`` and ``m`` are printed with ``%d`` and floats with ``%.17g``. Rows
 whose coupling violates ``epsilon < omega_x*omega_y`` are skipped with a
-warning on stderr instead of aborting the sweep.
+warning on stderr instead of aborting the sweep. ``--format json`` writes
+exactly the bytes of ``json.dumps(rows, indent=2)``. Both formats come from
+one table writer: each key point's text is formatted once, and rows are
+written in blocks of at most ``_BLOCK``.
 
 Exit codes: 0 success, 1 validation or output error, 2 verification failure.
 """
@@ -14,6 +17,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import sys
 from dataclasses import asdict, astuple, fields
 from typing import Callable, Sequence, TextIO
@@ -33,7 +37,7 @@ _STATE_FIELDS = ["n", "m"]
 _STEERING_FIELDS = [f.name for f in fields(SteeringResult)]
 _Axis = tuple[Sequence[str], Sequence[tuple]]  # field names, one tuple per point
 _Values = Callable[[SystemParams, QuantumNumbers], tuple]
-_BLOCK = 1024  # rows per formatted block: one whole-table string costs memory
+_BLOCK = 512  # rows per write at most: one whole-table string costs memory
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -72,35 +76,66 @@ def _template(fieldnames: Sequence[str]) -> str:
     return ",".join("%d" if name in ("n", "m") else "%.17g" for name in fieldnames)
 
 
+def _json_values(column: Sequence) -> list[str]:
+    """Each value of ``column`` as ``json.dumps`` writes it (``NaN``, ``Infinity`` included)."""
+    return json.dumps(column)[1:-1].split(", ") if len(column) else []
+
+
 def _write_table(keys: list[_Axis], names: list[str], columns: Sequence[Sequence], fmt: str,
                  out: TextIO) -> None:
     """Write a table as CSV or JSON rows.
 
     ``keys`` are the key axes, each ``(fieldnames, points)`` with one tuple
     per point; the rows run over their product, the last axis fastest, and
-    continue with the value ``columns`` named ``names``. Each key point is
-    formatted once.
+    continue with the value ``columns`` named ``names``. Each key point's text
+    is formatted once. The trailing axes whose product fits in a block, and
+    the value fields, make one row template per table; a block splices a few
+    leading points' text in front of every row of it, is filled by one ``%``
+    and written at once. Field names must hold no ``%``.
     """
-    fieldnames = [name for axis, _ in keys for name in axis] + names
-    if fmt == "json":
-        # the bytes of json.dumps(rows, indent=2), one block of rows at a time: each block
-        # is encoded as a list and its brackets dropped
-        points = itertools.product(*(points for _, points in keys))
-        records = (dict(zip(fieldnames, (*sum(key, ()), *values)))
-                   for key, *values in zip(points, *columns))
-        encoder = json.JSONEncoder(indent=2)
-        opening = "[\n"
-        while block := list(itertools.islice(records, _BLOCK)):
-            out.write(opening + encoder.encode(block)[2:-2])
-            opening = ",\n"
-        out.write("[]\n" if opening == "[\n" else "\n]\n")
-        return
-    key_text = [[_template(axis) % point + "," for point in points] for axis, points in keys]
-    rows = zip(map("".join, itertools.product(*key_text)), *columns)
-    template = "%s" + _template(names) + "\n"
-    out.write(",".join(fieldnames) + "\n")
-    while block := list(itertools.islice(rows, _BLOCK)):
-        out.write(template * len(block) % tuple(itertools.chain.from_iterable(block)))
+    to_json = fmt == "json"
+    if to_json:
+        # the bytes of json.dumps(rows, indent=2): every row opens with ",", and "["
+        # takes the first one's place
+        def key_template(fieldnames):
+            return "".join(f"    {json.dumps(name)}: %s,\n" for name in fieldnames)
+
+        # the value fields close the record: the last one without its ",\n"
+        opening, row, cut = ",\n  {\n", key_template(names)[:-2] + "\n  }", 1
+        rows = math.prod(len(points) for _, points in keys)
+        head, tail = "[", "\n]\n" if rows else "]\n"
+    else:
+        def key_template(fieldnames):
+            return _template(fieldnames) + ","
+
+        opening, row, cut = "", _template(names) + "\n", 0
+        head = ",".join([name for axis, _ in keys for name in axis] + names) + "\n"
+        tail = ""
+    texts = []
+    for axis, points in keys:
+        if to_json:  # each field's values through one json.dumps call
+            points = zip(*map(_json_values, zip(*points)))
+        template = key_template(axis)
+        texts.append([template % point for point in points])
+    split = len(keys)  # the axes keys[split:] go into the row template
+    while split and math.prod(map(len, texts[split - 1:])) <= _BLOCK:
+        split -= 1
+    # joined by a leading point's text, this puts that text in front of every row
+    inner = [""] + list(map("".join, itertools.product(*texts[split:], [row])))
+    per_lead = len(inner) - 1
+    leads = map("".join, itertools.product([opening], *texts[:split]))
+    out.write(head)
+    start = 0
+    while group := list(itertools.islice(leads, _BLOCK // max(per_lead, 1))):
+        stop = start + len(group) * per_lead
+        cells = [column[start:stop] for column in columns]
+        if to_json:
+            cells = map(_json_values, cells)
+        block = "".join(lead.join(inner) for lead in group) % tuple(
+            itertools.chain.from_iterable(zip(*cells)))
+        out.write(block[cut:])
+        cut, start = 0, stop
+    out.write(tail)
 
 
 def _sweep(omega_x: float, omega_y: float, eps_values: list[float],
@@ -169,7 +204,8 @@ def cmd_wigner_eval(args, out: TextIO) -> int:
     modes = diagonalize(SystemParams(args.omega_x, args.omega_y, args.epsilon))
     nm = QuantumNumbers(args.n, args.m)
     axes = [_parse_range(r) for r in (args.x, args.p, args.y, args.q)]
-    w = wigner_lab(modes, nm, PhasePoint(*np.meshgrid(*axes, indexing="ij")))
+    # on the sparse grid the rotated X, Y take (x, y) and P, Q take (p, q): W comes out full
+    w = wigner_lab(modes, nm, PhasePoint(*np.meshgrid(*axes, indexing="ij", sparse=True)))
     keys = [([name], list(zip(axis.tolist()))) for name, axis in zip("xpyq", axes)]
     _write_table(keys, ["W"], [w.ravel().tolist()], args.format, out)
     return 0

@@ -267,6 +267,56 @@ class TestWriter:
         if outer * inner == 0:
             assert lines == ["omega_x,epsilon,n,m,W\n"]
 
+    @pytest.mark.parametrize("outer, inner", [(0, 3), (3, 0), (1, 1), (3, 4), (16, 64),
+                                              (25, 41), (50, 50)])
+    def test_key_axes_match_json_dumps(self, outer, inner):
+        # edge values in the float axis and the value column; int states, as json has no
+        # encoding for numpy integers
+        keys = [(["omega_x", "epsilon"],
+                 [(EDGE_VALUES[i % len(EDGE_VALUES)], EDGE_VALUES[(5 * i + 2) % len(EDGE_VALUES)])
+                  for i in range(outer)]),
+                (["n", "m"], [(j % 7, j % 5) for j in range(inner)])]
+        columns = [[EDGE_VALUES[(3 * i + 1) % len(EDGE_VALUES)] for i in range(outer * inner)]]
+        out = io.StringIO()
+        _write_table(keys, ["W"], columns, "json", out)
+        records = [dict(zip(self.FIELDS, row)) for row in zip(*_expand(keys, columns))]
+        lines = out.getvalue().splitlines(keepends=True)
+        assert lines == (json.dumps(records, indent=2) + "\n").splitlines(keepends=True)
+
+    @pytest.mark.parametrize("block", [7, cli._BLOCK])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_write_exceeds_the_block(self, monkeypatch, block, fmt):
+        class Spy(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.rows = []
+
+            def write(self, text):
+                # a CSV row ends in a newline, a JSON record opens with "{"
+                self.rows.append(text.count("\n" if fmt == "csv" else "{"))
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        # a 2,500-row single-axis table, larger than any block
+        columns = self._table(2500)
+        columns[3] = [int(m) for m in columns[3]]
+        out = Spy()
+        _write_table([(self.FIELDS[:4], list(zip(*columns[:4])))], self.FIELDS[4:],
+                     columns[4:], fmt, out)
+        records = [dict(zip(self.FIELDS, row)) for row in zip(*columns)]
+        want = (json.dumps(records, indent=2) + "\n" if fmt == "json"
+                else _reference_csv(self.FIELDS, columns))
+        assert out.getvalue() == want
+        assert max(out.rows) <= block
+        assert sum(out.rows) == 2500 + (fmt == "csv")  # and the CSV header
+        # the 11^4 grid of wigner-eval, through the command
+        grid = Spy()
+        monkeypatch.setattr(sys, "stdout", grid)
+        assert main(["wigner-eval", "--n", "2", "--format", fmt]
+                    + [f"--{axis}=-2:2:11" for axis in "xpyq"]) == 0
+        assert max(grid.rows) <= block
+        assert sum(grid.rows) == 11**4 + (fmt == "csv")
+
 
 class TestVerify:
     def test_fresh_build_passes(self, capsys):

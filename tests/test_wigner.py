@@ -129,3 +129,13 @@ class TestWignerLab:
             a = wigner_lab(MODES, q, PhasePoint(x, p, y, qq))
             b = wigner_lab(MODES, q, PhasePoint(-x, -p, -y, -qq))
             assert a == pytest.approx(b, rel=1e-13, abs=1e-16)
+
+    @pytest.mark.parametrize("nm", [(1, 0), (6, 6)])
+    def test_sparse_grid_gives_the_dense_grid_bits(self, nm):
+        # what `wigner-eval` evaluates: unequal axes, so a wrong broadcast shows as a shape
+        axes = [np.linspace(-2, 2, k) for k in (3, 5, 4, 2)]
+        q = QuantumNumbers(*nm)
+        dense = wigner_lab(MODES, q, PhasePoint(*np.meshgrid(*axes, indexing="ij")))
+        sparse = wigner_lab(MODES, q, PhasePoint(*np.meshgrid(*axes, indexing="ij", sparse=True)))
+        assert sparse.shape == dense.shape == (3, 5, 4, 2)
+        assert sparse.tobytes() == dense.tobytes()
