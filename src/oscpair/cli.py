@@ -102,8 +102,8 @@ def _write_table(keys: list[_Axis], names: list[str], columns: Sequence[Sequence
 
         # the value fields close the record: the last one without its ",\n"
         opening, row, cut = ",\n  {\n", key_template(names)[:-2] + "\n  }", 1
-        rows = math.prod(len(points) for _, points in keys)
-        head, tail = "[", "\n]\n" if rows else "]\n"
+        empty = not math.prod(len(points) for _, points in keys)
+        head, tail = "[", "]\n" if empty else "\n]\n"
     else:
         def key_template(fieldnames):
             return _template(fieldnames) + ","
@@ -126,6 +126,7 @@ def _write_table(keys: list[_Axis], names: list[str], columns: Sequence[Sequence
     leads = map("".join, itertools.product([opening], *texts[:split]))
     out.write(head)
     start = 0
+    # an empty table has no rows per lead, and one lead
     while group := list(itertools.islice(leads, _BLOCK // max(per_lead, 1))):
         stop = start + len(group) * per_lead
         cells = [column[start:stop] for column in columns]
