@@ -67,15 +67,15 @@ _MOMENT_EXPONENTS = {
 }
 
 
-def _quadrature_moments(params: SystemParams, nm: QuantumNumbers,
-                        exponents: list[tuple[int, int, int, int]]) -> list[float]:
-    """Expectation values ``<x^a p^b y^c q^d>`` by exact quadrature, one per exponent.
+def _quadrature_moments(params: SystemParams, states: list[QuantumNumbers],
+                        exponents: list[tuple[int, int, int, int]]) -> np.ndarray:
+    """``<x^a p^b y^c q^d>`` by exact quadrature: row ``s`` for ``states[s]``, column per exponent.
 
     The Wigner integral is taken in scaled normal-mode coordinates where
     the Gaussian weight is ``exp(-t^2)`` on each axis; the monomial and
     Laguerre factors are polynomials, so one rule whose order is chosen
-    from the largest total degree is analytically sufficient for every
-    monomial.
+    from the largest total degree and the largest state is analytically
+    sufficient for every monomial of every state.
     """
     if any(min(e) < 0 or sum(e) > 8 for e in exponents):
         raise ValueError(f"monomial exponents must be non-negative with total <= 8, got {exponents}")
@@ -83,7 +83,7 @@ def _quadrature_moments(params: SystemParams, nm: QuantumNumbers,
     modes = model.diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
     s, c = math.sin(modes.theta), math.cos(modes.theta)
-    needed = (max(map(sum, exponents)) + 2 * max(nm.n, nm.m)) // 2 + 2
+    needed = (max(map(sum, exponents)) + 2 * max(max(q.n, q.m) for q in states)) // 2 + 2
     rule = gauss_hermite(needed)
     t, w = rule.nodes, rule.weights
 
@@ -100,30 +100,36 @@ def _quadrature_moments(params: SystemParams, nm: QuantumNumbers,
     t2 = t * t
     r2 = 2.0 * (t2[:, None] + t2[None, :])
     ww = w[:, None] * w[None, :]
-    a_ij = ww * laguerre(nm.n, r2)
-    b_kl = ww * laguerre(nm.m, r2)
+    lag = {k: ww * laguerre(k, r2) for k in sorted({q.n for q in states} | {q.m for q in states})}
+    a_ij = np.stack([lag[q.n] for q in states])[:, None]
+    b_kl = np.stack([lag[q.m] for q in states])[:, None]
 
     # sum_ijkl a_ij b_kl c_ik d_jl = sum_ij a_ij (c b d^T)_ij, c = x^a y^c, d = p^b q^d,
-    # for every exponent in one batched product; row e of ``exps`` holds (a, b, c, d)
+    # for every exponent of every state in one batched product; row e of ``exps`` holds (a, b, c, d)
     exps = np.array(exponents)
     powers = [z ** np.arange(top + 1)[:, None, None]
               for z, top in zip((x_ik, p_jl, y_ik, q_jl), exps.max(axis=0))]
     cs = powers[0][exps[:, 0]] * powers[2][exps[:, 2]]
     ds = powers[1][exps[:, 1]] * powers[3][exps[:, 3]]
-    scale = (-1.0) ** (nm.n + nm.m) / math.pi**2
-    return (scale * np.sum(a_ij * (cs @ b_kl @ ds.transpose(0, 2, 1)), axis=(1, 2))).tolist()
+    scale = np.array([(-1.0) ** (q.n + q.m) for q in states]) / math.pi**2
+    return scale[:, None] * np.sum(a_ij * (cs @ b_kl @ ds.transpose(0, 2, 1)), axis=(2, 3))
 
 
 def moment_oracle(params: SystemParams, nm: QuantumNumbers,
                   exponents: tuple[int, int, int, int]) -> float:
     """Expectation value ``<x^a p^b y^c q^d>`` by exact quadrature."""
-    return _quadrature_moments(params, nm, [exponents])[0]
+    return float(_quadrature_moments(params, [nm], [exponents])[0, 0])
+
+
+def _moment_sets(params: SystemParams, states: list[QuantumNumbers]) -> list[dict[str, float]]:
+    """``moment_set_oracle`` for each state, all on one rule sized for the largest."""
+    table = _quadrature_moments(params, states, list(_MOMENT_EXPONENTS.values()))
+    return [dict(zip(_MOMENT_EXPONENTS, row)) for row in table.tolist()]
 
 
 def moment_set_oracle(params: SystemParams, nm: QuantumNumbers) -> dict[str, float]:
     """All ten table moments plus the parity-odd ``<xq>`` and ``<py>``, on one rule."""
-    return dict(zip(_MOMENT_EXPONENTS,
-                    _quadrature_moments(params, nm, list(_MOMENT_EXPONENTS.values()))))
+    return _moment_sets(params, [nm])[0]
 
 
 def _ladder(params: SystemParams, ms: dict[str, float]) -> LadderMoments:
@@ -183,10 +189,30 @@ _SUPPORTS = tuple(16 << k for k in range(7))
 
 
 def _fock_amplitudes(modes: NormalModes, nm: QuantumNumbers) -> tuple[np.ndarray, float]:
-    """``C_jk = <j_x k_y | Psi_(n, m)>`` in lab-local Fock bases, and ``| ||C||_F^2 - 1 |``.
+    """``C_jk = <j_x k_y | Psi_(n, m)>`` in lab-local Fock bases, and ``| ||C||_F^2 - 1 |``."""
+    amps, deficits = _fock_stack(modes, [nm])
+    return amps[0], deficits[0]
 
-    ``C = b_x^dag^n b_y^dag^m C0 / sqrt(n! m!)`` for the ground state ``C0`` (README, Numerical
-    conventions), in a buffer ``n + m`` wider than ``C0``'s support, grown to a deficit < 1e-14.
+
+def _ladder_step(amp: np.ndarray, up: np.ndarray, dn: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """``(up_x a_x^dag + dn_x a_x + up_y a_y^dag + dn_y a_y) C``; rows of ``C`` are x, columns y."""
+    new = np.zeros_like(amp)
+    new[1:] += up[0] * root[:, None] * amp[:-1]
+    new[:-1] += dn[0] * root[:, None] * amp[1:]
+    new[:, 1:] += up[1] * root * amp[:, :-1]
+    new[:, :-1] += dn[1] * root * amp[:, 1:]
+    return new
+
+
+def _fock_stack(modes: NormalModes,
+                states: list[QuantumNumbers]) -> tuple[np.ndarray, list[float]]:
+    """The amplitudes ``C`` of every state, stacked on one support, and each state's deficit.
+
+    From the ground state ``C0`` (README, Numerical conventions), ``Psi_(n, 0) = b_x^dag
+    Psi_(n-1, 0) / sqrt(n)`` and ``Psi_(n, m) = b_y^dag Psi_(n, m-1) / sqrt(m)``: each state is
+    one ladder step from a state already built, and only the requested states are kept. The
+    buffer is ``max(n + m)`` wider than ``C0``'s support, which grows until every deficit is
+    < 1e-14.
     """
     vx, vy = modes.vartheta_x, modes.vartheta_y
     s, c = math.sin(modes.theta), math.cos(modes.theta)
@@ -199,34 +225,47 @@ def _fock_amplitudes(modes: NormalModes, nm: QuantumNumbers) -> tuple[np.ndarray
     rot = np.array([[c, s], [-s, c]])  # [i, j], i = X, Y and j = x, y: X = c x + s y, ...
     r = np.sqrt(np.outer([vx, vy], [1.0 / om_x, 1.0 / om_y]))  # sqrt(vartheta_i / Omega_j)
     up, dn = 0.5 * rot * (r + 1.0 / r), 0.5 * rot * (r - 1.0 / r)  # a_j^dag, a_j in b_i^dag
+    width = max(q.n + q.m for q in states)
     for support in _SUPPORTS:
-        root = np.sqrt(np.arange(1, support + nm.n + nm.m))  # sqrt(k) for k >= 1 in the buffer
-        amp = np.zeros((root.size + 1, root.size + 1))
-        amp[range(support), range(support)] = ratio ** np.arange(support) / math.sqrt(
-            (1.0 + nbar) * math.factorial(nm.n) * math.factorial(nm.m))
-        for i in [0] * nm.n + [1] * nm.m:
-            new = np.zeros_like(amp)
-            new[1:] += up[i, 0] * root[:, None] * amp[:-1]
-            new[:-1] += dn[i, 0] * root[:, None] * amp[1:]
-            new[:, 1:] += up[i, 1] * root * amp[:, :-1]
-            new[:, :-1] += dn[i, 1] * root * amp[:, 1:]
-            amp = new
-        deficit = abs(float(np.sum(amp * amp)) - 1.0)
-        if deficit < 1e-14:
-            return amp, deficit
-    raise RuntimeError(f"({nm.n}, {nm.m}) unresolved at support {support}: deficit {deficit:.3e}")
+        root = np.sqrt(np.arange(1, support + width))  # sqrt(k) for k >= 1 in the buffer
+        c0 = np.zeros((root.size + 1, root.size + 1))
+        c0[range(support), range(support)] = ratio ** np.arange(support) / math.sqrt(1.0 + nbar)
+        psi = {}
+        col, n_col, amp, m_amp = c0, 0, c0, 0  # Psi_(n_col, 0) and Psi_(n_col, m_amp)
+        for n, m in sorted({(q.n, q.m) for q in states}):
+            if n > n_col:
+                for k in range(n_col + 1, n + 1):
+                    col = _ladder_step(col, up[0] / math.sqrt(k), dn[0] / math.sqrt(k), root)
+                n_col, amp, m_amp = n, col, 0
+            for k in range(m_amp + 1, m + 1):
+                amp = _ladder_step(amp, up[1] / math.sqrt(k), dn[1] / math.sqrt(k), root)
+            psi[n, m], m_amp = amp, m
+        amps = np.stack([psi[q.n, q.m] for q in states])
+        deficits = np.abs(np.sum(amps * amps, axis=(1, 2)) - 1.0).tolist()
+        if max(deficits) < 1e-14:
+            return amps, deficits
+    q, deficit = next((q, d) for q, d in zip(states, deficits) if not d < 1e-14)
+    raise RuntimeError(f"({q.n}, {q.m}) unresolved at support {support}: deficit {deficit:.3e}")
+
+
+def _schmidt(params: SystemParams, states: list[QuantumNumbers]) -> list[SchmidtOracleResult]:
+    """``schmidt_oracle`` for each state: one Fock stack and one stacked SVD."""
+    amps, deficits = _fock_stack(model.diagonalize(params), states)
+    svs = np.linalg.svd(amps, compute_uv=False)
+    svs /= np.sqrt(np.sum(svs * svs, axis=1, keepdims=True))
+    results = []
+    for sv, deficit in zip(svs, deficits):
+        lam = sv[sv > 1e-9] ** 2
+        pur = float(np.sum(lam**2))
+        vn = float(-np.sum(lam * np.log(lam)))
+        results.append(SchmidtOracleResult(singular_values=sv, purity=pur, linear_entropy=1.0 - pur,
+                                           von_neumann=vn, norm_deficit=deficit))
+    return results
 
 
 def schmidt_oracle(params: SystemParams, nm: QuantumNumbers) -> SchmidtOracleResult:
     """Schmidt coefficients of ``Psi_(n, m)``; ``RuntimeError`` very near the bound (unresolved)."""
-    amp, deficit = _fock_amplitudes(model.diagonalize(params), nm)
-    sv = np.linalg.svd(amp, compute_uv=False)
-    sv /= math.sqrt(float(np.sum(sv * sv)))
-    lam = sv[sv > 1e-9] ** 2
-    pur = float(np.sum(lam**2))
-    vn = float(-np.sum(lam * np.log(lam)))
-    return SchmidtOracleResult(singular_values=sv, purity=pur, linear_entropy=1.0 - pur,
-                               von_neumann=vn, norm_deficit=deficit)
+    return _schmidt(params, [nm])[0]
 
 
 def marginal_purity_quadrature(params: SystemParams, nm: QuantumNumbers) -> float:
@@ -333,10 +372,12 @@ def _point(p: SystemParams, q: QuantumNumbers) -> str:
 def run_verification() -> VerificationReport:
     """Run the oracle suite over the built-in reference grid.
 
-    Each of the 24 reference points is computed once and feeds every check
-    that needs it. Module-level functions under test are resolved at call
-    time, so a fault injected by rebinding (for instance a corrupted moment
-    formula) surfaces as a named failing check, at the point where it is largest.
+    The Schmidt and moment oracles run once per coupling, batched over its
+    six states (``_schmidt``, ``_moment_sets``); every other routine runs
+    once per reference point, and each result feeds every check that needs
+    it. Module-level functions under test are resolved at call time, so a
+    fault injected by rebinding (for instance a corrupted moment formula)
+    surfaces as a named failing check, at the point where it is largest.
     """
     start = time.perf_counter()
     grid = [SystemParams(1.0, wy, frac * wy) for wy in (0.8, 1.0) for frac in (0.3, 0.9)]
@@ -360,16 +401,17 @@ def run_verification() -> VerificationReport:
             check.max_deviation, check.worst = float(dev), at
 
     for p in grid:
-        for q in states:
+        with stage("schmidt-oracle"):
+            svds = _schmidt(p, states)
+        with stage("quadrature-oracles"):
+            refs = _moment_sets(p, states)
+        for q, svd, ref in zip(states, svds, refs):
             at = _point(p, q)
             with stage("purity"):
                 exact = purity.purity_exact(p, q).purity
                 ground = purity.purity_ground_closed(p).purity if (q.n, q.m) == (0, 0) else None
-            with stage("schmidt-oracle"):
-                svd = schmidt_oracle(p, q).purity
             with stage("quadrature-oracles"):
                 norm = global_purity_check(p, q)
-                ref = moment_set_oracle(p, q)
                 lad = _ladder(p, ref)
             with stage("closed-forms"):
                 ms = moments.second_and_fourth_moments(p, q)
@@ -379,7 +421,7 @@ def run_verification() -> VerificationReport:
 
             if ground is not None:
                 record("ground-purity-closed-form", abs(exact - ground), at)
-            record("marginal-purity-svd", abs(exact - svd), at)
+            record("marginal-purity-svd", abs(exact - svd.purity), at)
             record("global-purity", abs(norm - 1.0), at)
             record("moment-table", max(abs(ref["xq"]), abs(ref["py"]),
                                        *(abs(got - ref[name]) / max(abs(ref[name]), 1e-2)

@@ -71,9 +71,16 @@ def laguerre(n: int, x):
     l_prev = np.ones_like(x)
     if n == 0:
         return l_prev if l_prev.ndim else float(l_prev)
-    l_cur = 1.0 - x
+    l_cur = np.subtract(1.0, x, out=np.empty_like(x))
+    # three buffers take turns; each step is the recurrence's arithmetic in its order
+    new = np.empty_like(x)
     for k in range(1, n):
-        l_cur, l_prev = ((2.0 * k + 1.0 - x) * l_cur - k * l_prev) / (k + 1.0), l_cur
+        np.subtract(2.0 * k + 1.0, x, out=new)
+        new *= l_cur
+        l_prev *= k
+        new -= l_prev
+        new /= k + 1.0
+        l_prev, l_cur, new = l_cur, new, l_prev
     return l_cur if l_cur.ndim else float(l_cur)
 
 

@@ -81,9 +81,17 @@ def eigenfunction(modes: NormalModes, nm: QuantumNumbers, X, Y):
 
 def wigner_mode(n: int, vartheta: float, X, P):
     """Single-mode Wigner factor; normalized to 1 over its phase plane."""
-    arg = vartheta * np.asarray(X, dtype=float) ** 2 + np.asarray(P, dtype=float) ** 2 / vartheta
-    out = ((-1.0) ** n / np.pi) * np.exp(-arg) * laguerre(n, 2.0 * arg)
-    return out if np.ndim(out) else float(out)
+    out = np.asarray(vartheta * np.asarray(X, dtype=float) ** 2
+                     + np.asarray(P, dtype=float) ** 2 / vartheta)
+    # one full-grid buffer holds 2 arg, then -arg (scaling by 2 and 1/2 is exact), then W
+    out *= 2.0
+    lag = laguerre(n, out)
+    out *= 0.5
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out *= (-1.0) ** n / np.pi
+    out *= lag
+    return out if out.ndim else float(out)
 
 
 def wigner_rotated(modes: NormalModes, nm: QuantumNumbers, pt: RotatedPhasePoint):

@@ -170,6 +170,32 @@ class TestSchmidtOracle:
         with pytest.raises(RuntimeError, match=r"\(6, 6\) unresolved at support 1024: deficit"):
             schmidt_oracle(params, QuantumNumbers(6, 6))
 
+    def test_folded_ladder_normalisation_past_8_8(self):
+        # 1/sqrt(k) rides in each ladder step's coefficients; up-front 1/sqrt(n! m!) was 2.8e-14 off
+        params, q = SystemParams(1.0, 0.8, 0.7), QuantumNumbers(12, 12)
+        gap = abs(schmidt_oracle(params, q).purity - purity.purity_exact(params, q).purity)
+        assert gap <= 5e-15
+
+    @pytest.mark.parametrize("eps_frac", [0.3, 0.9])
+    def test_batch_matches_single_states(self, eps_frac):
+        params = SystemParams(1.0, 0.8, eps_frac * 0.8)
+        states = [QuantumNumbers(n, m) for n, m in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))]
+        for q, got in zip(states, oracle._schmidt(params, states)):
+            single = schmidt_oracle(params, q)
+            assert abs(got.purity - single.purity) <= 1e-14, q
+            assert got.norm_deficit < 1e-14
+        for q, got in zip(states, oracle._moment_sets(params, states)):
+            single = oracle.moment_set_oracle(params, q)
+            assert list(got) == list(single)
+            for name, value in single.items():
+                assert abs(got[name] - value) <= 1e-13, (q, name)
+
+    def test_unresolved_state_in_a_batch_is_named(self):
+        params = SystemParams(1.0, 0.8, 0.9999 * 0.8)
+        states = [QuantumNumbers(0, 0), QuantumNumbers(6, 6), QuantumNumbers(1, 0)]
+        with pytest.raises(RuntimeError, match=r"^\(6, 6\) unresolved at support 1024: deficit"):
+            oracle._schmidt(params, states)
+
     @pytest.mark.parametrize("mu", [1e-3, 0.028, 0.3, 1.0, 2.0, 50.0])
     def test_equal_normal_frequencies_give_makarov_weights(self, mu):
         # equal normal frequencies leave only the beam splitter: Makarov's approximation
@@ -200,19 +226,33 @@ class TestVerification:
         assert [(c.name, c.tolerance, c.detail) for c in report.checks] == self.CHECKS
 
     def test_each_reference_point_is_computed_once(self, monkeypatch):
-        calls = {"moments": 0, "purity": 0}
+        # the two batched oracles run once per coupling over its six states; purity per point
+        batches, calls = {"moments": [], "schmidt": []}, {"purity": 0}
 
-        def counting(key, fn):
+        def batching(key, fn):
+            def wrapped(params, states):
+                batches[key].append((params, list(states)))
+                return fn(params, states)
+            return wrapped
+
+        def counting(fn):
             def wrapped(*args, **kwargs):
-                calls[key] += 1
+                calls["purity"] += 1
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(oracle, "moment_set_oracle",
-                            counting("moments", oracle.moment_set_oracle))
-        monkeypatch.setattr(purity, "purity_exact", counting("purity", purity.purity_exact))
+        monkeypatch.setattr(oracle, "_moment_sets", batching("moments", oracle._moment_sets))
+        monkeypatch.setattr(oracle, "_schmidt", batching("schmidt", oracle._schmidt))
+        monkeypatch.setattr(purity, "purity_exact", counting(purity.purity_exact))
         assert run_verification().passed
-        assert calls == {"moments": 24, "purity": 24}
+        assert calls == {"purity": 24}
+        for key, seen in batches.items():
+            assert len(seen) == 4, key
+            assert len({params for params, _ in seen}) == 4, key
+            assert all(states == seen[0][1] for _, states in seen), key
+            assert len(seen[0][1]) == 6, key
+            pairs = [(params, q) for params, states in seen for q in states]
+            assert len(set(pairs)) == len(pairs) == 24, key
 
     def test_reference_grid_passes(self):
         report = run_verification()
