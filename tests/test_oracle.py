@@ -227,7 +227,7 @@ class TestVerification:
 
     def test_each_reference_point_is_computed_once(self, monkeypatch):
         # the two batched oracles run once per coupling over its six states; purity per point
-        batches, calls = {"moments": [], "schmidt": []}, {"purity": 0}
+        batches, purity_calls = {"moments": [], "schmidt": []}, []
 
         def batching(key, fn):
             def wrapped(params, states):
@@ -235,24 +235,20 @@ class TestVerification:
                 return fn(params, states)
             return wrapped
 
-        def counting(fn):
-            def wrapped(*args, **kwargs):
-                calls["purity"] += 1
-                return fn(*args, **kwargs)
-            return wrapped
+        def counting(*args):
+            purity_calls.append(args)
+            return true_purity(*args)
 
+        true_purity = purity.purity_exact
         monkeypatch.setattr(oracle, "_moment_sets", batching("moments", oracle._moment_sets))
         monkeypatch.setattr(oracle, "_schmidt", batching("schmidt", oracle._schmidt))
-        monkeypatch.setattr(purity, "purity_exact", counting(purity.purity_exact))
+        monkeypatch.setattr(purity, "purity_exact", counting)
         assert run_verification().passed
-        assert calls == {"purity": 24}
+        assert len(purity_calls) == 24
         for key, seen in batches.items():
-            assert len(seen) == 4, key
-            assert len({params for params, _ in seen}) == 4, key
-            assert all(states == seen[0][1] for _, states in seen), key
+            assert len(seen) == 4 and all(states == seen[0][1] for _, states in seen), key
             assert len(seen[0][1]) == 6, key
-            pairs = [(params, q) for params, states in seen for q in states]
-            assert len(set(pairs)) == len(pairs) == 24, key
+            assert len({(params, q) for params, states in seen for q in states}) == 24, key
 
     def test_reference_grid_passes(self):
         report = run_verification()
