@@ -5,8 +5,8 @@ sorted order, ``n`` and ``m`` are printed with ``%d`` and floats with ``%.17g``.
 whose coupling violates ``epsilon < omega_x*omega_y`` are skipped with a
 warning on stderr instead of aborting the sweep. ``--format json`` writes
 exactly the bytes of ``json.dumps(rows, indent=2)``. Both formats come from
-one table writer: each key point's text is formatted once, and rows are
-written in blocks of at most ``_BLOCK``.
+one table writer: each key point's text is formatted once, and the float
+values become Python floats one block of at most ``_BLOCK`` rows at a time.
 
 Exit codes: 0 success, 1 validation or output error, 2 verification failure.
 """
@@ -81,19 +81,21 @@ def _json_values(column: Sequence) -> list[str]:
     return json.dumps(column)[1:-1].split(", ") if len(column) else []
 
 
-def _write_table(keys: list[_Axis], names: list[str], columns: Sequence[Sequence], fmt: str,
+def _write_table(keys: list[_Axis], names: list[str], values: np.ndarray | Sequence, fmt: str,
                  out: TextIO) -> None:
     """Write a table as CSV or JSON rows.
 
     ``keys`` are the key axes, each ``(fieldnames, points)`` with one tuple
     per point; the rows run over their product, the last axis fastest, and
-    continue with the value ``columns`` named ``names``. Each key point's text
-    is formatted once. The trailing axes whose product fits in a block, and
-    the value fields, make one row template per table; a block splices a few
-    leading points' text in front of every row of it, is filled by one ``%``
-    and written at once. Field names must hold no ``%``.
+    continue with the float fields ``names``, whose ``values`` are one array
+    of rows x fields. Each key point's text is formatted once. The trailing
+    axes whose product fits in a block, and the value fields, make one row
+    template per table; a block splices a few leading points' text in front
+    of every row of it, is filled by one ``%`` and written at once. Field
+    names must hold no ``%``.
     """
     to_json = fmt == "json"
+    values = np.asarray(values, dtype=float).reshape(-1, len(names))
     if to_json:
         # the bytes of json.dumps(rows, indent=2): every row opens with ",", and "["
         # takes the first one's place
@@ -129,11 +131,10 @@ def _write_table(keys: list[_Axis], names: list[str], columns: Sequence[Sequence
     # an empty table has no rows per lead, and one lead
     while group := list(itertools.islice(leads, _BLOCK // max(per_lead, 1))):
         stop = start + len(group) * per_lead
-        cells = [column[start:stop] for column in columns]
+        cells = values[start:stop].ravel().tolist()
         if to_json:
-            cells = map(_json_values, cells)
-        block = "".join(lead.join(inner) for lead in group) % tuple(
-            itertools.chain.from_iterable(zip(*cells)))
+            cells = _json_values(cells)
+        block = "".join(lead.join(inner) for lead in group) % tuple(cells)
         out.write(block[cut:])
         cut, start = 0, stop
     out.write(tail)
@@ -141,14 +142,14 @@ def _write_table(keys: list[_Axis], names: list[str], columns: Sequence[Sequence
 
 def _sweep(omega_x: float, omega_y: float, eps_values: list[float],
            states: list[QuantumNumbers], values: _Values) -> tuple[list[_Axis], list[tuple]]:
-    """Key axes and value columns of ``values(params, nm)`` per epsilon, then state."""
+    """Key axes and the rows ``values(params, nm)``, per epsilon, then state."""
     rows = []
     for eps in eps_values:
         params = SystemParams(omega_x, omega_y, eps)
         rows += [values(params, nm) for nm in states]
     keys = [(_EPSILON_FIELDS, [(omega_x, omega_y, eps) for eps in eps_values]),
             (_STATE_FIELDS, [(nm.n, nm.m) for nm in states])]
-    return keys, list(zip(*rows))
+    return keys, rows
 
 
 def _scan(args, out: TextIO, values: _Values, names: list[str]) -> int:
@@ -163,8 +164,8 @@ def _scan(args, out: TextIO, values: _Values, names: list[str]) -> int:
                   f"(requires 0 <= epsilon < omega_x*omega_y = {bound:g})", file=sys.stderr)
     states = [QuantumNumbers(n, m) for n in range(args.n_max + 1)
               for m in range(args.m_max + 1)]
-    keys, columns = _sweep(args.omega_x, args.omega_y, eps_values, states, values)
-    _write_table(keys, names, columns, args.format, out)
+    keys, rows = _sweep(args.omega_x, args.omega_y, eps_values, states, values)
+    _write_table(keys, names, rows, args.format, out)
     return 0
 
 
@@ -188,7 +189,7 @@ def cmd_spectrum(args, out: TextIO) -> int:
                 print(f"warning: skipping r={r:g} (resonance rate must be positive)",
                       file=sys.stderr)
         _write_table([(["r"], [(r,) for r in rates])], ["theta_c"],
-                     [[cutoff_angle(r) for r in rates]], args.format, out)
+                     [cutoff_angle(r) for r in rates], args.format, out)
         return 0
     return _scan(args, out, lambda params, nm: (energy(params, nm),), ["energy"])
 
@@ -208,7 +209,7 @@ def cmd_wigner_eval(args, out: TextIO) -> int:
     # on the sparse grid the rotated X, Y take (x, y) and P, Q take (p, q): W comes out full
     w = wigner_lab(modes, nm, PhasePoint(*np.meshgrid(*axes, indexing="ij", sparse=True)))
     keys = [([name], list(zip(axis.tolist()))) for name, axis in zip("xpyq", axes)]
-    _write_table(keys, ["W"], [w.ravel().tolist()], args.format, out)
+    _write_table(keys, ["W"], w, args.format, out)
     return 0
 
 
@@ -225,8 +226,8 @@ def cmd_steering_scan(args, out: TextIO) -> int:
     eps_values = [float(e) for e in np.linspace(0.0, omega_y, args.steps) if 0.0 <= e < omega_y]
     states = [QuantumNumbers(n, 0) for n in range(1, args.n_max + 1)]
     states += [QuantumNumbers(0, m) for m in range(1, args.n_max + 1)]
-    keys, columns = _sweep(1.0, omega_y, eps_values, states, _steering_values)
-    _write_table(keys, _STEERING_FIELDS, columns, args.format, out)
+    keys, rows = _sweep(1.0, omega_y, eps_values, states, _steering_values)
+    _write_table(keys, _STEERING_FIELDS, rows, args.format, out)
     return 0
 
 

@@ -17,9 +17,7 @@ check:
 and returns a machine-readable report; the CLI ``verify`` command wraps
 it. Both oracles above run once per coupling of the grid, batched over its
 six states (``_schmidt``: one Fock support and one stacked SVD;
-``_moment_sets``: one quadrature rule). On a 2-core VM that took the
-``schmidt-oracle`` stage from 8.3 to 4.3 ms and ``quadrature-oracles``
-from 8.9 to 4.5 ms, and a whole run from 25 to 15 ms.
+``_moment_sets``: one quadrature rule).
 """
 
 from __future__ import annotations
@@ -192,12 +190,6 @@ class SchmidtOracleResult:
 _SUPPORTS = tuple(16 << k for k in range(7))
 
 
-def _fock_amplitudes(modes: NormalModes, nm: QuantumNumbers) -> tuple[np.ndarray, float]:
-    """``C_jk = <j_x k_y | Psi_(n, m)>`` in lab-local Fock bases, and ``| ||C||_F^2 - 1 |``."""
-    amps, deficits = _fock_stack(modes, [nm])
-    return amps[0], deficits[0]
-
-
 def _ladder_step(amp: np.ndarray, up: list[float], dn: list[float], k: int,
                  root: np.ndarray) -> np.ndarray:
     """``(up_x a_x^dag + dn_x a_x + up_y a_y^dag + dn_y a_y) C / sqrt(k)``; rows of ``C`` are x.
@@ -215,13 +207,13 @@ def _ladder_step(amp: np.ndarray, up: list[float], dn: list[float], k: int,
 
 def _fock_stack(modes: NormalModes,
                 states: list[QuantumNumbers]) -> tuple[np.ndarray, list[float]]:
-    """The amplitudes ``C`` of every state, stacked on one support, and each state's deficit.
+    """Every state's ``C_jk = <j_x k_y | Psi_(n, m)>``, stacked on one support, and its deficit.
 
     From the ground state ``C0`` (README, Numerical conventions), ``Psi_(n, 0) = b_x^dag
     Psi_(n-1, 0) / sqrt(n)`` and ``Psi_(n, m) = b_y^dag Psi_(n, m-1) / sqrt(m)``: each state is
     one ladder step from a state already built, and only the requested states are kept. The
     buffer is ``max(n + m)`` wider than ``C0``'s support, which grows until every deficit is
-    < 1e-14.
+    ``| ||C||_F^2 - 1 | < 1e-14``.
     """
     vx, vy = modes.vartheta_x, modes.vartheta_y
     s, c = math.sin(modes.theta), math.cos(modes.theta)

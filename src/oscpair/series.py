@@ -32,8 +32,9 @@ each total degree) comes from a bounded ``functools.lru_cache`` keyed on
 the shape and the packed ``a != 0`` mask. Keying on the zero pattern
 keeps vanishing coefficients (``a = 0`` or ``b = 0`` at zero coupling) out
 of the sums, so every member gets exactly the terms, and the bits, it
-would get alone. Members with the same shifts share one gather per
-degree; each still gets its own ``weights @ gathered`` gemv.
+would get alone. A plan serves members that share one zero pattern: one
+gather and one stacked gemv per degree. Members whose patterns differ
+run one at a time.
 
 Jets are immutable values; orders are small in practice (per-variable
 degree below ten), so dense storage is the simple and fast choice.
@@ -94,41 +95,34 @@ def _mul_nd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Group(NamedTuple):
-    """Batch members with the same nonzero shifts ``mu``: one gather per degree serves them all."""
-
-    members: np.ndarray  # (m,) their places in the batch
-    index: np.ndarray  # (m, K) flat indices of their shifted terms in the batch
-    mu_degree: np.ndarray  # (K,) total degree |mu| of each shift
-    mu_offset: np.ndarray  # (K, 1) flat distance of each shift in one member's buffer
-    by_degree: tuple[np.ndarray, ...]  # (m, 1, P_d) flat batch-buffer positions of degree d
-
-
 class _Plan(NamedTuple):
     """Where Miller's recurrence reads and writes, for one batch shape and zero pattern."""
 
     buffer: tuple[int, ...]  # (batch, *jet shape padded by the largest shift on each axis)
     window: tuple[slice, ...]  # the unpadded jets inside the buffer
-    origins: np.ndarray  # (batch,) flat buffer position of each constant term
-    groups: tuple[_Group, ...]
+    index: np.ndarray  # (batch, K) flat indices of each member's shifted terms in the batch
+    mu_degree: np.ndarray  # (K,) total degree |mu| of each shift
+    mu_offset: np.ndarray  # (K, 1) flat distance of each shift in one member's buffer
+    by_degree: tuple[np.ndarray, ...]  # (batch, 1, P_d) flat buffer positions of degree d
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(shape: tuple[int, ...], pattern: bytes) -> _Plan:
-    """Gather plan for a batch of ``shape`` whose zero pattern ``a != 0`` packs to ``pattern``."""
+def _plan(shape: tuple[int, ...], pattern: bytes) -> _Plan | None:
+    """Gather plan for a batch of ``shape`` and packed ``a != 0``; ``None`` if members differ."""
     batch, jet_shape = shape[0], shape[1:]
     nonzero = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=math.prod(shape))
-    flat_nonzero = np.flatnonzero(nonzero)
-    member, *exponent = np.unravel_index(flat_nonzero, shape)
-    mus = np.stack(exponent, axis=1)
-    shifted = mus.sum(axis=1) > 0
+    nonzero = nonzero.reshape(batch, -1)
+    if (nonzero != nonzero[0]).any():
+        return None
+    nonzero[0, 0] = 0  # the constant term is no shift
+    shifts = np.flatnonzero(nonzero[0])
+    mus = np.stack(np.unravel_index(shifts, jet_shape), axis=1)
 
     # f lives in a zero-padded buffer, offset by the largest shift on each
     # axis, so f_{e - mu} with a negative component gathers a zero
-    pad = mus[shifted].max(axis=0, initial=0)
+    pad = mus.max(axis=0, initial=0)
     padded = tuple(int(n) for n in np.add(jet_shape, pad))
     strides = np.cumprod((1,) + padded[:0:-1])[::-1]
-    size = math.prod(padded)
 
     exponents = np.indices(jet_shape).reshape(len(jet_shape), -1)
     degree = exponents.sum(axis=0)
@@ -136,28 +130,16 @@ def _plan(shape: tuple[int, ...], pattern: bytes) -> _Plan:
     positions = (exponents[:, order] + pad[:, None]).T @ strides
     bounds = np.searchsorted(degree[order], np.arange(degree.max() + 2))
 
-    shifts: dict[bytes, list[int]] = {}
-    for b in range(batch):
-        shifts.setdefault(mus[shifted & (member == b)].tobytes(), []).append(b)
-    groups = []
-    for key, members in shifts.items():
-        own = np.frombuffer(key, dtype=mus.dtype).reshape(-1, len(jet_shape))
-        rows = np.array(members)
-        base = positions + (rows * size)[:, None, None]
-        by_degree = tuple(base[..., i:j].copy() for i, j in zip(bounds[:-1], bounds[1:]))
-        group = _Group(
-            members=rows,
-            index=np.stack([flat_nonzero[shifted & (member == b)] for b in members]),
-            mu_degree=own.sum(axis=1),
-            mu_offset=(own @ strides)[:, None],
-            by_degree=by_degree,
-        )
-        for array in group[:4] + by_degree:
-            array.flags.writeable = False
-        groups.append(group)
-    return _Plan(buffer=(batch,) + padded,
+    rows = np.arange(batch)
+    base = positions + (rows * math.prod(padded))[:, None, None]
+    plan = _Plan(buffer=(batch,) + padded,
                  window=(slice(None),) + tuple(slice(int(p), None) for p in pad),
-                 origins=np.arange(batch) * size + positions[0], groups=tuple(groups))
+                 index=shifts + (rows * math.prod(jet_shape))[:, None],
+                 mu_degree=mus.sum(axis=1), mu_offset=(mus @ strides)[:, None],
+                 by_degree=tuple(base[..., i:j].copy() for i, j in zip(bounds[:-1], bounds[1:])))
+    for array in (plan.index, plan.mu_degree, plan.mu_offset) + plan.by_degree:
+        array.flags.writeable = False
+    return plan
 
 
 def _power_nd(a: np.ndarray, alpha: float) -> np.ndarray:
@@ -168,21 +150,23 @@ def _power_nd(a: np.ndarray, alpha: float) -> np.ndarray:
     caller checks that every constant term admits the power.
     """
     plan = _plan(a.shape, np.packbits(a != 0).tobytes())
-    a_flat = a.reshape(-1)
+    if plan is None:  # members whose zero patterns differ run one at a time
+        return np.concatenate([_power_nd(member[None], alpha) for member in a])
     a0 = a.reshape(len(a), -1)[:, 0]
     buf = np.zeros(plan.buffer)
     flat = buf.reshape(-1)
-    flat[plan.origins] = [float(c) ** alpha for c in a0]
-    for group in plan.groups:
-        degrees = np.arange(1, len(group.by_degree))[:, None]
-        # weights[i, d - 1, k] multiplies f_{e - mu_k} in degree d of member i
-        weights = a_flat[group.index][:, None, :] * ((alpha + 1.0) * group.mu_degree - degrees)
-        c = a0[group.members, None, None]
-        for d, pos in enumerate(group.by_degree[1:], 1):
-            # a stack of one gemv per member, each as for a single jet
-            g = weights[:, d - 1:d] @ flat[pos - group.mu_offset]
-            g /= c * d
-            flat[pos] = g
+    flat[plan.by_degree[0].ravel()] = [float(c) ** alpha for c in a0]
+    # weights[i, d - 1, k] multiplies f_{e - mu_k} in degree d of member i. Weights and
+    # gathered blocks are C-contiguous, fancy-indexed from the flat arrays with per-member
+    # offsets: the layout picks the BLAS kernel, and the kernel sets the bits
+    degrees = np.arange(1, len(plan.by_degree))[:, None]
+    weights = a.reshape(-1)[plan.index][:, None, :] * ((alpha + 1.0) * plan.mu_degree - degrees)
+    c = a0[:, None, None].copy()  # contiguous: c * d runs once per degree, slower on a view
+    for d, pos in enumerate(plan.by_degree[1:], 1):
+        # a stack of one gemv per member, each as for a single jet
+        g = weights[:, d - 1:d] @ flat[pos - plan.mu_offset]
+        g /= c * d
+        flat[pos] = g
     return buf[plan.window].copy()
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -234,7 +235,7 @@ class TestWriter:
         # the first four columns as one four-field key axis, one point per row
         with open(path, "w", newline="") as out:
             _write_table([(self.FIELDS[:4], list(zip(*columns[:4])))], self.FIELDS[4:],
-                         columns[4:], "csv", out)
+                         list(zip(*columns[4:])), "csv", out)
         assert path.read_bytes() == _reference_csv(self.FIELDS, columns).encode()
 
     @pytest.mark.parametrize("rows", [0, 1, 1024, 1025])
@@ -243,7 +244,7 @@ class TestWriter:
         columns[3] = [int(m) for m in columns[3]]  # json encodes no numpy integers
         out = io.StringIO()
         _write_table([(self.FIELDS[:4], list(zip(*columns[:4])))], self.FIELDS[4:],
-                     columns[4:], "json", out)
+                     list(zip(*columns[4:])), "json", out)
         records = [dict(zip(self.FIELDS, row)) for row in zip(*columns)]
         assert out.getvalue() == json.dumps(records, indent=2) + "\n"
 
@@ -259,7 +260,7 @@ class TestWriter:
         columns = [[EDGE_VALUES[(3 * i + 1) % len(EDGE_VALUES)] for i in range(outer * inner)]]
         path = tmp_path / "table.csv"
         with open(path, "w", newline="") as out:
-            _write_table(keys, ["W"], columns, "csv", out)
+            _write_table(keys, ["W"], list(zip(*columns)), "csv", out)
         # compared as lines: a failing diff of the whole text takes pytest minutes
         lines = path.read_bytes().decode().splitlines(keepends=True)
         assert lines == _reference_csv(self.FIELDS, _expand(keys, columns)).splitlines(True)
@@ -278,7 +279,7 @@ class TestWriter:
                 (["n", "m"], [(j % 7, j % 5) for j in range(inner)])]
         columns = [[EDGE_VALUES[(3 * i + 1) % len(EDGE_VALUES)] for i in range(outer * inner)]]
         out = io.StringIO()
-        _write_table(keys, ["W"], columns, "json", out)
+        _write_table(keys, ["W"], list(zip(*columns)), "json", out)
         records = [dict(zip(self.FIELDS, row)) for row in zip(*_expand(keys, columns))]
         lines = out.getvalue().splitlines(keepends=True)
         assert lines == (json.dumps(records, indent=2) + "\n").splitlines(keepends=True)
@@ -302,7 +303,7 @@ class TestWriter:
         columns[3] = [int(m) for m in columns[3]]
         out = Spy()
         _write_table([(self.FIELDS[:4], list(zip(*columns[:4])))], self.FIELDS[4:],
-                     columns[4:], fmt, out)
+                     list(zip(*columns[4:])), fmt, out)
         records = [dict(zip(self.FIELDS, row)) for row in zip(*columns)]
         want = (json.dumps(records, indent=2) + "\n" if fmt == "json"
                 else _reference_csv(self.FIELDS, columns))
@@ -316,6 +317,45 @@ class TestWriter:
                     + [f"--{axis}=-2:2:11" for axis in "xpyq"]) == 0
         assert max(grid.rows) <= block
         assert sum(grid.rows) == 11**4 + (fmt == "csv")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_value_fields_interleave_row_by_row(self, tmp_path, fmt):
+        # three float fields from one rows x fields array, over 3 x 300 key points:
+        # each row carries its own three values, in field order, across block bounds
+        names = ["W", "S_L", "delta"]
+        keys = [(["omega_x", "epsilon"], [(EDGE_VALUES[i], 0.25 * i) for i in range(3)]),
+                (["n", "m"], [(j % 7, j % 5) for j in range(300)])]
+        k = np.arange(900)
+        values = np.array([[EDGE_VALUES[i % len(EDGE_VALUES)] for i in k],
+                           (k / 7).tolist(),
+                           [EDGE_VALUES[(5 * i + 3) % len(EDGE_VALUES)] for i in k]]).T
+        path = tmp_path / f"table.{fmt}"
+        with open(path, "w", newline="") as out:
+            _write_table(keys, names, values, fmt, out)
+        columns = _expand(keys, [column.tolist() for column in values.T])
+        fieldnames = self.FIELDS[:4] + names
+        if fmt == "csv":
+            want = _reference_csv(fieldnames, columns)
+        else:
+            records = [dict(zip(fieldnames, row)) for row in zip(*columns)]
+            want = json.dumps(records, indent=2) + "\n"
+        assert path.read_text().splitlines(True) == want.splitlines(True)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_wigner_eval_peak_stays_below_the_grid(self, monkeypatch, fmt):
+        # the writer turns one block of W at a time into Python floats: converting the
+        # whole 21^4 grid at once takes about four times W's own 1.5 MB
+        w = np.random.default_rng(4).standard_normal([21] * 4)
+        monkeypatch.setattr(cli, "wigner_lab", lambda modes, nm, pt: w)
+        tracemalloc.start()
+        try:
+            code = main(["wigner-eval", "--format", fmt, "--output", os.devnull]
+                        + [f"--{axis}=-2:2:21" for axis in "xpyq"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < w.nbytes
 
 
 class TestVerify:

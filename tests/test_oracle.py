@@ -202,7 +202,7 @@ class TestSchmidtOracle:
         modes = NormalModes(theta=math.atan(mu), mu=mu, vartheta_x=1.0, vartheta_y=1.0)
         for n in range(7):
             for m in range(7):
-                amp, _ = oracle._fock_amplitudes(modes, QuantumNumbers(n, m))
+                (amp,), _ = oracle._fock_stack(modes, [QuantumNumbers(n, m)])
                 got = [amp[k, n + m - k] ** 2 for k in range(n + m + 1)]
                 want = makarov_schmidt(QuantumNumbers(n, m), mu).lambdas
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

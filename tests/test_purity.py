@@ -386,3 +386,27 @@ def test_cached_route_is_bit_identical_to_the_per_call_route(bit_grid_reference)
     _plan.cache_clear()
     _jx_eigh.cache_clear()
     assert _bit_grid_mismatches(bit_grid_reference) == []
+
+
+def test_every_bit_grid_batch_shares_one_plan(monkeypatch, bit_grid_reference):
+    # purity_exact holds its own reference to _power_nd; a batch whose members'
+    # zero patterns differ recurses once per member through the series module's
+    # global, which the counter replaces
+    from oscpair import series
+    from oscpair.purity import _power_nd
+
+    calls = []
+
+    def counted(a, alpha):
+        calls.append(a.shape)
+        return _power_nd(a, alpha)
+
+    monkeypatch.setattr(series, "_power_nd", counted)
+    mixed = np.zeros((2, 2, 1, 2, 1))
+    mixed[:, 0, 0, 0, 0] = 1.0
+    mixed[0, 1, 0, 0, 0] = 0.5
+    _power_nd(mixed, -0.5)
+    assert len(calls) == 2  # the counter sees the per-member route
+    calls.clear()
+    assert _bit_grid_mismatches(bit_grid_reference) == []
+    assert calls == []

@@ -173,7 +173,7 @@ class TestCoefficient:
 @settings(max_examples=80, deadline=None)
 def test_batched_power_is_bit_identical_per_member(seed, batch, orders, alpha, shared_zeros):
     # multilinear members with random zero terms: with shared_zeros the members
-    # share one gather per degree, otherwise each zero pattern gets its own
+    # share one plan, one gather per degree, otherwise they run one at a time
     rng = np.random.default_rng(seed)
     a = np.zeros((batch,) + tuple(o + 1 for o in orders))
     corner = (slice(None),) + tuple(slice(0, min(o + 1, 2)) for o in orders)
