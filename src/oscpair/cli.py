@@ -1,12 +1,13 @@
 """Command-line interface: spectra, moments, Wigner grids, scans, verification.
 
-Sweep output is deterministic and byte-stable: rows are generated in
-sorted order, ``n`` and ``m`` are printed with ``%d`` and floats with ``%.17g``. Rows
-whose coupling violates ``epsilon < omega_x*omega_y`` are skipped with a
-warning on stderr instead of aborting the sweep. ``--format json`` writes
-exactly the bytes of ``json.dumps(rows, indent=2)``. Both formats come from
-one table writer: each key point's text is formatted once, and the float
-values become Python floats one block of at most ``_BLOCK`` rows at a time.
+Sweep output is deterministic and byte-stable: rows are generated in sorted
+order, each coupling's states from one call, ``n`` and ``m`` are printed with
+``%d`` and floats with ``%.17g``. Rows whose coupling violates ``epsilon <
+omega_x*omega_y`` are skipped with a warning on stderr instead of aborting the
+sweep. ``--format json`` writes exactly the bytes of ``json.dumps(rows,
+indent=2)``. Both formats come from one table writer: each key point's text is
+formatted once, and the float values become Python floats one block of at most
+``_BLOCK`` rows at a time.
 
 Exit codes: 0 success, 1 validation or output error, 2 verification failure.
 """
@@ -27,7 +28,7 @@ import numpy as np
 from .model import QuantumNumbers, SystemParams, cutoff_angle, diagonalize, energy
 from .moments import second_and_fourth_moments
 from .oracle import run_verification
-from .purity import makarov_entropy, purity_exact
+from .purity import _purities, makarov_entropy
 from .steering import SteeringResult, steering
 from .wigner import PhasePoint, wigner_lab
 
@@ -36,7 +37,7 @@ _EPSILON_FIELDS = ["omega_x", "omega_y", "epsilon"]
 _STATE_FIELDS = ["n", "m"]
 _STEERING_FIELDS = [f.name for f in fields(SteeringResult)]
 _Axis = tuple[Sequence[str], Sequence[tuple]]  # field names, one tuple per point
-_Values = Callable[[SystemParams, QuantumNumbers], tuple]
+_Values = Callable[[SystemParams, list[QuantumNumbers]], list[tuple]]  # one row per state
 _BLOCK = 512  # rows per write at most: one whole-table string costs memory
 
 
@@ -140,16 +141,16 @@ def _write_table(keys: list[_Axis], names: list[str], values: np.ndarray | Seque
     out.write(tail)
 
 
-def _sweep(omega_x: float, omega_y: float, eps_values: list[float],
-           states: list[QuantumNumbers], values: _Values) -> tuple[list[_Axis], list[tuple]]:
-    """Key axes and the rows ``values(params, nm)``, per epsilon, then state."""
+def _sweep(omega_x: float, omega_y: float, eps_values: list[float], states: list[QuantumNumbers],
+           values: _Values, names: list[str], fmt: str, out: TextIO) -> int:
+    """Write the rows ``values(params, states)``, one call per epsilon, then state."""
     rows = []
     for eps in eps_values:
-        params = SystemParams(omega_x, omega_y, eps)
-        rows += [values(params, nm) for nm in states]
+        rows += values(SystemParams(omega_x, omega_y, eps), states)
     keys = [(_EPSILON_FIELDS, [(omega_x, omega_y, eps) for eps in eps_values]),
             (_STATE_FIELDS, [(nm.n, nm.m) for nm in states])]
-    return keys, rows
+    _write_table(keys, names, rows, fmt, out)
+    return 0
 
 
 def _scan(args, out: TextIO, values: _Values, names: list[str]) -> int:
@@ -164,19 +165,17 @@ def _scan(args, out: TextIO, values: _Values, names: list[str]) -> int:
                   f"(requires 0 <= epsilon < omega_x*omega_y = {bound:g})", file=sys.stderr)
     states = [QuantumNumbers(n, m) for n in range(args.n_max + 1)
               for m in range(args.m_max + 1)]
-    keys, rows = _sweep(args.omega_x, args.omega_y, eps_values, states, values)
-    _write_table(keys, names, rows, args.format, out)
-    return 0
+    return _sweep(args.omega_x, args.omega_y, eps_values, states, values, names, args.format, out)
 
 
-def _purity_values(params: SystemParams, nm: QuantumNumbers) -> tuple:
-    res = purity_exact(params, nm)
-    slm = makarov_entropy(nm, diagonalize(params).mu)
-    return res.purity, res.linear_entropy, slm, res.linear_entropy - slm
+def _purity_values(params: SystemParams, states: list[QuantumNumbers]) -> list[tuple]:
+    mu = diagonalize(params).mu
+    makarov = [makarov_entropy(nm, mu) for nm in states]
+    return [(p, 1.0 - p, slm, 1.0 - p - slm) for p, slm in zip(_purities(params, states), makarov)]
 
 
-def _steering_values(params: SystemParams, nm: QuantumNumbers) -> tuple:
-    return astuple(steering(params, nm))
+def _steering_values(params: SystemParams, states: list[QuantumNumbers]) -> list[tuple]:
+    return [astuple(steering(params, nm)) for nm in states]
 
 
 def cmd_spectrum(args, out: TextIO) -> int:
@@ -191,7 +190,7 @@ def cmd_spectrum(args, out: TextIO) -> int:
         _write_table([(["r"], [(r,) for r in rates])], ["theta_c"],
                      [cutoff_angle(r) for r in rates], args.format, out)
         return 0
-    return _scan(args, out, lambda params, nm: (energy(params, nm),), ["energy"])
+    return _scan(args, out, lambda p, states: [(energy(p, nm),) for nm in states], ["energy"])
 
 
 def cmd_moments(args, out: TextIO) -> int:
@@ -226,9 +225,8 @@ def cmd_steering_scan(args, out: TextIO) -> int:
     eps_values = [float(e) for e in np.linspace(0.0, omega_y, args.steps) if 0.0 <= e < omega_y]
     states = [QuantumNumbers(n, 0) for n in range(1, args.n_max + 1)]
     states += [QuantumNumbers(0, m) for m in range(1, args.n_max + 1)]
-    keys, rows = _sweep(1.0, omega_y, eps_values, states, _steering_values)
-    _write_table(keys, _STEERING_FIELDS, rows, args.format, out)
-    return 0
+    return _sweep(1.0, omega_y, eps_values, states, _steering_values, _STEERING_FIELDS,
+                  args.format, out)
 
 
 def cmd_verify(args, out: TextIO) -> int:
@@ -303,8 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
     physical(p)
     grid(p, "0:0.9:10", 6)
     p.add_argument("--preset", choices=STEERING_PRESETS, default=None,
-                   help="detuned sweep with omega_x=1, omega_y=PRESET over the "
-                        "(n,0) and (0,m) families")
+                   help="detuned sweep: omega_x=1, omega_y=PRESET, the (n,0) and (0,n) families "
+                        "up to --n-max; ignores --omega-x, --omega-y, --epsilon, --m-max")
     p.add_argument("--steps", type=_int_at_least(1), default=161,
                    help="epsilon steps for --preset sweeps")
     common(p)

@@ -374,12 +374,12 @@ def _point(p: SystemParams, q: QuantumNumbers) -> str:
 def run_verification() -> VerificationReport:
     """Run the oracle suite over the built-in reference grid.
 
-    The Schmidt and moment oracles run once per coupling, batched over its
-    six states (``_schmidt``, ``_moment_sets``); every other routine runs
-    once per reference point, and each result feeds every check that needs
-    it. Module-level functions under test are resolved at call time, so a
-    fault injected by rebinding (for instance a corrupted moment formula)
-    surfaces as a named failing check, at the point where it is largest.
+    The exact purity and both oracles run once per coupling over its six states
+    (``_purities``, ``_schmidt``, ``_moment_sets``); every other routine runs
+    once per reference point, and each result feeds every check that needs it.
+    Module-level functions under test are resolved at call time, so a fault
+    injected by rebinding (for instance a corrupted moment formula) surfaces as
+    a named failing check, at the point where it is largest.
     """
     start = time.perf_counter()
     grid = [SystemParams(1.0, wy, frac * wy) for wy in (0.8, 1.0) for frac in (0.3, 0.9)]
@@ -407,11 +407,12 @@ def run_verification() -> VerificationReport:
             svds = _schmidt(p, states)
         with stage("quadrature-oracles"):
             refs = _moment_sets(p, states)
-        for q, svd, ref in zip(states, svds, refs):
+        with stage("purity"):
+            exacts = purity._purities(p, states)  # states[0] is the ground state
+            ground = purity.purity_ground_closed(p).purity
+        record("ground-purity-closed-form", abs(exacts[0] - ground), _point(p, states[0]))
+        for q, exact, svd, ref in zip(states, exacts, svds, refs):
             at = _point(p, q)
-            with stage("purity"):
-                exact = purity.purity_exact(p, q).purity
-                ground = purity.purity_ground_closed(p).purity if (q.n, q.m) == (0, 0) else None
             with stage("quadrature-oracles"):
                 norm = global_purity_check(p, q)
                 lad = _ladder(p, ref)
@@ -421,8 +422,6 @@ def run_verification() -> VerificationReport:
                 ex = moments.excitation_numbers(p, q)
                 lm = moments.ladder_moments(p, q)
 
-            if ground is not None:
-                record("ground-purity-closed-form", abs(exact - ground), at)
             record("marginal-purity-svd", abs(exact - svd.purity), at)
             record("global-purity", abs(norm - 1.0), at)
             record("moment-table", max(abs(ref["xq"]), abs(ref["py"]),

@@ -40,12 +40,14 @@ and the generating function is
 
 ``Q`` and ``Q'`` are multilinear (degree at most one in each variable), so
 the jets of their inverse square roots come from the power recurrence of
-:mod:`oscpair.series` with a handful of terms per coefficient, and the one
-coefficient of the product is a single reversed dot product. At ``u = s =
-v = w = 0`` the product is ``1/sqrt((a + b)(a' + b'))``, the ground-state
-closed form, which the test suite asserts at ``1e-12``. At zero coupling
-off resonance (``theta = 0``) ``Q Q' = ((1+s)(1+w)(1-uv))^2``, whose
-coefficient is exactly 1, and ``theta = pi/2`` swaps the roles.
+:mod:`oscpair.series` with a handful of terms per coefficient, and each
+coefficient of the product is a reversed dot product of their sub-blocks.
+Truncation is exact, so the jets at a table's largest ``(n, m)`` hold every
+cell of the table (``_purities``; ``purity_exact`` is a table of one). At
+``u = s = v = w = 0`` the product is ``1/sqrt((a + b)(a' + b'))``, the
+ground-state closed form, which the test suite asserts at ``1e-12``. At zero
+coupling off resonance (``theta = 0``) ``Q Q' = ((1+s)(1+w)(1-uv))^2``,
+whose coefficient is exactly 1, and ``theta = pi/2`` swaps the roles.
 
 The weak-coupling Schmidt weights ``lambda_k`` (an approximation that
 treats both normal frequencies as equal) are also provided; their linear
@@ -108,30 +110,36 @@ def _radicands(ab: list[tuple[float, float]], orders: tuple[int, int, int, int])
     return coeffs
 
 
-def purity_exact(params: SystemParams, nm: QuantumNumbers) -> PurityResult:
-    """Exact marginal purity of ``Psi_(n, m)`` via coefficient extraction.
+def _purities(params: SystemParams, states: list[QuantumNumbers]) -> list[float]:
+    """Exact marginal purity of ``Psi_(n, m)`` for each ``(n, m)`` in ``states``.
 
-    Raises ``RuntimeError`` if the extracted coefficient falls outside
-    ``(0, 1 + 1e-9]``, which would signal a cancellation failure rather
-    than a physical value; roundoff-level overshoot above 1 is clamped.
+    Raises ``RuntimeError``, naming the state, if a coefficient falls outside
+    ``(0, 1 + 1e-9]``, which would signal a cancellation failure rather than a
+    physical value; roundoff-level overshoot above 1 is clamped.
     """
     modes = model.diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
     s, c = math.sin(modes.theta), math.cos(modes.theta)
     s2, c2 = s * s, c * c
-    orders = (nm.n, nm.m, nm.n, nm.m)
+    orders = (max(nm.n for nm in states), max(nm.m for nm in states)) * 2  # (n, m, n, m)
 
     # a + b > 0 for both radicands, so the inverse square roots exist
     pos, mom = _power_nd(_radicands([(vx * s2, vy * c2), (s2 / vx, c2 / vy)], orders), -0.5)
-    # [u^n s^m v^n w^m] of the product: sum over e of pos[e] mom[(n,m,n,m) - e]
-    p = float(np.dot(pos.ravel(), mom.ravel()[::-1]))
+    purities = []
+    for nm in states:
+        # [u^n s^m v^n w^m] of the product: sum over e <= (n,m,n,m) of pos[e] mom[(n,m,n,m) - e]
+        block = (slice(nm.n + 1), slice(nm.m + 1)) * 2
+        p = float(np.dot(pos[block].ravel(), mom[block].ravel()[::-1]))
+        if not (0.0 < p <= 1.0 + 1e-9):
+            raise RuntimeError(f"extracted purity coefficient {p} outside (0, 1]; "
+                               f"params={params}, state=({nm.n}, {nm.m})")
+        purities.append(min(p, 1.0))
+    return purities
 
-    if not (0.0 < p <= 1.0 + 1e-9):
-        raise RuntimeError(
-            f"extracted purity coefficient {p} outside (0, 1]; "
-            f"params={params}, state=({nm.n}, {nm.m})"
-        )
-    p = min(p, 1.0)
+
+def purity_exact(params: SystemParams, nm: QuantumNumbers) -> PurityResult:
+    """Exact marginal purity of ``Psi_(n, m)``: ``_purities`` of the one state."""
+    p = _purities(params, [nm])[0]
     return PurityResult(purity=p, linear_entropy=1.0 - p)
 
 

@@ -145,6 +145,48 @@ class TestPurityScan:
         for row in rows:
             assert 0.0 <= float(row["S_L_makarov"]) < 1.0
 
+    def test_one_jet_pair_per_coupling(self, capsys, monkeypatch):
+        from oscpair import purity
+
+        calls = []
+
+        def counted(a, alpha):
+            calls.append(a.shape)
+            return true_power(a, alpha)
+
+        true_power = purity._power_nd
+        monkeypatch.setattr(purity, "_power_nd", counted)
+        code, out, _ = run_cli(
+            capsys, "purity-scan", "--omega-y", "0.8", "--epsilon", "0:0.75:20",
+            "--n-max", "6", "--m-max", "6",
+        )
+        assert code == 0
+        assert len(read_csv(out)) == 20 * 49
+        assert calls == [(2, 7, 7, 7, 7)] * 20
+
+    def test_out_of_range_cell_is_named_and_writes_no_rows(self, capsys, monkeypatch):
+        from oscpair import purity
+        from oscpair.model import QuantumNumbers, SystemParams
+
+        def corrupted(a, alpha):
+            jets = true_power(a, alpha)
+            jets[0, -1, -1, -1, -1] += 10.0  # only the largest state's sub-block holds it
+            return jets
+
+        true_power = purity._power_nd
+        monkeypatch.setattr(purity, "_power_nd", corrupted)
+        states = [QuantumNumbers(n, m) for n in range(3) for m in range(4)]
+        with pytest.raises(RuntimeError, match=r"outside \(0, 1\].*state=\(2, 3\)"):
+            purity._purities(SystemParams(1.0, 0.8, 0.5), states)
+        code, out, err = run_cli(
+            capsys, "purity-scan", "--omega-y", "0.8", "--epsilon", "0:0.5:3",
+            "--n-max", "2", "--m-max", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: extracted purity coefficient ")
+        assert err.endswith("state=(2, 3)\n")
+
 class TestSteeringScan:
     def test_preset_has_no_mutual_steering(self, capsys):
         code, out, _ = run_cli(capsys, "steering-scan", "--preset", "0.8",
@@ -442,11 +484,11 @@ class TestArgumentHandling:
     def test_unwritable_output_fails_before_the_sweep(self, capsys, tmp_path, monkeypatch):
         calls = []
 
-        def purity_exact(params, nm):
-            calls.append((params, nm))
+        def purities(params, states):
+            calls.append((params, states))
             raise RuntimeError("the sweep ran")
 
-        monkeypatch.setattr(cli, "purity_exact", purity_exact)
+        monkeypatch.setattr(cli, "_purities", purities)
         path = tmp_path / "missing" / "x.csv"
         code, out, err = run_cli(capsys, "purity-scan", "--output", str(path))
         assert code == 1

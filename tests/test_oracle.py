@@ -226,8 +226,8 @@ class TestVerification:
         assert [(c.name, c.tolerance, c.detail) for c in report.checks] == self.CHECKS
 
     def test_each_reference_point_is_computed_once(self, monkeypatch):
-        # the two batched oracles run once per coupling over its six states; purity per point
-        batches, purity_calls = {"moments": [], "schmidt": []}, []
+        # the two batched oracles and the exact purity run once per coupling over its six states
+        batches = {"moments": [], "schmidt": [], "purity": []}
 
         def batching(key, fn):
             def wrapped(params, states):
@@ -235,16 +235,10 @@ class TestVerification:
                 return fn(params, states)
             return wrapped
 
-        def counting(*args):
-            purity_calls.append(args)
-            return true_purity(*args)
-
-        true_purity = purity.purity_exact
         monkeypatch.setattr(oracle, "_moment_sets", batching("moments", oracle._moment_sets))
         monkeypatch.setattr(oracle, "_schmidt", batching("schmidt", oracle._schmidt))
-        monkeypatch.setattr(purity, "purity_exact", counting)
+        monkeypatch.setattr(purity, "_purities", batching("purity", purity._purities))
         assert run_verification().passed
-        assert len(purity_calls) == 24
         for key, seen in batches.items():
             assert len(seen) == 4 and all(states == seen[0][1] for _, states in seen), key
             assert len(seen[0][1]) == 6, key

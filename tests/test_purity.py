@@ -17,6 +17,7 @@ from oscpair import (
     purity_ground_closed,
 )
 from oscpair.oracle import marginal_purity_quadrature, schmidt_oracle
+from oscpair.purity import _purities
 from oscpair.specfun import jacobi_negparam
 
 RESONANT_USC = SystemParams(1.0, 1.0, 0.9)
@@ -87,10 +88,14 @@ class TestPurityExact:
     @pytest.mark.parametrize("params", list(PURITY_REFERENCE),
                              ids=lambda p: "wx%g-wy%g-eps%g" % p)
     def test_against_high_precision_reference(self, params):
+        # the table holds every (n, m) <= (8, 8) at this coupling, (k, k) at 10 k
+        table = _purities(SystemParams(*params), [QuantumNumbers(n, m)
+                                                  for n in range(9) for m in range(9)])
         for k, want in enumerate(PURITY_REFERENCE[params]):
             state = SystemParams(*params), QuantumNumbers(k, k)
             for route, got in (("exact", purity_exact(*state).purity),
-                               ("oracle", schmidt_oracle(*state).purity)):
+                               ("oracle", schmidt_oracle(*state).purity),
+                               ("table", table[10 * k])):
                 assert got == pytest.approx(want, abs=1e-12), f"{route}, state ({k}, {k})"
 
     def test_linear_entropy_complements_purity(self):
@@ -410,3 +415,15 @@ def test_every_bit_grid_batch_shares_one_plan(monkeypatch, bit_grid_reference):
     calls.clear()
     assert _bit_grid_mismatches(bit_grid_reference) == []
     assert calls == []
+
+
+def test_table_cells_match_the_one_state_route():
+    # a table's jets are built at its largest state's orders, so its cells round
+    # differently from purity_exact's in the last bits, and only there
+    states = [QuantumNumbers(n, m) for n in range(9) for m in range(9)]
+    for wy in BIT_GRID_WY:
+        for frac in BIT_GRID_EPS:
+            params = SystemParams(1.0, wy, frac * wy)
+            table = _purities(params, states)
+            single = [purity_exact(params, nm).purity for nm in states]
+            assert table == pytest.approx(single, rel=0, abs=1e-14), (wy, frac)
