@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscpair import cli
+from oscpair import cli, purity
 from oscpair.cli import _write_table, main
+from oscpair.model import QuantumNumbers, SystemParams
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -146,8 +147,6 @@ class TestPurityScan:
             assert 0.0 <= float(row["S_L_makarov"]) < 1.0
 
     def test_one_jet_pair_per_coupling(self, capsys, monkeypatch):
-        from oscpair import purity
-
         calls = []
 
         def counted(a, alpha):
@@ -165,9 +164,6 @@ class TestPurityScan:
         assert calls == [(2, 7, 7, 7, 7)] * 20
 
     def test_out_of_range_cell_is_named_and_writes_no_rows(self, capsys, monkeypatch):
-        from oscpair import purity
-        from oscpair.model import QuantumNumbers, SystemParams
-
         def corrupted(a, alpha):
             jets = true_power(a, alpha)
             jets[0, -1, -1, -1, -1] += 10.0  # only the largest state's sub-block holds it
@@ -186,6 +182,7 @@ class TestPurityScan:
         assert out == ""
         assert err.startswith("error: extracted purity coefficient ")
         assert err.endswith("state=(2, 3)\n")
+
 
 class TestSteeringScan:
     def test_preset_has_no_mutual_steering(self, capsys):
