@@ -143,7 +143,7 @@ def _write_table(keys: list[_Axis], names: list[str], values: np.ndarray | Seque
 
 def _sweep(omega_x: float, omega_y: float, eps_values: list[float], states: list[QuantumNumbers],
            values: _Values, names: list[str], fmt: str, out: TextIO) -> int:
-    """Write the rows ``values(params, states)``, one call per epsilon, then state."""
+    """Write the table of ``values(params, states)``: one call, one row per state, per epsilon."""
     rows = []
     for eps in eps_values:
         rows += values(SystemParams(omega_x, omega_y, eps), states)
