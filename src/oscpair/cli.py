@@ -155,6 +155,7 @@ def _sweep(omega_x: float, omega_y: float, eps_values: list[float], states: list
 
 def _scan(args, out: TextIO, values: _Values, names: list[str]) -> int:
     """Write the sweep over ``--epsilon`` and the ``--n-max`` x ``--m-max`` grid."""
+    SystemParams(args.omega_x, args.omega_y)  # invalid frequencies fail here, not row by row
     bound = args.omega_x * args.omega_y
     eps_values = []
     for eps in _parse_range(args.epsilon):

@@ -26,15 +26,20 @@ The recurrence runs on a batch: ``_power_nd`` takes coefficient arrays
 stacked along a leading axis and raises each to the same power, so the
 two radicands of the purity generating function share one degree loop.
 Where it reads and writes depends only on the batch's shape and zero
-pattern, not on the coefficient values, so that gather plan (the nonzero
-shifts ``mu``, their degrees, the padded buffer and the positions of
-each total degree) comes from a bounded ``functools.lru_cache`` keyed on
-the shape and the packed ``a != 0`` mask. Keying on the zero pattern
-keeps vanishing coefficients (``a = 0`` or ``b = 0`` at zero coupling) out
-of the sums, so every member gets exactly the terms, and the bits, it
-would get alone. A plan serves members that share one zero pattern: one
-gather and one stacked gemv per degree. Members whose patterns differ
-run one at a time.
+pattern, not on the coefficient values, so all of its index work is done
+once, in a gather plan from a bounded ``functools.lru_cache`` keyed on the
+shape and the packed ``a != 0`` mask. The recurrence's buffer holds each
+member's coefficients degree by degree, with one zero slot at the end, so
+each degree's output is one contiguous slice. For every degree the plan
+holds the buffer slots of ``f_{e - mu}``, one row per nonzero shift ``mu``,
+the zero slot wherever ``e - mu`` leaves the jet; one index set serves
+every member. A degree is then one gather, one stacked gemv written into
+its slice, and one in-place division, and one gather at the end returns
+the dense jets. Keying on the zero pattern keeps vanishing coefficients
+(``a = 0`` or ``b = 0`` at zero coupling) out of the sums, so every member
+gets exactly the terms, and the bits, it would get alone. A plan serves
+members that share one zero pattern; members whose patterns differ run
+one at a time.
 
 Jets are immutable values; orders are small in practice (per-variable
 degree below ten), so dense storage is the simple and fast choice.
@@ -96,14 +101,21 @@ def _mul_nd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """Where Miller's recurrence reads and writes, for one batch shape and zero pattern."""
+    """Where Miller's recurrence reads and writes, for one batch shape and zero pattern.
 
-    buffer: tuple[int, ...]  # (batch, *jet shape padded by the largest shift on each axis)
-    window: tuple[slice, ...]  # the unpadded jets inside the buffer
-    index: np.ndarray  # (batch, K) flat indices of each member's shifted terms in the batch
+    A buffer row holds one member's coefficients degree by degree (by total
+    degree, C order within a degree), then one zero slot. One set of slots
+    serves every member; ``gathers`` and ``dense`` are int32, and every
+    array is read-only.
+    """
+
+    size: int  # coefficients per member; slot ``size`` is the zero slot
+    shifts: np.ndarray  # (K,) flat indices of the nonzero shifts mu in one member's jet
+    degrees: np.ndarray  # (D, 1) the total degrees 1 .. D
     mu_degree: np.ndarray  # (K,) total degree |mu| of each shift
-    mu_offset: np.ndarray  # (K, 1) flat distance of each shift in one member's buffer
-    by_degree: tuple[np.ndarray, ...]  # (batch, 1, P_d) flat buffer positions of degree d
+    gathers: tuple[np.ndarray, ...]  # per degree, (K, P_d) slots of f_{e - mu}, zero slot outside
+    outputs: tuple[slice, ...]  # per degree, its P_d slots
+    dense: np.ndarray  # (size,) slot of each coefficient in C order
 
 
 @functools.lru_cache(maxsize=256)
@@ -118,26 +130,28 @@ def _plan(shape: tuple[int, ...], pattern: bytes) -> _Plan | None:
     shifts = np.flatnonzero(nonzero[0])
     mus = np.stack(np.unravel_index(shifts, jet_shape), axis=1)
 
-    # f lives in a zero-padded buffer, offset by the largest shift on each
-    # axis, so f_{e - mu} with a negative component gathers a zero
-    pad = mus.max(axis=0, initial=0)
-    padded = tuple(int(n) for n in np.add(jet_shape, pad))
-    strides = np.cumprod((1,) + padded[:0:-1])[::-1]
-
-    exponents = np.indices(jet_shape).reshape(len(jet_shape), -1)
-    degree = exponents.sum(axis=0)
+    size = math.prod(jet_shape)
+    degree = np.indices(jet_shape).sum(axis=0).ravel()
     order = np.argsort(degree, kind="stable")
-    positions = (exponents[:, order] + pad[:, None]).T @ strides
-    bounds = np.searchsorted(degree[order], np.arange(degree.max() + 2))
+    dense = np.empty(size, dtype=np.int32)  # half int64's bytes, and takes as fast
+    dense[order] = np.arange(size)
+    bounds = np.searchsorted(degree[order], np.arange(1, degree[-1] + 2))
 
-    rows = np.arange(batch)
-    base = positions + (rows * math.prod(padded))[:, None, None]
-    plan = _Plan(buffer=(batch,) + padded,
-                 window=(slice(None),) + tuple(slice(int(p), None) for p in pad),
-                 index=shifts + (rows * math.prod(jet_shape))[:, None],
-                 mu_degree=mus.sum(axis=1), mu_offset=(mus @ strides)[:, None],
-                 by_degree=tuple(base[..., i:j].copy() for i, j in zip(bounds[:-1], bounds[1:])))
-    for array in (plan.index, plan.mu_degree, plan.mu_offset) + plan.by_degree:
+    # the buffer slot of each coefficient, in a grid padded by the largest shift on
+    # each axis whose padding holds the zero slot: f_{e - mu} with a negative
+    # component reads zero
+    pad = mus.max(axis=0, initial=0)
+    padded = tuple(np.add(jet_shape, pad).tolist())
+    window = tuple(slice(p, None) for p in pad.tolist())
+    slot = np.full(padded, size, dtype=np.int32)
+    slot[window] = dense.reshape(jet_shape)
+    position = np.arange(slot.size).reshape(padded)[window].ravel()[order]
+    slots = slot.ravel()[position - np.ravel_multi_index(tuple(mus.T), padded)[:, None]]
+    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    plan = _Plan(size=size, shifts=shifts, degrees=np.arange(1, len(bounds))[:, None],
+                 mu_degree=mus.sum(axis=1), gathers=tuple(slots[:, i:j].copy() for i, j in spans),
+                 outputs=tuple(slice(i, j) for i, j in spans), dense=dense)
+    for array in (plan.shifts, plan.degrees, plan.mu_degree, plan.dense) + plan.gathers:
         array.flags.writeable = False
     return plan
 
@@ -152,22 +166,25 @@ def _power_nd(a: np.ndarray, alpha: float) -> np.ndarray:
     plan = _plan(a.shape, np.packbits(a != 0).tobytes())
     if plan is None:  # members whose zero patterns differ run one at a time
         return np.concatenate([_power_nd(member[None], alpha) for member in a])
-    a0 = a.reshape(len(a), -1)[:, 0]
-    buf = np.zeros(plan.buffer)
-    flat = buf.reshape(-1)
-    flat[plan.by_degree[0].ravel()] = [float(c) ** alpha for c in a0]
-    # weights[i, d - 1, k] multiplies f_{e - mu_k} in degree d of member i. Weights and
-    # gathered blocks are C-contiguous, fancy-indexed from the flat arrays with per-member
-    # offsets: the layout picks the BLAS kernel, and the kernel sets the bits
-    degrees = np.arange(1, len(plan.by_degree))[:, None]
-    weights = a.reshape(-1)[plan.index][:, None, :] * ((alpha + 1.0) * plan.mu_degree - degrees)
-    c = a0[:, None, None].copy()  # contiguous: c * d runs once per degree, slower on a view
-    for d, pos in enumerate(plan.by_degree[1:], 1):
-        # a stack of one gemv per member, each as for a single jet
-        g = weights[:, d - 1:d] @ flat[pos - plan.mu_offset]
-        g /= c * d
-        flat[pos] = g
-    return buf[plan.window].copy()
+    members = a.reshape(len(a), -1)
+    a0 = members[:, 0]
+    buf = np.zeros((len(a), 1, plan.size + 1))  # a degree's slots take a (batch, 1, P_d) gemv stack
+    flat = buf.reshape(len(a), -1)
+    flat[:, 0] = [float(c) ** alpha for c in a0]
+    # weights[d - 1, i, 0, k] multiplies f_{e - mu_k} in degree d of member i. Each
+    # degree's weights (strided rows of a C-contiguous array) and gathered block are laid
+    # out as for a single jet: the layout picks the BLAS kernel, and the kernel sets the bits
+    weights = members.take(plan.shifts, axis=1)[:, None, :] * (
+        (alpha + 1.0) * plan.mu_degree - plan.degrees)
+    weights = weights.transpose(1, 0, 2)[:, :, None, :]
+    divisors = (a0 * plan.degrees)[..., None, None]  # (D, batch, 1, 1): a0 d
+    for w, divisor, gather, out in zip(weights, divisors, plan.gathers, plan.outputs):
+        # a stack of one gemv per member into the degree's slots; every slot lies in
+        # the row, so mode="clip" changes no index and skips the bounds error path
+        block = buf[:, :, out]
+        np.matmul(w, flat.take(gather, axis=1, mode="clip"), block)
+        np.divide(block, divisor, block)
+    return flat.take(plan.dense, axis=1).reshape(a.shape)
 
 
 def jet_mul(a: Jet4, b: Jet4) -> Jet4:

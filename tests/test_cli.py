@@ -466,6 +466,23 @@ class TestArgumentHandling:
         assert out == ""
         assert "must be at least" in err
 
+    # each sweep checks its frequencies before the epsilon loop: before, NaN, zero and
+    # negative values skipped every row and wrote a header-only table with exit code 0
+    @pytest.mark.parametrize("command", ["purity-scan", "steering-scan", "spectrum"])
+    @pytest.mark.parametrize("option, value, message", [
+        ("--omega-y", "nan", "omega_y must be positive and finite, got nan"),
+        ("--omega-y", "0", "omega_y must be positive and finite, got 0.0"),
+        ("--omega-y", "inf", "omega_y must be positive and finite, got inf"),
+        ("--omega-x", "-1", "omega_x must be positive and finite, got -1.0"),
+    ])
+    def test_invalid_frequency_fails_before_the_sweep(self, capsys, command, option, value,
+                                                      message):
+        code, out, err = run_cli(capsys, command, option, value, "--epsilon", "0:0.5:3",
+                                 "--n-max", "1", "--m-max", "1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv", [
         ["purity-scan", "--omega-y", "0.8", "--epsilon", "0:0.5:2", "--n-max", "1", "--m-max", "1"],
         ["wigner-eval", "--x=-1:1:3", "--p=-1:1:3"],

@@ -19,6 +19,7 @@ from oscpair import (
 from oscpair.oracle import marginal_purity_quadrature, schmidt_oracle
 from oscpair.purity import _purities
 from oscpair.specfun import jacobi_negparam
+from power_reference import reference_power_nd
 
 RESONANT_USC = SystemParams(1.0, 1.0, 0.9)
 
@@ -266,8 +267,8 @@ class TestEntropyGap:
 
 
 # --- bit identity with the uncached, one-jet-at-a-time route -----------------
-# The functions below compute the purity and the approximate entropy one jet at
-# a time and with no cache. They are the reference: the cached, batched route
+# The functions below (and power_reference.py) compute the purity and the
+# approximate entropy one jet at a time and with no cache. They are the reference: the cached, batched route
 # must return the same floats, not merely close ones.
 
 
@@ -283,40 +284,14 @@ def _reference_radicand(a, b, orders):
     return coeffs
 
 
-def _reference_power_nd(a, alpha):
-    shape = a.shape
-    a0 = float(a.flat[0])
-    mus = np.argwhere(a)
-    mus = mus[mus.sum(axis=1) > 0]
-    a_mu = a[tuple(mus.T)]
-    mu_degree = mus.sum(axis=1)
-
-    pad = mus.max(axis=0, initial=0)
-    buf = np.zeros(np.add(shape, pad))
-    strides = np.array(buf.strides) // buf.itemsize
-    flat = buf.reshape(-1)
-    mu_offset = mus @ strides
-
-    exponents = np.indices(shape).reshape(a.ndim, -1)
-    degree = exponents.sum(axis=0)
-    position = (exponents + pad[:, None]).T @ strides
-
-    flat[position[0]] = a0 ** alpha
-    for d in range(1, degree.max() + 1):
-        pos = position[degree == d]
-        weights = a_mu * ((alpha + 1.0) * mu_degree - d)
-        flat[pos] = weights @ flat[pos - mu_offset[:, None]] / (a0 * d)
-    return buf[tuple(slice(p, None) for p in pad)].copy()
-
-
 def _reference_purity(params, nm):
     modes = diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
     s, c = math.sin(modes.theta), math.cos(modes.theta)
     s2, c2 = s * s, c * c
     orders = (nm.n, nm.m, nm.n, nm.m)
-    pos = _reference_power_nd(_reference_radicand(vx * s2, vy * c2, orders), -0.5)
-    mom = _reference_power_nd(_reference_radicand(s2 / vx, c2 / vy, orders), -0.5)
+    pos = reference_power_nd(_reference_radicand(vx * s2, vy * c2, orders), -0.5)
+    mom = reference_power_nd(_reference_radicand(s2 / vx, c2 / vy, orders), -0.5)
     p = float(np.dot(pos.ravel(), mom.ravel()[::-1]))
     if not (0.0 < p <= 1.0 + 1e-9):
         return ("raises", RuntimeError)
@@ -427,3 +402,35 @@ def test_table_cells_match_the_one_state_route():
             table = _purities(params, states)
             single = [purity_exact(params, nm).purity for nm in states]
             assert table == pytest.approx(single, rel=0, abs=1e-14), (wy, frac)
+
+
+def test_plan_cache_of_the_sweep_cells_stays_small(monkeypatch):
+    # the gather plans of every purity_exact cell up to (6, 6), at both zero patterns
+    # of the radicands (eps = 0 drops their a terms): the per-degree gathers are the
+    # largest arrays the cache keeps, and each must be read-only
+    from oscpair import series
+
+    cached = series._plan
+    cached.cache_clear()
+    plans = {}
+
+    def recorded(shape, pattern):
+        plans[shape, pattern] = cached(shape, pattern)
+        return plans[shape, pattern]
+
+    monkeypatch.setattr(series, "_plan", recorded)
+    for eps in (0.0, 0.4):
+        params = SystemParams(1.0, 0.8, eps)
+        for n in range(7):
+            for m in range(7):
+                try:
+                    purity_exact(params, QuantumNumbers(n, m))
+                except RuntimeError:  # roundoff overshoot at eps = 0, after the plan is built
+                    pass
+    assert None not in plans.values()
+    assert len(plans) == cached.cache_info().currsize
+    arrays = [array for plan in plans.values() for field in plan
+              for array in (field if isinstance(field, tuple) else (field,))
+              if isinstance(array, np.ndarray)]
+    assert sum(array.nbytes for array in arrays) <= 4_000_000
+    assert not any(array.flags.writeable for array in arrays)

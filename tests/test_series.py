@@ -14,6 +14,7 @@ from oscpair.series import (
     jet_scale,
     jet_sqrt,
 )
+from power_reference import reference_power_nd
 
 ORDERS = (2, 1, 1, 2)
 SHAPE = tuple(o + 1 for o in ORDERS)
@@ -187,3 +188,27 @@ def test_batched_power_is_bit_identical_per_member(seed, batch, orders, alpha, s
     for i in range(batch):
         alone = _power_nd(a[i:i + 1], alpha)[0]
         assert got[i].tobytes() == alone.tobytes()
+
+
+@given(seed=st.integers(0, 10_000), batch=st.integers(1, 2),
+       orders=st.tuples(*[st.integers(0, 3)] * 4), axis=st.integers(0, 3),
+       alpha=st.sampled_from([-1.0, 0.5, -0.5]), shared_zeros=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_power_matches_the_reference_on_dense_jets(seed, batch, orders, axis, alpha,
+                                                   shared_zeros):
+    # dense jets as the ring ops make them, with a shift of 2 or more on one axis:
+    # there the reference pads by more than one, and a gather reads f_{e - mu}
+    # outside the jet wherever e - mu leaves it
+    orders = tuple(max(o, 2) if i == axis else o for i, o in enumerate(orders))
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, size=(batch,) + tuple(o + 1 for o in orders))
+    zeros = rng.random(a.shape[1:] if shared_zeros else a.shape) < 0.3
+    a = np.where(zeros, 0.0, a)
+    far = tuple(rng.integers(2, orders[axis] + 1) if i == axis else 0 for i in range(4))
+    a[(slice(None),) + far] = rng.uniform(0.5, 1.0, size=batch)
+    a[:, 0, 0, 0, 0] = rng.uniform(0.25, 2.0, size=batch)
+
+    got = _power_nd(a, alpha)
+    assert got.shape == a.shape
+    for i in range(batch):
+        assert got[i].tobytes() == reference_power_nd(a[i], alpha).tobytes()
