@@ -112,15 +112,16 @@ class _Plan(NamedTuple):
     size: int  # coefficients per member; slot ``size`` is the zero slot
     shifts: np.ndarray  # (K,) flat indices of the nonzero shifts mu in one member's jet
     degrees: np.ndarray  # (D, 1) the total degrees 1 .. D
-    mu_degree: np.ndarray  # (K,) total degree |mu| of each shift
+    factors: np.ndarray  # (D, 1, K) (alpha + 1)|mu| - d: a_mu's weight in degree d, over a_mu
     gathers: tuple[np.ndarray, ...]  # per degree, (K, P_d) slots of f_{e - mu}, zero slot outside
     outputs: tuple[slice, ...]  # per degree, its P_d slots
     dense: np.ndarray  # (size,) slot of each coefficient in C order
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(shape: tuple[int, ...], pattern: bytes) -> _Plan | None:
-    """Gather plan for a batch of ``shape`` and packed ``a != 0``; ``None`` if members differ."""
+def _plan(shape: tuple[int, ...], pattern: bytes, alpha: float) -> _Plan | None:
+    """Plan for raising a batch of ``shape`` and packed ``a != 0`` to ``alpha``; ``None`` if
+    members differ."""
     batch, jet_shape = shape[0], shape[1:]
     nonzero = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=math.prod(shape))
     nonzero = nonzero.reshape(batch, -1)
@@ -148,10 +149,12 @@ def _plan(shape: tuple[int, ...], pattern: bytes) -> _Plan | None:
     position = np.arange(slot.size).reshape(padded)[window].ravel()[order]
     slots = slot.ravel()[position - np.ravel_multi_index(tuple(mus.T), padded)[:, None]]
     spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-    plan = _Plan(size=size, shifts=shifts, degrees=np.arange(1, len(bounds))[:, None],
-                 mu_degree=mus.sum(axis=1), gathers=tuple(slots[:, i:j].copy() for i, j in spans),
+    degrees = np.arange(1, len(bounds))[:, None]
+    plan = _Plan(size=size, shifts=shifts, degrees=degrees,
+                 factors=((alpha + 1.0) * mus.sum(axis=1) - degrees)[:, None, :],
+                 gathers=tuple(slots[:, i:j].copy() for i, j in spans),
                  outputs=tuple(slice(i, j) for i, j in spans), dense=dense)
-    for array in (plan.shifts, plan.degrees, plan.mu_degree, plan.dense) + plan.gathers:
+    for array in (plan.shifts, plan.degrees, plan.factors, plan.dense) + plan.gathers:
         array.flags.writeable = False
     return plan
 
@@ -163,20 +166,18 @@ def _power_nd(a: np.ndarray, alpha: float) -> np.ndarray:
     ``a`` stacks a batch of coefficient arrays along its leading axis. The
     caller checks that every constant term admits the power.
     """
-    plan = _plan(a.shape, np.packbits(a != 0).tobytes())
+    plan = _plan(a.shape, np.packbits(a != 0).tobytes(), alpha)
     if plan is None:  # members whose zero patterns differ run one at a time
         return np.concatenate([_power_nd(member[None], alpha) for member in a])
     members = a.reshape(len(a), -1)
     a0 = members[:, 0]
     buf = np.zeros((len(a), 1, plan.size + 1))  # a degree's slots take a (batch, 1, P_d) gemv stack
     flat = buf.reshape(len(a), -1)
-    flat[:, 0] = [float(c) ** alpha for c in a0]
+    flat[:, 0] = [c ** alpha for c in a0.tolist()]
     # weights[d - 1, i, 0, k] multiplies f_{e - mu_k} in degree d of member i. Each
-    # degree's weights (strided rows of a C-contiguous array) and gathered block are laid
-    # out as for a single jet: the layout picks the BLAS kernel, and the kernel sets the bits
-    weights = members.take(plan.shifts, axis=1)[:, None, :] * (
-        (alpha + 1.0) * plan.mu_degree - plan.degrees)
-    weights = weights.transpose(1, 0, 2)[:, :, None, :]
+    # member's weights and gathered block are contiguous, as for a single jet: the layout
+    # picks the BLAS kernel, and the kernel sets the bits
+    weights = (members.take(plan.shifts, axis=1) * plan.factors)[:, :, None, :]
     divisors = (a0 * plan.degrees)[..., None, None]  # (D, batch, 1, 1): a0 d
     for w, divisor, gather, out in zip(weights, divisors, plan.gathers, plan.outputs):
         # a stack of one gemv per member into the degree's slots; every slot lies in

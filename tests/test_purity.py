@@ -414,9 +414,9 @@ def test_plan_cache_of_the_sweep_cells_stays_small(monkeypatch):
     cached.cache_clear()
     plans = {}
 
-    def recorded(shape, pattern):
-        plans[shape, pattern] = cached(shape, pattern)
-        return plans[shape, pattern]
+    def recorded(*key):
+        plans[key] = cached(*key)
+        return plans[key]
 
     monkeypatch.setattr(series, "_plan", recorded)
     for eps in (0.0, 0.4):
