@@ -4,9 +4,10 @@ Sweep output is deterministic and byte-stable: rows are generated in sorted
 order, each coupling's states from one call, ``n`` and ``m`` are printed with
 ``%d`` and floats with ``%.17g``. Rows whose coupling violates ``epsilon <
 omega_x*omega_y`` are skipped with a warning on stderr instead of aborting the
-sweep. ``--format json`` writes exactly the bytes of ``json.dumps(rows,
-indent=2)``. Both formats come from one table writer: each key point's text is
-formatted once, and the float values become Python floats one block of at most
+sweep; a frequency that is not positive and finite fails before any row.
+``--format json`` writes exactly the bytes of ``json.dumps(rows, indent=2)``.
+Both formats come from one table writer: each key point's text is formatted
+once, and the float values become Python floats one block of at most
 ``_BLOCK`` rows at a time.
 
 Exit codes: 0 success, 1 validation or output error, 2 verification failure.

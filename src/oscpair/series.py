@@ -28,7 +28,8 @@ two radicands of the purity generating function share one degree loop.
 Where it reads and writes depends only on the batch's shape and zero
 pattern, not on the coefficient values, so all of its index work is done
 once, in a gather plan from a bounded ``functools.lru_cache`` keyed on the
-shape and the packed ``a != 0`` mask. The recurrence's buffer holds each
+shape, the packed ``a != 0`` mask and ``alpha``; the plan also holds the
+factors ``(alpha + 1)|mu| - D``. The recurrence's buffer holds each
 member's coefficients degree by degree, with one zero slot at the end, so
 each degree's output is one contiguous slice. For every degree the plan
 holds the buffer slots of ``f_{e - mu}``, one row per nonzero shift ``mu``,
@@ -101,7 +102,7 @@ def _mul_nd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """Where Miller's recurrence reads and writes, for one batch shape and zero pattern.
+    """Where Miller's recurrence reads and writes, for one batch shape, zero pattern and power.
 
     A buffer row holds one member's coefficients degree by degree (by total
     degree, C order within a degree), then one zero slot. One set of slots
@@ -120,8 +121,8 @@ class _Plan(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def _plan(shape: tuple[int, ...], pattern: bytes, alpha: float) -> _Plan | None:
-    """Plan for raising a batch of ``shape`` and packed ``a != 0`` to ``alpha``; ``None`` if
-    members differ."""
+    """Plan for raising a batch of ``shape`` with packed ``a != 0`` to ``alpha``; ``None``
+    if the members' zero patterns differ."""
     batch, jet_shape = shape[0], shape[1:]
     nonzero = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=math.prod(shape))
     nonzero = nonzero.reshape(batch, -1)

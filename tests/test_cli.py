@@ -466,8 +466,8 @@ class TestArgumentHandling:
         assert out == ""
         assert "must be at least" in err
 
-    # each sweep checks its frequencies before the epsilon loop: before, NaN, zero and
-    # negative values skipped every row and wrote a header-only table with exit code 0
+    # a sweep rejects a frequency that is not positive and finite before its epsilon
+    # loop, with SystemParams's message, rather than skipping every row as out of range
     @pytest.mark.parametrize("command", ["purity-scan", "steering-scan", "spectrum"])
     @pytest.mark.parametrize("option, value, message", [
         ("--omega-y", "nan", "omega_y must be positive and finite, got nan"),

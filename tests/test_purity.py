@@ -267,9 +267,10 @@ class TestEntropyGap:
 
 
 # --- bit identity with the uncached, one-jet-at-a-time route -----------------
-# The functions below (and power_reference.py) compute the purity and the
-# approximate entropy one jet at a time and with no cache. They are the reference: the cached, batched route
-# must return the same floats, not merely close ones.
+# The functions below, with power_reference.py, compute the purity and the
+# approximate entropy one jet at a time and with no cache. They are the
+# reference: the cached, batched route must return the same floats, not merely
+# close ones.
 
 
 def _reference_radicand(a, b, orders):
