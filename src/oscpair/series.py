@@ -7,40 +7,8 @@ operations ``jet_add`` and ``jet_mul`` truncate products back to those
 orders, so a jet carries exactly the Taylor data needed to read one
 coefficient of an analytic function of the four variables.
 
-Reciprocal, square root and inverse square root are one routine for the
-power ``a**alpha``: J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2,
-section 4.7). Applying the Euler operator ``D = sum_i x_i d/dx_i`` to
-``f = a**alpha`` gives ``a D f = alpha f D a``; on the coefficient of a
-monomial ``x^e`` of total degree ``D > 0`` this reads
-
-    ``a_0 D f_e = sum_{mu != 0} a_mu ((alpha + 1)|mu| - D) f_{e - mu}``,
-
-which fixes every coefficient of degree ``D`` from those of lower degree.
-The sum runs over the nonzero coefficients of ``a`` only, so a sparse
-``a`` (a few terms, as the purity generating function has) costs a few
-multiply-adds per coefficient, and each total degree is one vectorised
-gather. Truncation is exact: ``f_e`` uses only ``f_{e'}`` with ``e' <= e``
-in every variable.
-
-The recurrence runs on a batch: ``_power_nd`` takes coefficient arrays
-stacked along a leading axis and raises each to the same power, so the
-two radicands of the purity generating function share one degree loop.
-Where it reads and writes depends only on the batch's shape and zero
-pattern, not on the coefficient values, so all of its index work is done
-once, in a gather plan from a bounded ``functools.lru_cache`` keyed on the
-shape, the packed ``a != 0`` mask and ``alpha``; the plan also holds the
-factors ``(alpha + 1)|mu| - D``. The recurrence's buffer holds each
-member's coefficients degree by degree, with one zero slot at the end, so
-each degree's output is one contiguous slice. For every degree the plan
-holds the buffer slots of ``f_{e - mu}``, one row per nonzero shift ``mu``,
-the zero slot wherever ``e - mu`` leaves the jet; one index set serves
-every member. A degree is then one gather, one stacked gemv written into
-its slice, and one in-place division, and one gather at the end returns
-the dense jets. Keying on the zero pattern keeps vanishing coefficients
-(``a = 0`` or ``b = 0`` at zero coupling) out of the sums, so every member
-gets exactly the terms, and the bits, it would get alone. A plan serves
-members that share one zero pattern; members whose patterns differ run
-one at a time.
+Reciprocal, square root and inverse square root call Miller's recurrence,
+:func:`oscpair.purity._power_nd`. Only the tests and the benchmark import this module.
 
 Jets are immutable values; orders are small in practice (per-variable
 degree below ten), so dense storage is the simple and fast choice.
@@ -48,12 +16,11 @@ degree below ten), so dense storage is the simple and fast choice.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
+
+from .purity import _power_nd
 
 Orders = tuple[int, int, int, int]
 
@@ -99,94 +66,6 @@ def _mul_nd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out[tuple(slice(i, None) for i in idx)] += \
             a[idx] * b[tuple(slice(0, n - i) for i, n in zip(idx, a.shape))]
     return out
-
-
-class _Plan(NamedTuple):
-    """Where Miller's recurrence reads and writes, for one batch shape, zero pattern and power.
-
-    A buffer row holds one member's coefficients degree by degree (by total
-    degree, C order within a degree), then one zero slot. One set of slots
-    serves every member; ``gathers`` and ``dense`` are int32, and every
-    array is read-only.
-    """
-
-    size: int  # coefficients per member; slot ``size`` is the zero slot
-    shifts: np.ndarray  # (K,) flat indices of the nonzero shifts mu in one member's jet
-    degrees: np.ndarray  # (D, 1) the total degrees 1 .. D
-    factors: np.ndarray  # (D, 1, K) (alpha + 1)|mu| - d: a_mu's weight in degree d, over a_mu
-    gathers: tuple[np.ndarray, ...]  # per degree, (K, P_d) slots of f_{e - mu}, zero slot outside
-    outputs: tuple[slice, ...]  # per degree, its P_d slots
-    dense: np.ndarray  # (size,) slot of each coefficient in C order
-
-
-@functools.lru_cache(maxsize=256)
-def _plan(shape: tuple[int, ...], pattern: bytes, alpha: float) -> _Plan | None:
-    """Plan for raising a batch of ``shape`` with packed ``a != 0`` to ``alpha``; ``None``
-    if the members' zero patterns differ."""
-    batch, jet_shape = shape[0], shape[1:]
-    nonzero = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=math.prod(shape))
-    nonzero = nonzero.reshape(batch, -1)
-    if (nonzero != nonzero[0]).any():
-        return None
-    nonzero[0, 0] = 0  # the constant term is no shift
-    shifts = np.flatnonzero(nonzero[0])
-    mus = np.stack(np.unravel_index(shifts, jet_shape), axis=1)
-
-    size = math.prod(jet_shape)
-    degree = np.indices(jet_shape).sum(axis=0).ravel()
-    order = np.argsort(degree, kind="stable")
-    dense = np.empty(size, dtype=np.int32)  # half int64's bytes, and takes as fast
-    dense[order] = np.arange(size)
-    bounds = np.searchsorted(degree[order], np.arange(1, degree[-1] + 2))
-
-    # the buffer slot of each coefficient, in a grid padded by the largest shift on
-    # each axis whose padding holds the zero slot: f_{e - mu} with a negative
-    # component reads zero
-    pad = mus.max(axis=0, initial=0)
-    padded = tuple(np.add(jet_shape, pad).tolist())
-    window = tuple(slice(p, None) for p in pad.tolist())
-    slot = np.full(padded, size, dtype=np.int32)
-    slot[window] = dense.reshape(jet_shape)
-    position = np.arange(slot.size).reshape(padded)[window].ravel()[order]
-    slots = slot.ravel()[position - np.ravel_multi_index(tuple(mus.T), padded)[:, None]]
-    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-    degrees = np.arange(1, len(bounds))[:, None]
-    plan = _Plan(size=size, shifts=shifts, degrees=degrees,
-                 factors=((alpha + 1.0) * mus.sum(axis=1) - degrees)[:, None, :],
-                 gathers=tuple(slots[:, i:j].copy() for i, j in spans),
-                 outputs=tuple(slice(i, j) for i, j in spans), dense=dense)
-    for array in (plan.shifts, plan.degrees, plan.factors, plan.dense) + plan.gathers:
-        array.flags.writeable = False
-    return plan
-
-
-def _power_nd(a: np.ndarray, alpha: float) -> np.ndarray:
-    """Coefficients of ``a[i]**alpha`` truncated to ``a.shape[1:]``, for each ``i``
-    (Miller's recurrence).
-
-    ``a`` stacks a batch of coefficient arrays along its leading axis. The
-    caller checks that every constant term admits the power.
-    """
-    plan = _plan(a.shape, np.packbits(a != 0).tobytes(), alpha)
-    if plan is None:  # members whose zero patterns differ run one at a time
-        return np.concatenate([_power_nd(member[None], alpha) for member in a])
-    members = a.reshape(len(a), -1)
-    a0 = members[:, 0]
-    buf = np.zeros((len(a), 1, plan.size + 1))  # a degree's slots take a (batch, 1, P_d) gemv stack
-    flat = buf.reshape(len(a), -1)
-    flat[:, 0] = [c ** alpha for c in a0.tolist()]
-    # weights[d - 1, i, 0, k] multiplies f_{e - mu_k} in degree d of member i. Each
-    # member's weights and gathered block are contiguous, as for a single jet: the layout
-    # picks the BLAS kernel, and the kernel sets the bits
-    weights = (members.take(plan.shifts, axis=1) * plan.factors)[:, :, None, :]
-    divisors = (a0 * plan.degrees)[..., None, None]  # (D, batch, 1, 1): a0 d
-    for w, divisor, gather, out in zip(weights, divisors, plan.gathers, plan.outputs):
-        # a stack of one gemv per member into the degree's slots; every slot lies in
-        # the row, so mode="clip" changes no index and skips the bounds error path
-        block = buf[:, :, out]
-        np.matmul(w, flat.take(gather, axis=1, mode="clip"), block)
-        np.divide(block, divisor, block)
-    return flat.take(plan.dense, axis=1).reshape(a.shape)
 
 
 def jet_mul(a: Jet4, b: Jet4) -> Jet4:

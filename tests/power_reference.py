@@ -1,6 +1,6 @@
 """Miller's power recurrence one jet at a time, with no plan and no cache.
 
-The reference that ``oscpair.series._power_nd`` must match bit for bit: the
+The reference that ``oscpair.purity._power_nd`` must match bit for bit: the
 coefficients of ``a**alpha`` truncated to ``a.shape``, degree by degree, in a
 buffer zero-padded by the largest shift on each axis, with one gemv and one
 division per degree. Nothing is imported from ``oscpair``.

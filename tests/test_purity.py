@@ -5,6 +5,8 @@ import operator
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscpair import (
     QuantumNumbers,
@@ -17,7 +19,7 @@ from oscpair import (
     purity_ground_closed,
 )
 from oscpair.oracle import marginal_purity_quadrature, schmidt_oracle
-from oscpair.purity import _purities
+from oscpair.purity import _power_nd, _purities
 from oscpair.specfun import jacobi_negparam
 from power_reference import reference_power_nd
 
@@ -357,8 +359,7 @@ def _bit_grid_mismatches(ref):
 
 
 def test_cached_route_is_bit_identical_to_the_per_call_route(bit_grid_reference):
-    from oscpair.purity import _jx_eigh
-    from oscpair.series import _plan
+    from oscpair.purity import _jx_eigh, _plan
 
     assert _plan.cache_info().maxsize is not None
     assert _jx_eigh.cache_info().maxsize is not None
@@ -369,28 +370,49 @@ def test_cached_route_is_bit_identical_to_the_per_call_route(bit_grid_reference)
     assert _bit_grid_mismatches(bit_grid_reference) == []
 
 
-def test_every_bit_grid_batch_shares_one_plan(monkeypatch, bit_grid_reference):
-    # purity_exact holds its own reference to _power_nd; a batch whose members'
-    # zero patterns differ recurses once per member through the series module's
-    # global, which the counter replaces
-    from oscpair import series
-    from oscpair.purity import _power_nd
+@pytest.fixture
+def per_member_calls(monkeypatch):
+    """The shapes of the one-member ``_power_nd`` calls made while the test runs.
+
+    ``_purities`` passes its two radicands as one batch, and a batch whose
+    members' zero patterns differ recurses once per member through the module
+    global, which the counter replaces; so a one-member call is the per-member
+    route.
+    """
+    from oscpair import purity
 
     calls = []
 
     def counted(a, alpha):
-        calls.append(a.shape)
+        if len(a) == 1:
+            calls.append(a.shape)
         return _power_nd(a, alpha)
 
-    monkeypatch.setattr(series, "_power_nd", counted)
+    monkeypatch.setattr(purity, "_power_nd", counted)
+    return calls
+
+
+def test_every_bit_grid_batch_shares_one_plan(per_member_calls, bit_grid_reference):
     mixed = np.zeros((2, 2, 1, 2, 1))
     mixed[:, 0, 0, 0, 0] = 1.0
     mixed[0, 1, 0, 0, 0] = 0.5
     _power_nd(mixed, -0.5)
-    assert len(calls) == 2  # the counter sees the per-member route
-    calls.clear()
+    assert len(per_member_calls) == 2  # the counter sees the per-member route
+    per_member_calls.clear()
     assert _bit_grid_mismatches(bit_grid_reference) == []
-    assert calls == []
+    assert per_member_calls == []
+
+
+def test_subnormal_coupling_takes_the_per_member_route(per_member_calls):
+    # a = vx sin^2(theta) is 1e-323 in Q, and a' = sin^2(theta) / vx rounds to 0.0
+    # in Q', so the radicands' zero patterns differ and each runs alone
+    params = SystemParams(2.0, 1.0, 4.722627690175157e-162)
+    states = [QuantumNumbers(n, m) for n in range(4) for m in range(4)]
+    table = _purities(params, states)
+    assert per_member_calls == [(1, 4, 4, 4, 4)] * 2
+    assert table == [1.0] * len(states)
+    single = [purity_exact(params, nm).purity for nm in states]
+    assert table == pytest.approx(single, rel=0, abs=1e-14)
 
 
 def test_table_cells_match_the_one_state_route():
@@ -409,9 +431,9 @@ def test_plan_cache_of_the_sweep_cells_stays_small(monkeypatch):
     # the gather plans of every purity_exact cell up to (6, 6), at both zero patterns
     # of the radicands (eps = 0 drops their a terms): the per-degree gathers are the
     # largest arrays the cache keeps, and each must be read-only
-    from oscpair import series
+    from oscpair import purity
 
-    cached = series._plan
+    cached = purity._plan
     cached.cache_clear()
     plans = {}
 
@@ -419,7 +441,7 @@ def test_plan_cache_of_the_sweep_cells_stays_small(monkeypatch):
         plans[key] = cached(*key)
         return plans[key]
 
-    monkeypatch.setattr(series, "_plan", recorded)
+    monkeypatch.setattr(purity, "_plan", recorded)
     for eps in (0.0, 0.4):
         params = SystemParams(1.0, 0.8, eps)
         for n in range(7):
@@ -435,3 +457,49 @@ def test_plan_cache_of_the_sweep_cells_stays_small(monkeypatch):
               if isinstance(array, np.ndarray)]
     assert sum(array.nbytes for array in arrays) <= 4_000_000
     assert not any(array.flags.writeable for array in arrays)
+
+
+@given(seed=st.integers(0, 10_000), batch=st.integers(1, 3),
+       orders=st.tuples(*[st.integers(0, 3)] * 4),
+       alpha=st.sampled_from([-1.0, 0.5, -0.5]), shared_zeros=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_batched_power_is_bit_identical_per_member(seed, batch, orders, alpha, shared_zeros):
+    # multilinear members with random zero terms: with shared_zeros the members
+    # share one plan, one gather per degree, otherwise they run one at a time
+    rng = np.random.default_rng(seed)
+    a = np.zeros((batch,) + tuple(o + 1 for o in orders))
+    corner = (slice(None),) + tuple(slice(0, min(o + 1, 2)) for o in orders)
+    terms = rng.uniform(-1.0, 1.0, size=a[corner].shape)
+    zeros = rng.random(terms.shape[1:] if shared_zeros else terms.shape) < 0.4
+    a[corner] = np.where(zeros, 0.0, terms)
+    a[:, 0, 0, 0, 0] = rng.uniform(0.25, 2.0, size=batch)
+
+    got = _power_nd(a, alpha)
+    assert got.shape == a.shape
+    for i in range(batch):
+        alone = _power_nd(a[i:i + 1], alpha)[0]
+        assert got[i].tobytes() == alone.tobytes()
+
+
+@given(seed=st.integers(0, 10_000), batch=st.integers(1, 2),
+       orders=st.tuples(*[st.integers(0, 3)] * 4), axis=st.integers(0, 3),
+       alpha=st.sampled_from([-1.0, 0.5, -0.5]), shared_zeros=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_power_matches_the_reference_on_dense_jets(seed, batch, orders, axis, alpha,
+                                                   shared_zeros):
+    # dense jets as the ring ops make them, with a shift of 2 or more on one axis:
+    # there the reference pads by more than one, and a gather reads f_{e - mu}
+    # outside the jet wherever e - mu leaves it
+    orders = tuple(max(o, 2) if i == axis else o for i, o in enumerate(orders))
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, size=(batch,) + tuple(o + 1 for o in orders))
+    zeros = rng.random(a.shape[1:] if shared_zeros else a.shape) < 0.3
+    a = np.where(zeros, 0.0, a)
+    far = tuple(rng.integers(2, orders[axis] + 1) if i == axis else 0 for i in range(4))
+    a[(slice(None),) + far] = rng.uniform(0.5, 1.0, size=batch)
+    a[:, 0, 0, 0, 0] = rng.uniform(0.25, 2.0, size=batch)
+
+    got = _power_nd(a, alpha)
+    assert got.shape == a.shape
+    for i in range(batch):
+        assert got[i].tobytes() == reference_power_nd(a[i], alpha).tobytes()
