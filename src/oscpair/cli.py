@@ -43,7 +43,7 @@ _BLOCK = 512  # rows per write at most: one whole-table string costs memory
 
 
 def _parse_range(text: str) -> np.ndarray:
-    """Parse ``start:stop:steps`` into a linspace."""
+    """Parse ``start:stop:steps`` into a linspace of finite points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must look like start:stop:steps, got {text!r}")
@@ -51,7 +51,11 @@ def _parse_range(text: str) -> np.ndarray:
     steps = int(parts[2])
     if steps < 1:
         raise ValueError(f"range needs at least one step, got {steps}")
-    return np.linspace(start, stop, steps)
+    with np.errstate(all="ignore"):  # inf, nan or an overflowing span: rejected below
+        points = np.linspace(start, stop, steps)
+    if not np.isfinite(points).all():
+        raise ValueError(f"range has a point that is not finite: {text!r}")
+    return points
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:

@@ -450,6 +450,20 @@ class TestArgumentHandling:
         assert code == 1
         assert "error:" in err
 
+    # a range reaches every command through one parser, which rejects a point that is
+    # not finite before numpy can warn and each command can fail in its own way
+    @pytest.mark.parametrize("command, option, text", [
+        ("spectrum", "--r-scan", "1:inf:3"),
+        ("wigner-eval", "--x", "0:inf:2"),
+        ("purity-scan", "--epsilon", "0:inf:3"),
+        ("steering-scan", "--epsilon", "-1e308:1e308:3"),  # the span overflows
+    ])
+    def test_range_with_a_point_that_is_not_finite(self, capsys, command, option, text):
+        code, out, err = run_cli(capsys, command, f"{option}={text}")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: range has a point that is not finite: {text!r}\n"
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
