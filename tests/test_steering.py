@@ -33,6 +33,25 @@ class TestFullSteering:
                 assert res.s_xy_raw <= 0.0
                 assert res.s_yx_raw <= 0.0
 
+    def test_weak_resonant_coupling_steers_only_by_roundoff(self):
+        # at resonance the witness is of order -eps^2, the difference of O(n^2) terms,
+        # so roundoff sets its sign at weak coupling: the positive values are pinned,
+        # each within 2e-15 of zero, in (n, 0) or (0, m), and negative at 50 digits
+        positive = []
+        for w in (1.0, 2.7):
+            for frac in np.logspace(-16, np.log10(1.9e-8), 12):
+                eps = float(frac * w * w)
+                for n in range(7):
+                    for m in range(7):
+                        res = steering(SystemParams(w, w, eps), QuantumNumbers(n, m))
+                        for k, raw in enumerate((res.s_xy_raw, res.s_yx_raw)):
+                            if raw > 0.0:
+                                positive.append(raw)
+                                assert n == 0 or m == 0
+                                assert witnesses(w, w, eps, n, m)[k] < 0.0, (w, eps, n, m)
+        assert len(positive) == 74
+        assert max(positive) <= 2e-15
+
     def test_ground_state_cannot_steer(self):
         for wy in (0.99, 0.8, 0.6):
             for eps in np.linspace(0.0, wy, 41)[:-1]:
