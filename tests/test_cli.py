@@ -467,6 +467,24 @@ class TestArgumentHandling:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    # past [1e-50, 1e50] squares overflow or fourth powers underflow: SystemParams
+    # rejects such a frequency, so each command fails with one line, not a traceback,
+    # a nan row or an overflow blamed on cancellation
+    @pytest.mark.parametrize("argv, value", [
+        (["moments", "--omega-x", "1e300", "--omega-y", "1e-300", "--epsilon", "0.5"], "1e+300"),
+        (["purity-scan", "--omega-x", "1e-160", "--omega-y", "1e-160", "--epsilon", "0:1e-320:3",
+          "--n-max", "1", "--m-max", "1"], "1e-160"),
+        (["wigner-eval", "--omega-x", "1e300", "--omega-y", "1", "--epsilon", "1e299",
+          "--n", "1"], "1e+300"),
+        (["purity-scan", "--omega-x", "1e200", "--omega-y", "1e200", "--epsilon", "0:1e300:3",
+          "--n-max", "1", "--m-max", "1"], "1e+200"),
+    ])
+    def test_frequency_outside_the_domain_fails_before_any_row(self, capsys, argv, value):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: omega_x must lie in [1e-50, 1e+50], got {value}\n"
+
     @pytest.mark.parametrize("argv", [
         ["purity-scan", "--n-max", "-1"],
         ["purity-scan", "--m-max", "-1"],
@@ -540,3 +558,30 @@ class TestArgumentHandling:
         assert head == b"x,p,y,q,W\n-2,-2,-2,0"
         assert err == b""
         assert code == 1
+
+
+# a call that parses, one that fails to parse and a --help, then two sweeps whose options
+# the earlier calls set otherwise (a preset, then none; CSV, then JSON)
+PARSER_SEQUENCE = [
+    (["wigner-eval", "--omega-y", "0.8", "--epsilon", "0.5", "--n", "2", "--x=-1:1:5",
+      "--p=-1:1:4"], 0),
+    (["steering-scan", "--preset", "0.8", "--steps", "5"], 0),
+    (["purity-scan", "--n-max", "-1"], 1),
+    (["--help"], 0),
+    (["steering-scan", "--omega-y", "0.9", "--epsilon", "0:0.5:3", "--n-max", "1",
+      "--m-max", "1"], 0),
+    (["purity-scan", "--format", "json"], 0),
+]
+
+
+def test_one_parser_serves_a_mixed_sequence(capsys):
+    alone = []
+    for argv, _ in PARSER_SEQUENCE:
+        cli._build_parser.cache_clear()
+        alone.append(run_cli(capsys, *argv))
+    cli._build_parser.cache_clear()
+    together = [run_cli(capsys, *argv) for argv, _ in PARSER_SEQUENCE]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in together] == [code for _, code in PARSER_SEQUENCE]
+    assert together[3][1].startswith("usage: oscpair")
+    assert together == alone

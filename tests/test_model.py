@@ -1,11 +1,15 @@
+import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oscpair import QuantumNumbers, SystemParams, cutoff_angle, diagonalize, energy
+from oscpair import (PhasePoint, QuantumNumbers, SystemParams, cutoff_angle, diagonalize, energy,
+                     purity_exact, second_and_fourth_moments, steering, wigner_lab)
+from oscpair.model import FREQUENCY_RANGE
 
 
 def test_decoupled_symmetric_uses_quarter_pi_convention():
@@ -37,6 +41,46 @@ def test_resonant_coupling_splits_frequencies():
 def test_invalid_parameters_rejected(omega_x, omega_y, epsilon):
     with pytest.raises(ValueError):
         SystemParams(omega_x, omega_y, epsilon)
+
+
+def _check_frequency_domain(omega_x: float, omega_y: float, coupling) -> None:
+    """SystemParams rejects exactly the frequencies outside FREQUENCY_RANGE; inside it,
+    every public routine is finite (warnings are errors here, so an overflow or an
+    invalid operation fails too), up to the last coupling below the bound."""
+    bound = omega_x * omega_y
+    epsilon = math.nextafter(bound, 0.0) if coupling == "last" else coupling * bound
+    if not all(FREQUENCY_RANGE[0] <= w <= FREQUENCY_RANGE[1] for w in (omega_x, omega_y)):
+        with pytest.raises(ValueError, match="must lie in"):
+            SystemParams(omega_x, omega_y, epsilon)
+        return
+    params = SystemParams(omega_x, omega_y, epsilon)
+    modes = diagonalize(params)
+    values = [modes.theta, modes.vartheta_x, modes.vartheta_y]  # mu is inf in one corner
+    for nm in (QuantumNumbers(1, 1), QuantumNumbers(3, 2)):
+        values += [energy(params, nm), purity_exact(params, nm).purity,
+                   wigner_lab(modes, nm, PhasePoint(0.0, 0.0, 0.0, 0.0))]
+        values += astuple(second_and_fourth_moments(params, nm)) + astuple(steering(params, nm))
+    assert all(math.isfinite(v) for v in values)
+
+
+COUPLINGS = [0.0, 0.5, 0.99, "last"]
+
+
+@given(log_x=st.floats(-300.0, 300.0), log_y=st.floats(-300.0, 300.0),
+       coupling=st.sampled_from(COUPLINGS))
+@example(log_x=-50.01, log_y=0.0, coupling=0.5)
+@example(log_x=0.0, log_y=50.01, coupling=0.5)
+@settings(max_examples=300, deadline=None)
+def test_frequency_domain_over_the_float_range(log_x, log_y, coupling):
+    _check_frequency_domain(10.0**log_x, 10.0**log_y, coupling)
+
+
+# the draws above land inside the domain about 3 % of the time: its corners and
+# interior on a grid, both frequency orders and resonance included
+@pytest.mark.parametrize("coupling", COUPLINGS)
+def test_frequency_domain_grid(coupling):
+    for log_x, log_y in itertools.product((-50, -49, -25, 0, 25, 49, 50), repeat=2):
+        _check_frequency_domain(10.0**log_x, 10.0**log_y, coupling)
 
 
 def test_quantum_numbers_must_be_non_negative():
