@@ -25,8 +25,9 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
@@ -42,6 +43,7 @@ STEERING_PRESETS = ("0.99", "0.8", "0.6")
 _EPSILON_FIELDS = ["omega_x", "omega_y", "epsilon"]
 _STATE_FIELDS = ["n", "m"]
 _STEERING_FIELDS = [f.name for f in fields(SteeringResult)]
+_steering_row = operator.attrgetter(*_STEERING_FIELDS)  # astuple would deep-copy each result
 _Axis = tuple[Sequence[str], Sequence[tuple]]  # field names, one tuple per point
 _Values = Callable[[SystemParams, list[QuantumNumbers]], list[tuple]]  # one row per state
 _BLOCK = 512  # rows per write at most: one whole-table string costs memory
@@ -186,7 +188,7 @@ def _purity_values(params: SystemParams, states: list[QuantumNumbers]) -> list[t
 
 
 def _steering_values(params: SystemParams, states: list[QuantumNumbers]) -> list[tuple]:
-    return [astuple(steering(params, nm)) for nm in states]
+    return [_steering_row(steering(params, nm)) for nm in states]
 
 
 def cmd_spectrum(args, out: TextIO) -> int:
