@@ -79,11 +79,22 @@ def eigenfunction(modes: NormalModes, nm: QuantumNumbers, X, Y):
     return out if np.ndim(out) else float(out)
 
 
+# exp(-746) is 0 in float64, and L_n(2 * 746) is finite up to specfun.DEGREE_CAP
+_ARG_MAX = 746.0
+
+
 def wigner_mode(n: int, vartheta: float, X, P):
-    """Single-mode Wigner factor; normalized to 1 over its phase plane."""
-    out = np.asarray(vartheta * np.asarray(X, dtype=float) ** 2
-                     + np.asarray(P, dtype=float) ** 2 / vartheta)
-    # one full-grid buffer holds 2 arg, then -arg (scaling by 2 and 1/2 is exact), then W
+    """Single-mode Wigner factor; normalized to 1 over its phase plane.
+
+    It is exactly 0 wherever ``exp(-arg)`` underflows, even where ``arg``
+    itself overflows.
+    """
+    with np.errstate(over="ignore"):  # an infinite arg is clamped below
+        out = np.asarray(vartheta * np.asarray(X, dtype=float) ** 2
+                         + np.asarray(P, dtype=float) ** 2 / vartheta)
+    # one full-grid buffer holds the clamped arg, 2 arg, then -arg (scaling by 2 and 1/2
+    # is exact), then W; past the clamp exp(-arg) is 0 and L_n(2 arg) finite, so W is 0
+    np.minimum(out, _ARG_MAX, out=out)
     out *= 2.0
     lag = laguerre(n, out)
     out *= 0.5

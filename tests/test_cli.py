@@ -101,6 +101,14 @@ class TestWignerEval:
         origin = [r for r in rows if float(r["x"]) == 0.0][0]
         assert float(origin["W"]) == pytest.approx(-1 / math.pi**2, rel=1e-12)
 
+    @pytest.mark.parametrize("x", ["1e20", "1e200"])
+    def test_far_point_is_exactly_zero(self, capsys, x):
+        # L_8(2 arg) overflows at 1e20 and the square itself at 1e200; filterwarnings
+        # = error turns any numpy warning into a failure here
+        code, out, err = run_cli(capsys, "wigner-eval", "--n", "8", f"--x={x}:{x}:1")
+        assert (code, err) == (0, "")
+        assert read_csv(out)[0]["W"] == "0"
+
 
 class TestPurityScan:
     def test_columns_and_resonant_values(self, capsys):
