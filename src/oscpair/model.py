@@ -15,15 +15,14 @@ zero, which motivates the cutoff mixing angle returned by
 
 Conventions adopted here:
 
-* At exact frequency degeneracy (``wx == wy``) the rotation angle is the
-  continuous limit ``pi/4``, for every coupling including ``eps = 0``.
-* For ``wx != wy`` the angle is ``atan2(2*eps, wx^2 - wy^2)/2``, which
-  lives in ``[0, pi/2]``. This branch keeps ``vartheta_x >= vartheta_y``
-  and the identities ``vartheta_{x,y}^2 = w_{x,y}^2 +/- eps*tan(theta)``
-  valid on both sides of the degeneracy. The corner ``eps = 0`` with
-  ``wx < wy`` gives ``theta = pi/2`` and an infinite mixing parameter;
-  downstream formulas work with ``sin``/``cos`` of the angle, so the
-  infinity is representational only.
+* The angle is ``atan2(2*eps, wx^2 - wy^2)/2`` in ``[0, pi/2]``, which keeps
+  ``vartheta_x >= vartheta_y`` and the identities ``vartheta_{x,y}^2 =
+  w_{x,y}^2 +/- eps*tan(theta)`` on both sides of the degeneracy. At
+  ``wx == wy`` it is ``pi/4`` for every coupling, ``eps = 0`` included (the
+  continuous limit), and at ``eps = 0`` with ``wx < wy`` it is ``pi/2``.
+* Only :func:`diagonalize` knows how the modes mix. Every other module reads
+  its exact weights ``c2 = cos^2(theta)``, ``s2`` and ``sc``, never the angle,
+  whose ``cos`` carries a roundoff of 6e-17 where the weight is 0.
 """
 
 from __future__ import annotations
@@ -43,14 +42,16 @@ class SystemParams:
     omega_y``; the upper bound is the real-spectrum condition. Negative
     couplings are rejected rather than mapped by symmetry.
 
-    The frequency range keeps every public routine finite: the moments
-    divide by ``vartheta_x^2 vartheta_y^2 = wx^2 wy^2 - eps^2``, which
-    underflows to 0 once both frequencies are below about 1e-77 and
-    ``eps`` is at the bound, and ``diagonalize`` squares each frequency,
-    which overflows above about 1e154. Inside the range, the closed forms,
-    the purity and the Wigner function at the origin are finite for every
-    coupling up to the last float below the bound, with a margin of more
-    than 25 decades.
+    The range keeps every public routine finite, with more than 25 decades
+    of margin: the moments divide by ``wx^2 wy^2 - eps^2``, which underflows
+    below about 1e-77 with ``eps`` at the bound, and ``diagonalize`` squares
+    each frequency, which overflows above about 1e154. On frequencies
+    ``10^a``, ``a`` in {-50, -25, 0, 25, 50}, and couplings {0, 1e-300, 1e-8,
+    0.5, 0.99} of the bound, the mixing weights are within 1e-15 relative
+    (absolute below the normal range), each moment within 1e-13 of its
+    natural scale, each raw steering witness within 1e-13 of
+    ``(nx+1)(ny+1)``, and at ``eps = 0`` off resonance every purity up to
+    (8,8) within 1e-14 of 1.
     """
 
     omega_x: float
@@ -87,48 +88,57 @@ class QuantumNumbers:
 
 @dataclass(frozen=True)
 class NormalModes:
-    """Diagonalized description: rotation angle, mixing parameter, frequencies.
+    """Rotation angle, mixing parameter, frequencies and mixing weights.
 
-    ``mu = tan(theta)`` is ``math.inf`` in the swapped decoupled corner
-    (``epsilon = 0`` with ``omega_x < omega_y``, where ``theta = pi/2``).
+    ``c2, s2, sc`` are ``cos^2, sin^2, sin*cos`` of ``theta``, and ``c, s`` the
+    cosine and sine. ``mu = tan(theta)`` is ``math.inf`` in the swapped
+    decoupled corner (``epsilon = 0`` with ``omega_x < omega_y``, ``c2 = 0``).
     """
 
     theta: float
     mu: float
     vartheta_x: float
     vartheta_y: float
+    c2: float
+    s2: float
+    sc: float
+    c = property(lambda self: math.sqrt(self.c2))
+    s = property(lambda self: math.sqrt(self.s2))
 
 
 def diagonalize(params: SystemParams) -> NormalModes:
-    """Rotation angle and normal frequencies of the coupled system.
+    """Normal frequencies and mixing weights of the coupled system.
 
     ``vartheta_x`` is the larger frequency (the ``+`` branch). The smaller
     one is evaluated through the determinant identity
     ``vartheta_x^2 * vartheta_y^2 = wx^2 wy^2 - eps^2`` to avoid the
     cancellation the subtractive root suffers near the stability boundary.
-    """
-    wx2 = params.omega_x * params.omega_x
-    wy2 = params.omega_y * params.omega_y
-    eps = params.epsilon
 
-    disc = math.hypot(wx2 - wy2, 2.0 * eps)
-    vx2 = 0.5 * (wx2 + wy2 + disc)
+    With ``delta = wx^2 - wy^2`` and ``D = hypot(delta, 2 eps)``, the larger
+    weight is ``(D + |delta|) / (2D)``, ``sc = eps / D``, and the smaller
+    weight is ``sc`` times the half-angle tangent ``2 eps / (D + |delta|)``: no
+    step subtracts, so each is exact to a few ulps. ``D = 0`` is the limit 1/2.
+    """
+    wx, wy, eps = params.omega_x, params.omega_y, params.epsilon
+    delta = (wx - wy) * (wx + wy)  # wx^2 - wy^2 to a few ulps, also near resonance
+    disc = math.hypot(delta, 2.0 * eps)
+    vx2 = 0.5 * (wx * wx + wy * wy + disc)
     # det V = (wx*wy - eps)(wx*wy + eps) > 0 inside the validity domain;
     # the min guards the ordering against 1-ulp disagreement at degeneracy
-    det = (params.omega_x * params.omega_y - eps) * (params.omega_x * params.omega_y + eps)
-    vy2 = min(det / vx2, vx2)
+    vy2 = min((wx * wy - eps) * (wx * wy + eps) / vx2, vx2)
 
-    if params.omega_x == params.omega_y:
-        theta = 0.25 * math.pi
-        mu = 1.0
-    elif eps == 0.0 and params.omega_y > params.omega_x:
-        theta = 0.5 * math.pi
-        mu = math.inf
+    if disc == 0.0:
+        theta, mu, c2, s2, sc = 0.25 * math.pi, 1.0, 0.5, 0.5, 0.5
     else:
-        theta = 0.5 * math.atan2(2.0 * eps, wx2 - wy2)
-        mu = math.tan(theta)
+        outer = disc + abs(delta)
+        sc, tan_half = eps / disc, 2.0 * eps / outer
+        large, small = 0.5 * outer / disc, sc * tan_half
+        theta = 0.5 * math.atan2(2.0 * eps, delta)
+        mu, c2, s2 = ((tan_half, large, small) if delta >= 0.0
+                      else (0.5 * outer / eps if eps else math.inf, small, large))
 
-    return NormalModes(theta=theta, mu=mu, vartheta_x=math.sqrt(vx2), vartheta_y=math.sqrt(vy2))
+    return NormalModes(theta=theta, mu=mu, vartheta_x=math.sqrt(vx2),
+                       vartheta_y=math.sqrt(vy2), c2=c2, s2=s2, sc=sc)
 
 
 def cutoff_angle(r: float) -> float:

@@ -1,11 +1,9 @@
 """Closed-form phase-space moments and ladder correlators of the stationary states.
 
 Second and fourth moments of the lab-frame quadratures follow from the
-separable normal-mode state by rotating the quadrature operators. They are
-written with ``sin``/``cos`` of the rotation angle rather than ``mu =
-tan(theta)``, which keeps them finite on the whole parameter domain (the
-swapped decoupled corner has ``mu = inf``). Every entry is validated
-against the exact Gauss-Hermite quadrature oracle in the test suite.
+separable normal-mode state by rotating the quadrature operators, written
+in the exact weights ``c2, s2, sc`` of :func:`model.diagonalize`. Every
+entry is validated against the exact Gauss-Hermite quadrature oracle.
 
 The ladder correlators come from the Bogoliubov expansion of ``a_x`` and
 ``a_y`` instead: a normal mode of frequency ``v`` with ``k`` quanta enters
@@ -67,9 +65,7 @@ def second_and_fourth_moments(params: SystemParams, nm: QuantumNumbers) -> Momen
     """All ten closed-form moments of the state ``Psi_(n, m)``."""
     modes = model.diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
-    s, c = math.sin(modes.theta), math.cos(modes.theta)
-    s2, c2 = s * s, c * c
-    sc = s * c
+    s2, c2, sc = modes.s2, modes.c2, modes.sc
     s2c2 = sc * sc
 
     nn = 2 * nm.n + 1
@@ -111,16 +107,12 @@ def _bogoliubov(params: SystemParams, nm: QuantumNumbers) -> tuple[float, ...]:
     """``(nx, ny, <a_x a_y^dag>, <a_x a_y>, kappa)``, ``-kappa`` the fourth cumulant of ``Nx Ny``.
 
     ``ux, vx`` and ``uy, vy`` are ``U, V`` of ``a_x`` and ``a_y`` for each normal mode.
-    ``c^2``, ``s^2`` and ``sc`` come from ``mu``, so each is exactly 1/2 at resonance.
     """
     modes = model.diagonalize(params)
-    mu = modes.mu
-    c2, s2, sc = ((0.0, 1.0, 0.0) if math.isinf(mu)
-                  else (1.0 / (1.0 + mu * mu), mu * mu / (1.0 + mu * mu), mu / (1.0 + mu * mu)))
     wx, wy = params.omega_x, params.omega_y
     nx = ny = cross = pair = kappa = 0.0
-    for v, k, rx2, ry2, rxy in ((modes.vartheta_x, nm.n, c2, s2, sc),
-                                (modes.vartheta_y, nm.m, s2, c2, -sc)):
+    for v, k, rx2, ry2, rxy in ((modes.vartheta_x, nm.n, modes.c2, modes.s2, modes.sc),
+                                (modes.vartheta_y, nm.m, modes.s2, modes.c2, -modes.sc)):
         ux, vx = (wx + v) / (2.0 * math.sqrt(wx * v)), (wx - v) / (2.0 * math.sqrt(wx * v))
         uy, vy = (wy + v) / (2.0 * math.sqrt(wy * v)), (wy - v) / (2.0 * math.sqrt(wy * v))
         nx += rx2 * (ux * ux * k + vx * vx * (k + 1))

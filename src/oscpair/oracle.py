@@ -36,7 +36,7 @@ from .moments import LadderMoments
 from .specfun import laguerre
 from .steering import steering as compute_steering
 from .steering import steering_weak_general
-from .wigner import RotatedPhasePoint
+from .wigner import PhasePoint, RotatedPhasePoint
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,6 @@ def _quadrature_moments(params: SystemParams, states: list[QuantumNumbers],
 
     modes = model.diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
-    s, c = math.sin(modes.theta), math.cos(modes.theta)
     needed = (max(map(sum, exponents)) + 2 * max(max(q.n, q.m) for q in states)) // 2 + 2
     rule = gauss_hermite(needed)
     t, w = rule.nodes, rule.weights
@@ -94,10 +93,9 @@ def _quadrature_moments(params: SystemParams, states: list[QuantumNumbers],
     big_y = t / math.sqrt(vy)      # axis k
     big_q = t * math.sqrt(vy)      # axis l
 
-    x_ik = c * big_x[:, None] - s * big_y[None, :]
-    y_ik = s * big_x[:, None] + c * big_y[None, :]
-    p_jl = c * big_p[:, None] - s * big_q[None, :]
-    q_jl = s * big_p[:, None] + c * big_q[None, :]
+    # x and y on axes (i, k), p and q on axes (j, l)
+    lab = wigner.normal_to_lab(modes, RotatedPhasePoint(big_x[:, None], big_p[:, None],
+                                                        big_y[None, :], big_q[None, :]))
 
     t2 = t * t
     r2 = 2.0 * (t2[:, None] + t2[None, :])
@@ -110,7 +108,7 @@ def _quadrature_moments(params: SystemParams, states: list[QuantumNumbers],
     # for every exponent of every state in one batched product; row e of ``exps`` holds (a, b, c, d)
     exps = np.array(exponents)
     powers = [z ** np.arange(top + 1)[:, None, None]
-              for z, top in zip((x_ik, p_jl, y_ik, q_jl), exps.max(axis=0))]
+              for z, top in zip(lab, exps.max(axis=0))]
     cs = powers[0][exps[:, 0]] * powers[2][exps[:, 2]]
     ds = powers[1][exps[:, 1]] * powers[3][exps[:, 3]]
     scale = np.array([(-1.0) ** (q.n + q.m) for q in states]) / math.pi**2
@@ -216,13 +214,12 @@ def _fock_stack(modes: NormalModes,
     ``| ||C||_F^2 - 1 | < 1e-14``.
     """
     vx, vy = modes.vartheta_x, modes.vartheta_y
-    s, c = math.sin(modes.theta), math.cos(modes.theta)
-    s2, c2 = s * s, c * c
+    s, c, s2, c2, sc = modes.s, modes.c, modes.s2, modes.c2, modes.sc
     om_x = math.sqrt((vx * c2 + vy * s2) / (c2 / vx + s2 / vy))  # sqrt(<p^2>/<x^2>)
     om_y = math.sqrt((vx * s2 + vy * c2) / (s2 / vx + c2 / vy))  # sqrt(<q^2>/<y^2>)
-    z = (s * c * (vx - vy)) ** 2 / (4.0 * vx * vy)  # nbar (nbar+1) = <x^2><p^2> - 1/4
+    z = (sc * (vx - vy)) ** 2 / (4.0 * vx * vy)  # nbar (nbar+1) = <x^2><p^2> - 1/4
     nbar = 2.0 * z / (1.0 + math.sqrt(1.0 + 4.0 * z))
-    ratio = math.copysign(math.sqrt(nbar / (nbar + 1.0)), s * c * (vy - vx))  # sign of <xy>
+    ratio = math.copysign(math.sqrt(nbar / (nbar + 1.0)), sc * (vy - vx))  # sign of <xy>
     rot = np.array([[c, s], [-s, c]])  # [i, j], i = X, Y and j = x, y: X = c x + s y, ...
     r = np.sqrt(np.outer([vx, vy], [1.0 / om_x, 1.0 / om_y]))  # sqrt(vartheta_i / Omega_j)
     up, dn = 0.5 * rot * (r + 1.0 / r), 0.5 * rot * (r - 1.0 / r)  # a_j^dag, a_j in b_i^dag
@@ -280,9 +277,7 @@ def marginal_purity_quadrature(params: SystemParams, nm: QuantumNumbers) -> floa
     """
     modes = model.diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
-    s, c = math.sin(modes.theta), math.cos(modes.theta)
-    s2, c2 = s * s, c * c
-    sc = s * c
+    s2, c2, sc = modes.s2, modes.c2, modes.sc
 
     a_y = vx * s2 + vy * c2
     a_q = s2 / vx + c2 / vy
@@ -301,15 +296,13 @@ def marginal_purity_quadrature(params: SystemParams, nm: QuantumNumbers) -> floa
     y_ki = y0[:, None] + ti[None, :] / math.sqrt(a_y)
     q_lj = q0[:, None] + ti[None, :] / math.sqrt(a_q)
 
-    big_x = c * x[:, None] + s * y_ki            # (k, i)
-    big_y = -s * x[:, None] + c * y_ki
-    big_p = c * p[:, None] + s * q_lj            # (l, j)
-    big_q = -s * p[:, None] + c * q_lj
+    # X and Y on axes (k, i), P and Q on axes (l, j)
+    big = wigner.lab_to_normal(modes, PhasePoint(x[:, None], p[:, None], y_ki, q_lj))
 
-    arg_n = 2.0 * (vx * big_x[:, None, :, None] ** 2
-                   + big_p[None, :, None, :] ** 2 / vx)   # (k, l, i, j)
-    arg_m = 2.0 * (vy * big_y[:, None, :, None] ** 2
-                   + big_q[None, :, None, :] ** 2 / vy)
+    arg_n = 2.0 * (vx * big.X[:, None, :, None] ** 2
+                   + big.P[None, :, None, :] ** 2 / vx)   # (k, l, i, j)
+    arg_m = 2.0 * (vy * big.Y[:, None, :, None] ** 2
+                   + big.Q[None, :, None, :] ** 2 / vy)
     # contract j, then i; then l and k of the squared inner sum
     inner_sum = laguerre(nm.n, arg_n) * laguerre(nm.m, arg_m) @ wi @ wi
     total = float(wo @ inner_sum**2 @ wo)

@@ -227,9 +227,7 @@ def _purities(params: SystemParams, states: list[QuantumNumbers]) -> list[float]
     physical value; roundoff-level overshoot above 1 is clamped.
     """
     modes = model.diagonalize(params)
-    vx, vy = modes.vartheta_x, modes.vartheta_y
-    s, c = math.sin(modes.theta), math.cos(modes.theta)
-    s2, c2 = s * s, c * c
+    vx, vy, s2, c2 = modes.vartheta_x, modes.vartheta_y, modes.s2, modes.c2
     orders = (max(nm.n for nm in states), max(nm.m for nm in states)) * 2  # (n, m, n, m)
 
     # a + b > 0 for both radicands, so the inverse square roots exist
@@ -256,16 +254,14 @@ def purity_ground_closed(params: SystemParams) -> PurityResult:
     """Ground-state marginal purity in closed form.
 
     ``P(0,0) = (1 + 4z)^{-1/2}`` with ``4z = mu^2 (vx - vy)^2 / ((1+mu^2)^2 vx vy)``,
-    evaluated through ``sin^2 cos^2`` so the expression stays finite for
+    evaluated through ``sc^2 = sin^2 cos^2`` so the expression stays finite for
     every admissible parameter set. The linear entropy is
     ``S_L = 4z / (sqrt(1+4z) (1 + sqrt(1+4z)))``, which keeps its relative
     accuracy at weak coupling where ``1 - P`` loses every digit.
     """
     modes = model.diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
-    s, c = math.sin(modes.theta), math.cos(modes.theta)
-    s2c2 = (s * c) ** 2
-    four_z = s2c2 * (vx - vy) ** 2 / (vx * vy)
+    four_z = modes.sc ** 2 * (vx - vy) ** 2 / (vx * vy)
     root = math.sqrt(1.0 + four_z)
     return PurityResult(purity=1.0 / root, linear_entropy=four_z / (root * (1.0 + root)))
 

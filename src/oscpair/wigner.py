@@ -40,13 +40,13 @@ class RotatedPhasePoint(NamedTuple):
     Q: float
 
 
-def lab_to_normal(theta: float, pt: PhasePoint) -> RotatedPhasePoint:
+def lab_to_normal(modes: NormalModes, pt: PhasePoint) -> RotatedPhasePoint:
     """Rotate lab coordinates into the normal-mode frame.
 
     Positions and momenta rotate by the same angle, so the map is
     symplectic (unit Jacobian).
     """
-    c, s = np.cos(theta), np.sin(theta)
+    c, s = modes.c, modes.s
     return RotatedPhasePoint(
         X=c * pt.x + s * pt.y,
         P=c * pt.p + s * pt.q,
@@ -55,8 +55,8 @@ def lab_to_normal(theta: float, pt: PhasePoint) -> RotatedPhasePoint:
     )
 
 
-def normal_to_lab(theta: float, pt: RotatedPhasePoint) -> PhasePoint:
-    c, s = np.cos(theta), np.sin(theta)
+def normal_to_lab(modes: NormalModes, pt: RotatedPhasePoint) -> PhasePoint:
+    c, s = modes.c, modes.s
     return PhasePoint(
         x=c * pt.X - s * pt.Y,
         p=c * pt.P - s * pt.Q,
@@ -79,22 +79,17 @@ def eigenfunction(modes: NormalModes, nm: QuantumNumbers, X, Y):
     return out if np.ndim(out) else float(out)
 
 
-# exp(-746) is 0 in float64, and L_n(2 * 746) is finite up to specfun.DEGREE_CAP
-_ARG_MAX = 746.0
-
-
 def wigner_mode(n: int, vartheta: float, X, P):
     """Single-mode Wigner factor; normalized to 1 over its phase plane.
 
-    It is exactly 0 wherever ``exp(-arg)`` underflows, even where ``arg``
-    itself overflows.
+    It is exactly 0 wherever ``exp(-arg)`` underflows, even where ``arg`` overflows.
     """
     with np.errstate(over="ignore"):  # an infinite arg is clamped below
         out = np.asarray(vartheta * np.asarray(X, dtype=float) ** 2
                          + np.asarray(P, dtype=float) ** 2 / vartheta)
     # one full-grid buffer holds the clamped arg, 2 arg, then -arg (scaling by 2 and 1/2
-    # is exact), then W; past the clamp exp(-arg) is 0 and L_n(2 arg) finite, so W is 0
-    np.minimum(out, _ARG_MAX, out=out)
+    # is exact), then W; exp(-746) is 0 and L_n(2 * 746) finite up to the degree cap
+    np.minimum(out, 746.0, out=out)
     out *= 2.0
     lag = laguerre(n, out)
     out *= 0.5
@@ -118,4 +113,4 @@ def wigner_lab(modes: NormalModes, nm: QuantumNumbers, pt: PhasePoint):
     Implemented by rotating the point and delegating to the separable
     normal-mode form: a single source of truth for both frames.
     """
-    return wigner_rotated(modes, nm, lab_to_normal(modes.theta, pt))
+    return wigner_rotated(modes, nm, lab_to_normal(modes, pt))

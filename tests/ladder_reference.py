@@ -16,19 +16,31 @@ import mpmath as mp
 DPS = 50
 
 
-def _modes(wx, wy, eps):
-    """``(s^2, c^2, sc, vartheta_x, vartheta_y)`` in the package's conventions."""
+def normal_modes(wx, wy, eps):
+    """``(s^2, c^2, sc, vartheta_x, vartheta_y)`` in the package's conventions.
+
+    The weights come from the discriminant ``D`` with ``cos 2theta = delta / D``
+    and ``sin 2theta = 2 eps / D``, not from an angle: the weight of the mode
+    nearer its lab oscillator is ``(D + |delta|) / (2D)`` and the other one is
+    ``2 eps^2 / (D (D + |delta|))``, so neither is a difference, and a weight
+    of 1e-200 keeps its 50 digits. ``D = 0`` is the resonant limit ``1/2``.
+    """
     wx2, wy2 = wx * wx, wy * wy
-    theta = mp.pi / 4 if wx == wy else mp.atan2(2 * eps, wx2 - wy2) / 2
-    vx2 = (wx2 + wy2 + mp.hypot(wx2 - wy2, 2 * eps)) / 2
+    delta = wx2 - wy2
+    disc = mp.hypot(delta, 2 * eps)
+    vx2 = (wx2 + wy2 + disc) / 2
     vy2 = (wx2 * wy2 - eps * eps) / vx2
-    s, c = mp.sin(theta), mp.cos(theta)
-    return s * s, c * c, s * c, mp.sqrt(vx2), mp.sqrt(vy2)
+    if not disc:
+        half = mp.mpf(1) / 2
+        return half, half, half, mp.sqrt(vx2), mp.sqrt(vy2)
+    near, far = (disc + abs(delta)) / (2 * disc), 2 * eps**2 / (disc * (disc + abs(delta)))
+    s2, c2 = (far, near) if delta >= 0 else (near, far)
+    return s2, c2, eps / disc, mp.sqrt(vx2), mp.sqrt(vy2)
 
 
-def _moments(wx, wy, eps, n: int, m: int) -> dict[str, mp.mpf]:
+def moments(wx, wy, eps, n: int, m: int) -> dict[str, mp.mpf]:
     """The ten moments ``xx .. yypp`` of the state ``(n, m)``."""
-    s2, c2, sc, vx, vy = _modes(wx, wy, eps)
+    s2, c2, sc, vx, vy = normal_modes(wx, wy, eps)
     s2c2 = sc * sc
     nn, mm = 2 * n + 1, 2 * m + 1
     kn, km = 1 + 2 * n * (1 + n), 1 + 2 * m * (1 + m)
@@ -53,7 +65,7 @@ def ladder(wx: float, wy: float, eps: float, n: int, m: int):
     """``(nx, ny, <Nx Ny>, <a_x a_y^dag>)`` of the state ``(n, m)``."""
     with mp.workdps(DPS):
         wx, wy, eps = mp.mpf(wx), mp.mpf(wy), mp.mpf(eps)
-        ms = _moments(wx, wy, eps, n, m)
+        ms = moments(wx, wy, eps, n, m)
         nx = (wx * ms["xx"] + ms["pp"] / wx) / 2 - mp.mpf(1) / 2
         ny = (wy * ms["yy"] + ms["qq"] / wy) / 2 - mp.mpf(1) / 2
         ab = (wx * wy * ms["xxyy"] + wx / wy * ms["xxqq"]

@@ -37,10 +37,10 @@ GOLDEN = [
      0, "51214a4198b09a7fdf9622b788da672aac10aefc956361264d8b8658e3864839",
      _warn_eps(["0.9"], "0.8")),
     (["moments", "--omega-y", "0.8", "--epsilon", "0.5", "--n", "2", "--m", "1"],
-     0, "d3d851959e8a66eb0fba0667ab94fd19aa744d4311ce902981417022ecae3410", ""),
+     0, "d18e1f7b44f7a4bfb74be328740401c5995d01fbaf1a78f844404b89e308fb0d", ""),
     (["wigner-eval", "--omega-y", "1", "--epsilon", "0.5", "--n", "1", "--m", "0",
       "--x=-2:2:41", "--p=-2:2:41"],
-     0, "01b9eda80fc222eb76c485c220ebfdfb06ef6acaf3d014733c245d7692a65c34", ""),
+     0, "c16b799bf0393e53926837b35914d524da30e94a23bf14f8a62113ddefcab496", ""),
     (["wigner-eval", "--omega-y", "0.8", "--epsilon", "0.76", "--n", "6", "--m", "6"] + GRID_11,
      0, "98937702edf0593590811ed6680eac19fe86ac536c56d7850e2966ce1734ef7e", ""),
     (["wigner-eval", "--omega-y", "0.8", "--epsilon", "0.3", "--n", "3", "--m", "2",
@@ -55,25 +55,25 @@ GOLDEN = [
      0, "abff6a1d53169a9857b7fce8cacc4f9425c9e5e219f93e0813cdb33636ec314f", ""),
     (["steering-scan", "--omega-y", "0.8", "--epsilon", "0:0.9:7", "--n-max", "3",
       "--m-max", "3"],
-     0, "4552d969b2aa4b858312e0d7fc44b9a441f54712e352bdb8135511b3335de0fe",
+     0, "e941323f9145b1eac59190b4de70d318e9fac93884a9b0b41f0b2666650a800f",
      _warn_eps(["0.9"], "0.8")),
     (["steering-scan", "--preset", "0.8"],
-     0, "b58a2f2ca7eddf4320bd6511f349069cd0b1fcb11a5e6c83670595c9d0592989", ""),
+     0, "fe452c104fa141f23964255e46ef4ba448b29388bf90c30e056ab3af85d194cf", ""),
     (["steering-scan", "--preset", "0.6", "--steps", "5", "--format", "json"],
-     0, "bd14c72797415100abbb8fa1e9455bd92fe78bd9d7d7f79705e1b7f0d04ea4d6", ""),
+     0, "fa34d5a3e29fc8868ad1b5dd62d6c891092466c1359bbcf14a30374333293a2c", ""),
     # the JSON side of the r table
     (["spectrum", "--r-scan=0.5:2:4", "--format", "json"],
      0, "7ba4679d89958510c513ea297c55d323242bd3b7c94aeeab8348337b555251d2", ""),
     # a preset sweep with non-default state and epsilon counts
     (["steering-scan", "--preset", "0.99", "--n-max", "2", "--steps", "7"],
-     0, "2639c989c1eb83acd6a60b66405058b8a182539c8c9cdda7d3b0faf2556446e3", ""),
+     0, "96ba7e770eefd75d7428e45972126f2bb535f2d3d3b1d1bed3b011cb883e4732", ""),
     # JSON tables of many blocks: the 11^4 (6,6) grid (14,641 records) and the
     # 0.8 preset sweep (1,920 records)
     (["wigner-eval", "--omega-y", "0.8", "--epsilon", "0.76", "--n", "6", "--m", "6"] + GRID_11
      + ["--format", "json"],
      0, "8d59f20da08033ec3e82cd8a4da3249ba3752e2021c1dfceafd0f21a95ae0650", ""),
     (["steering-scan", "--preset", "0.8", "--format", "json"],
-     0, "48738dddf53a214d83b398df88145ee52dbf5fad98f0fa205130ee98fd8ba728", ""),
+     0, "f3932d8e24faa2b869baa777818390ae0a9ad00e7ff3d740195ad96066630e4b", ""),
     # every r skipped: the header alone
     (["spectrum", "--r-scan=-1:0:3"], 0,
      "620459d2f35fbcf247cdb00012167c52291abf157103a07fad24a490e1359443",
@@ -88,7 +88,7 @@ GOLDEN = [
 PURITY_ARGV = ["purity-scan", "--omega-y", "0.8", "--epsilon", "0.2:1:5",
                "--n-max", "2", "--m-max", "2"]
 # SHA-256 of the table without its last two columns
-PURITY_SHA = "7ae927e54e101f36c1437f91b6d0a1f9e4f7b8db543401e04f82a15277f88299"
+PURITY_SHA = "d8ca1e2afc1f4d44c957cf6a2372bce8b7e4a425293f56727c9ff27b6133e94f"
 # rows in output order: epsilon 0.2, 0.4, 0.6, then (n, m) from (0, 0) to (2, 2)
 PURITY_S_L_MAKAROV = [
     0.0, 0.27624309392265212, 0.43802081743536536, 0.27624309392265289,

@@ -37,7 +37,7 @@ def einsum_moment(params, nm, exponents):
     a, b, c_exp, d = exponents
     modes = diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
-    s, c = math.sin(modes.theta), math.cos(modes.theta)
+    s, c = modes.s, modes.c
     t, w = np.polynomial.hermite.hermgauss((sum(exponents) + 2 * max(nm.n, nm.m)) // 2 + 2)
     big_x, big_p = t / math.sqrt(vx), t * math.sqrt(vx)
     big_y, big_q = t / math.sqrt(vy), t * math.sqrt(vy)
@@ -199,7 +199,9 @@ class TestSchmidtOracle:
     @pytest.mark.parametrize("mu", [1e-3, 0.028, 0.3, 1.0, 2.0, 50.0])
     def test_equal_normal_frequencies_give_makarov_weights(self, mu):
         # equal normal frequencies leave only the beam splitter: Makarov's approximation
-        modes = NormalModes(theta=math.atan(mu), mu=mu, vartheta_x=1.0, vartheta_y=1.0)
+        modes = NormalModes(theta=math.atan(mu), mu=mu, vartheta_x=1.0, vartheta_y=1.0,
+                            c2=1.0 / (1.0 + mu * mu), s2=mu * mu / (1.0 + mu * mu),
+                            sc=mu / (1.0 + mu * mu))
         for n in range(7):
             for m in range(7):
                 (amp,), _ = oracle._fock_stack(modes, [QuantumNumbers(n, m)])

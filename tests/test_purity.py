@@ -290,8 +290,7 @@ def _reference_radicand(a, b, orders):
 def _reference_purity(params, nm):
     modes = diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
-    s, c = math.sin(modes.theta), math.cos(modes.theta)
-    s2, c2 = s * s, c * c
+    s2, c2 = modes.s2, modes.c2
     orders = (nm.n, nm.m, nm.n, nm.m)
     pos = reference_power_nd(_reference_radicand(vx * s2, vy * c2, orders), -0.5)
     mom = reference_power_nd(_reference_radicand(s2 / vx, c2 / vy, orders), -0.5)
