@@ -106,6 +106,16 @@ class NormalModes:
     s = property(lambda self: math.sqrt(self.s2))
 
 
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """``(p, e)`` with ``p = fl(a*b)`` and ``a*b = p + e`` exactly (Dekker, Veltkamp's split)."""
+    def split(v: float) -> tuple[float, float]:
+        big = 134217729.0 * v  # 2**27 + 1
+        high = big - (big - v)
+        return high, v - high
+    p, (ah, al), (bh, bl) = a * b, split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 def diagonalize(params: SystemParams) -> NormalModes:
     """Normal frequencies and mixing weights of the coupled system.
 
@@ -123,9 +133,10 @@ def diagonalize(params: SystemParams) -> NormalModes:
     delta = (wx - wy) * (wx + wy)  # wx^2 - wy^2 to a few ulps, also near resonance
     disc = math.hypot(delta, 2.0 * eps)
     vx2 = 0.5 * (wx * wx + wy * wy + disc)
-    # det V = (wx*wy - eps)(wx*wy + eps) > 0 inside the validity domain;
-    # the min guards the ordering against 1-ulp disagreement at degeneracy
-    vy2 = min((wx * wy - eps) * (wx * wy + eps) / vx2, vx2)
+    # det V = (wx*wy - eps)(wx*wy + eps) > 0 in the domain; wx*wy = hi + lo exactly, and hi - eps
+    # is exact near the bound. The min guards the ordering against 1-ulp disagreement at degeneracy
+    hi, lo = _two_product(wx, wy)
+    vy2 = min(((hi - eps) + lo) * (hi + eps) / vx2, vx2)
 
     if disc == 0.0:
         theta, mu, c2, s2, sc = 0.25 * math.pi, 1.0, 0.5, 0.5, 0.5

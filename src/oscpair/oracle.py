@@ -9,14 +9,17 @@ check:
   Lab-frame monomials are evaluated through the rotation on the rotated
   tensor grid, never sampled on lab grids, which removes convergence
   questions from the comparisons.
-* The singular values of the exact Fock amplitudes of ``Psi_(n, m)`` in
-  lab-local bases (Bloch-Messiah, Braunstein, Phys. Rev. A 71, 055801
-  (2005)): the Schmidt coefficients, with their truncation residual.
+* The singular values of ``Psi_(n, m)`` sampled on one Gauss-Hermite grid
+  in lab coordinates, weighted so that the samples are an orthogonal image
+  of the state's Hermite amplitudes in lab-local bases: the Schmidt
+  coefficients, with their truncation residual. It shares the rule with
+  the quadrature oracles, evaluates the state with
+  ``wigner.eigenfunction``, and shares nothing with the generating function.
 
 ``run_verification`` sweeps a built-in parameter grid through all checks
 and returns a machine-readable report; the CLI ``verify`` command wraps
 it. Both oracles above run once per coupling of the grid, batched over its
-six states (``_schmidt``: one Fock support and one stacked SVD;
+six states (``_schmidt``: one grid and one stacked SVD;
 ``_moment_sets``: one quadrature rule).
 """
 
@@ -175,7 +178,7 @@ def global_purity_check(params: SystemParams, nm: QuantumNumbers) -> float:
 
 @dataclass(frozen=True)
 class SchmidtOracleResult:
-    """Schmidt data of a state's Fock amplitudes; ``norm_deficit`` is their truncation residual."""
+    """Schmidt data of a state's lab-grid samples ``A``; ``norm_deficit = | ||A||_F^2 - 1 |``."""
 
     singular_values: np.ndarray  # rescaled so that the Schmidt weights, their squares, sum to 1
     purity: float
@@ -184,72 +187,42 @@ class SchmidtOracleResult:
     norm_deficit: float
 
 
-# ground-state supports tried; at 1024 each state's amplitude matrix stays below 10 MB
-_SUPPORTS = tuple(16 << k for k in range(7))
+# Gauss-Hermite orders tried per axis; above about 350 nodes w * exp(t^2) overflows
+_ORDERS = (24, 48, 96, 192, 320)
 
 
-def _ladder_step(amp: np.ndarray, up: list[float], dn: list[float], k: int,
-                 root: np.ndarray) -> np.ndarray:
-    """``(up_x a_x^dag + dn_x a_x + up_y a_y^dag + dn_y a_y) C / sqrt(k)``; rows of ``C`` are x.
+def _lab_samples(modes: NormalModes,
+                 states: list[QuantumNumbers]) -> tuple[np.ndarray, list[float]]:
+    """Every state's weighted lab-grid samples ``A_ij``, stacked, and its norm deficit.
 
-    The ``1/sqrt(k)`` rides in the scalar coefficients, so it costs no pass over ``C``.
+    Nodes ``t`` of one rule give ``x_i = t_i / sqrt(Omega_x)`` and ``y_j = t_j /
+    sqrt(Omega_y)``, with ``Omega_x = sqrt(<p^2>/<x^2>)`` of the ground state (likewise
+    ``Omega_y``), and ``A_ij = sqrt(W_i) Psi_(n, m)(x_i, y_j) sqrt(V_j)`` with ``W_i = w_i
+    exp(t_i^2) / sqrt(Omega_x)``. ``A`` is an orthogonal image of the state's Hermite
+    amplitudes in the lab-local bases of frequency ``Omega``, so its singular values are
+    the Schmidt coefficients. The order grows until every deficit is ``| ||A||_F^2 - 1 |
+    < 1e-14``. ``eigenfunction`` caps ``n, m`` at 64.
     """
-    scale = math.sqrt(k)
-    new = np.zeros_like(amp)
-    new[1:] += up[0] / scale * root[:, None] * amp[:-1]
-    new[:-1] += dn[0] / scale * root[:, None] * amp[1:]
-    new[:, 1:] += up[1] / scale * root * amp[:, :-1]
-    new[:, :-1] += dn[1] / scale * root * amp[:, 1:]
-    return new
-
-
-def _fock_stack(modes: NormalModes,
-                states: list[QuantumNumbers]) -> tuple[np.ndarray, list[float]]:
-    """Every state's ``C_jk = <j_x k_y | Psi_(n, m)>``, stacked on one support, and its deficit.
-
-    From the ground state ``C0`` (README, Numerical conventions), ``Psi_(n, 0) = b_x^dag
-    Psi_(n-1, 0) / sqrt(n)`` and ``Psi_(n, m) = b_y^dag Psi_(n, m-1) / sqrt(m)``: each state is
-    one ladder step from a state already built, and only the requested states are kept. The
-    buffer is ``max(n + m)`` wider than ``C0``'s support, which grows until every deficit is
-    ``| ||C||_F^2 - 1 | < 1e-14``.
-    """
-    vx, vy = modes.vartheta_x, modes.vartheta_y
-    s, c, s2, c2, sc = modes.s, modes.c, modes.s2, modes.c2, modes.sc
+    vx, vy, s2, c2 = modes.vartheta_x, modes.vartheta_y, modes.s2, modes.c2
     om_x = math.sqrt((vx * c2 + vy * s2) / (c2 / vx + s2 / vy))  # sqrt(<p^2>/<x^2>)
     om_y = math.sqrt((vx * s2 + vy * c2) / (s2 / vx + c2 / vy))  # sqrt(<q^2>/<y^2>)
-    z = (sc * (vx - vy)) ** 2 / (4.0 * vx * vy)  # nbar (nbar+1) = <x^2><p^2> - 1/4
-    nbar = 2.0 * z / (1.0 + math.sqrt(1.0 + 4.0 * z))
-    ratio = math.copysign(math.sqrt(nbar / (nbar + 1.0)), sc * (vy - vx))  # sign of <xy>
-    rot = np.array([[c, s], [-s, c]])  # [i, j], i = X, Y and j = x, y: X = c x + s y, ...
-    r = np.sqrt(np.outer([vx, vy], [1.0 / om_x, 1.0 / om_y]))  # sqrt(vartheta_i / Omega_j)
-    up, dn = 0.5 * rot * (r + 1.0 / r), 0.5 * rot * (r - 1.0 / r)  # a_j^dag, a_j in b_i^dag
-    up, dn = up.tolist(), dn.tolist()
-    width = max(q.n + q.m for q in states)
-    for support in _SUPPORTS:
-        root = np.sqrt(np.arange(1, support + width))  # sqrt(k) for k >= 1 in the buffer
-        c0 = np.zeros((root.size + 1, root.size + 1))
-        c0[range(support), range(support)] = ratio ** np.arange(support) / math.sqrt(1.0 + nbar)
-        psi = {}
-        col, n_col, amp, m_amp = c0, 0, c0, 0  # Psi_(n_col, 0) and Psi_(n_col, m_amp)
-        for n, m in sorted({(q.n, q.m) for q in states}):
-            if n > n_col:
-                for k in range(n_col + 1, n + 1):
-                    col = _ladder_step(col, up[0], dn[0], k, root)
-                n_col, amp, m_amp = n, col, 0
-            for k in range(m_amp + 1, m + 1):
-                amp = _ladder_step(amp, up[1], dn[1], k, root)
-            psi[n, m], m_amp = amp, m
-        amps = np.stack([psi[q.n, q.m] for q in states])
+    for order in _ORDERS:
+        rule = gauss_hermite(order)
+        t, root_w = rule.nodes, np.sqrt(rule.weights * np.exp(rule.nodes ** 2))
+        big = wigner.lab_to_normal(modes, PhasePoint(t[:, None] / math.sqrt(om_x), 0.0,
+                                                     t[None, :] / math.sqrt(om_y), 0.0))
+        weight = np.outer(root_w, root_w) / (om_x * om_y) ** 0.25
+        amps = np.stack([weight * wigner.eigenfunction(modes, q, big.X, big.Y) for q in states])
         deficits = np.abs(np.sum(amps * amps, axis=(1, 2)) - 1.0).tolist()
         if max(deficits) < 1e-14:
             return amps, deficits
     q, deficit = next((q, d) for q, d in zip(states, deficits) if not d < 1e-14)
-    raise RuntimeError(f"({q.n}, {q.m}) unresolved at support {support}: deficit {deficit:.3e}")
+    raise RuntimeError(f"({q.n}, {q.m}) unresolved at order {order}: deficit {deficit:.3e}")
 
 
 def _schmidt(params: SystemParams, states: list[QuantumNumbers]) -> list[SchmidtOracleResult]:
-    """``schmidt_oracle`` for each state: one Fock stack and one stacked SVD."""
-    amps, deficits = _fock_stack(model.diagonalize(params), states)
+    """``schmidt_oracle`` for each state: one lab grid and one stacked SVD."""
+    amps, deficits = _lab_samples(model.diagonalize(params), states)
     svs = np.linalg.svd(amps, compute_uv=False)
     svs /= np.sqrt(np.sum(svs * svs, axis=1, keepdims=True))
     results = []
@@ -263,7 +236,7 @@ def _schmidt(params: SystemParams, states: list[QuantumNumbers]) -> list[Schmidt
 
 
 def schmidt_oracle(params: SystemParams, nm: QuantumNumbers) -> SchmidtOracleResult:
-    """Schmidt coefficients of ``Psi_(n, m)``; ``RuntimeError`` very near the bound (unresolved)."""
+    """Schmidt coefficients of ``Psi_(n, m)`` for ``n, m <= 64``; ``RuntimeError`` if unresolved."""
     return _schmidt(params, [nm])[0]
 
 

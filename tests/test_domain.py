@@ -52,6 +52,20 @@ def test_mixing_weights_are_exact_to_a_few_ulps():
     assert worst[0] <= 1e-15, worst
 
 
+def test_smaller_normal_frequency_near_the_bound():
+    # wx*wy is not a float at these points: its rounding error is of the order of wx*wy - eps
+    errors = []
+    with mp.workdps(DPS):
+        for (wx, wy), f in itertools.product(((1.1, 0.7), (3.3, 0.17)),
+                                             (0.99, 1 - 1e-6, 1 - 1e-10, 1 - 1e-13)):
+            eps = f * (wx * wy)
+            want = normal_modes(mp.mpf(wx), mp.mpf(wy), mp.mpf(eps))[4]
+            got = diagonalize(SystemParams(wx, wy, eps)).vartheta_y
+            errors.append((abs(got - want) / want, (wx, wy, f)))
+    worst = _worst(errors)
+    assert worst[0] <= 1e-15, worst
+
+
 def test_moments_within_their_natural_scale():
     errors = []
     with mp.workdps(DPS):

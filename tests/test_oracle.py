@@ -165,16 +165,26 @@ class TestSchmidtOracle:
                 assert math.fsum(res.singular_values**2) == pytest.approx(1.0, abs=1e-15)
 
     def test_unresolved_state_is_reported_not_accepted(self):
-        # 0.9999 of the stability bound: the squeezed vacuum's tail outgrows the largest support
-        params = SystemParams(1.0, 0.8, 0.9999 * 0.8)
-        with pytest.raises(RuntimeError, match=r"\(6, 6\) unresolved at support 1024: deficit"):
+        # 0.99999 of the stability bound: the squeezed tail outgrows the largest grid
+        params = SystemParams(1.0, 0.8, 0.99999 * 0.8)
+        with pytest.raises(RuntimeError, match=r"\(6, 6\) unresolved at order 320: deficit"):
             schmidt_oracle(params, QuantumNumbers(6, 6))
 
-    def test_folded_ladder_normalisation_past_8_8(self):
-        # 1/sqrt(k) rides in each ladder step's coefficients; up-front 1/sqrt(n! m!) was 2.8e-14 off
-        params, q = SystemParams(1.0, 0.8, 0.7), QuantumNumbers(12, 12)
+    @pytest.mark.parametrize("k", [12, 16])
+    def test_large_states_match_purity_exact(self, k):
+        # the grid samples each state directly, so no error grows with n + m
+        params, q = SystemParams(1.0, 0.8, 0.7), QuantumNumbers(k, k)
         gap = abs(schmidt_oracle(params, q).purity - purity.purity_exact(params, q).purity)
         assert gap <= 5e-15
+
+    @pytest.mark.parametrize("frac, k, tol", [(0.995, 8, 1e-15), (0.9999, 6, 1e-13),
+                                              (0.9999, 8, 1e-13)])
+    def test_near_the_bound(self, frac, k, tol):
+        # the squeezed tail needs 96 to 320 nodes per axis here
+        params, q = SystemParams(1.0, 0.8, frac * 0.8), QuantumNumbers(k, k)
+        res = schmidt_oracle(params, q)
+        assert res.norm_deficit < 1e-14
+        assert abs(res.purity - purity.purity_exact(params, q).purity) <= tol
 
     @pytest.mark.parametrize("eps_frac", [0.3, 0.9])
     def test_batch_matches_single_states(self, eps_frac):
@@ -191,9 +201,9 @@ class TestSchmidtOracle:
                 assert abs(got[name] - value) <= 1e-13, (q, name)
 
     def test_unresolved_state_in_a_batch_is_named(self):
-        params = SystemParams(1.0, 0.8, 0.9999 * 0.8)
+        params = SystemParams(1.0, 0.8, 0.99999 * 0.8)
         states = [QuantumNumbers(0, 0), QuantumNumbers(6, 6), QuantumNumbers(1, 0)]
-        with pytest.raises(RuntimeError, match=r"^\(6, 6\) unresolved at support 1024: deficit"):
+        with pytest.raises(RuntimeError, match=r"^\(6, 6\) unresolved at order 320: deficit"):
             oracle._schmidt(params, states)
 
     @pytest.mark.parametrize("mu", [1e-3, 0.028, 0.3, 1.0, 2.0, 50.0])
@@ -204,9 +214,10 @@ class TestSchmidtOracle:
                             sc=mu / (1.0 + mu * mu))
         for n in range(7):
             for m in range(7):
-                (amp,), _ = oracle._fock_stack(modes, [QuantumNumbers(n, m)])
-                got = [amp[k, n + m - k] ** 2 for k in range(n + m + 1)]
-                want = makarov_schmidt(QuantumNumbers(n, m), mu).lambdas
+                (amp,), _ = oracle._lab_samples(modes, [QuantumNumbers(n, m)])
+                got = np.sort(np.linalg.svd(amp, compute_uv=False) ** 2)
+                want = np.zeros_like(got)
+                want[-(n + m + 1):] = np.sort(makarov_schmidt(QuantumNumbers(n, m), mu).lambdas)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 

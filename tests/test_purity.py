@@ -97,9 +97,15 @@ class TestPurityExact:
         for k, want in enumerate(PURITY_REFERENCE[params]):
             state = SystemParams(*params), QuantumNumbers(k, k)
             for route, got in (("exact", purity_exact(*state).purity),
-                               ("oracle", schmidt_oracle(*state).purity),
                                ("table", table[10 * k])):
                 assert got == pytest.approx(want, abs=1e-12), f"{route}, state ({k}, {k})"
+
+    def test_schmidt_oracle_against_high_precision_reference(self):
+        # every pinned value, within the reference's own float64 rounding and a few ulps
+        for params, values in PURITY_REFERENCE.items():
+            for k, want in enumerate(values):
+                got = schmidt_oracle(SystemParams(*params), QuantumNumbers(k, k)).purity
+                assert abs(got - want) <= 1e-15, (params, k, got, want)
 
     def test_linear_entropy_complements_purity(self):
         res = purity_exact(RESONANT_USC, QuantumNumbers(2, 1))
