@@ -51,7 +51,7 @@ class SystemParams:
     (absolute below the normal range), each moment within 1e-13 of its
     natural scale, each raw steering witness within 1e-13 of
     ``(nx+1)(ny+1)``, and at ``eps = 0`` off resonance every purity up to
-    (8,8) within 1e-14 of 1.
+    (8,8) within 1e-14 of 1 (within 2e-14 between the decades).
     """
 
     omega_x: float

@@ -3,9 +3,9 @@
 Two oracles, deliberately built on different machinery than the code they
 check:
 
-* Gauss-Hermite quadrature of Wigner-space integrals, carried out in
-  normal-mode coordinates where every integrand is a polynomial times the
-  Gaussian weight, so a sufficient-order rule is exact up to roundoff.
+* Gauss-Hermite quadrature of phase-space integrals of the package's own
+  Wigner function, on grids where every integrand is a polynomial times
+  W's Gaussian, so a sufficient-order rule is exact up to roundoff.
   Lab-frame monomials are evaluated through the rotation on the rotated
   tensor grid, never sampled on lab grids, which removes convergence
   questions from the comparisons.
@@ -29,14 +29,13 @@ import contextlib
 import math
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import model, moments, purity, wigner
 from .model import NormalModes, QuantumNumbers, SystemParams
 from .moments import LadderMoments
-from .specfun import laguerre
 from .steering import steering as compute_steering
 from .steering import steering_weak_general
 from .wigner import PhasePoint, RotatedPhasePoint
@@ -47,12 +46,18 @@ class QuadratureRule:
     """Gauss-Hermite nodes and weights for the weight ``exp(-t^2)``.
 
     A rule with ``order`` nodes integrates polynomials of degree up to
-    ``2*order - 1`` against the Gaussian weight exactly.
+    ``2*order - 1`` against the Gaussian weight exactly. ``flat_weights``,
+    ``w exp(t^2)``, do the same for an integrand that carries the Gaussian
+    itself, as the Wigner function does; they overflow above about 350 nodes.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     order: int
+
+    @cached_property
+    def flat_weights(self) -> np.ndarray:
+        return self.weights * np.exp(self.nodes * self.nodes)
 
 
 @lru_cache(maxsize=None)
@@ -76,11 +81,11 @@ def _quadrature_moments(params: SystemParams, states: list[QuantumNumbers],
                         exponents: list[tuple[int, int, int, int]]) -> np.ndarray:
     """``<x^a p^b y^c q^d>`` by exact quadrature: row ``s`` for ``states[s]``, column per exponent.
 
-    The Wigner integral is taken in scaled normal-mode coordinates where
-    the Gaussian weight is ``exp(-t^2)`` on each axis; the monomial and
-    Laguerre factors are polynomials, so one rule whose order is chosen
-    from the largest total degree and the largest state is analytically
-    sufficient for every monomial of every state.
+    The Wigner integral is taken in scaled normal-mode coordinates, where each
+    mode's factor is ``wigner.wigner_mode`` at unit frequency on the node grid
+    and the monomial is a polynomial, so one rule whose order is chosen from
+    the largest total degree and the largest state is analytically sufficient
+    for every monomial of every state.
     """
     if any(min(e) < 0 or sum(e) > 8 for e in exponents):
         raise ValueError(f"monomial exponents must be non-negative with total <= 8, got {exponents}")
@@ -89,7 +94,7 @@ def _quadrature_moments(params: SystemParams, states: list[QuantumNumbers],
     vx, vy = modes.vartheta_x, modes.vartheta_y
     needed = (max(map(sum, exponents)) + 2 * max(max(q.n, q.m) for q in states)) // 2 + 2
     rule = gauss_hermite(needed)
-    t, w = rule.nodes, rule.weights
+    t, rw = rule.nodes, rule.flat_weights
 
     big_x = t / math.sqrt(vx)      # axis i
     big_p = t * math.sqrt(vx)      # axis j
@@ -100,12 +105,12 @@ def _quadrature_moments(params: SystemParams, states: list[QuantumNumbers],
     lab = wigner.normal_to_lab(modes, RotatedPhasePoint(big_x[:, None], big_p[:, None],
                                                         big_y[None, :], big_q[None, :]))
 
-    t2 = t * t
-    r2 = 2.0 * (t2[:, None] + t2[None, :])
-    ww = w[:, None] * w[None, :]
-    lag = {k: ww * laguerre(k, r2) for k in sorted({q.n for q in states} | {q.m for q in states})}
-    a_ij = np.stack([lag[q.n] for q in states])[:, None]
-    b_kl = np.stack([lag[q.m] for q in states])[:, None]
+    # vx X^2 + P^2/vx = t_i^2 + t_j^2 = vy Y^2 + Q^2/vy: one factor serves both modes
+    ww = rw[:, None] * rw[None, :]
+    factor = {k: ww * wigner.wigner_mode(k, 1.0, t[:, None], t[None, :])
+              for k in sorted({q.n for q in states} | {q.m for q in states})}
+    a_ij = np.stack([factor[q.n] for q in states])[:, None]
+    b_kl = np.stack([factor[q.m] for q in states])[:, None]
 
     # sum_ijkl a_ij b_kl c_ik d_jl = sum_ij a_ij (c b d^T)_ij, c = x^a y^c, d = p^b q^d,
     # for every exponent of every state in one batched product; row e of ``exps`` holds (a, b, c, d)
@@ -114,8 +119,7 @@ def _quadrature_moments(params: SystemParams, states: list[QuantumNumbers],
               for z, top in zip(lab, exps.max(axis=0))]
     cs = powers[0][exps[:, 0]] * powers[2][exps[:, 2]]
     ds = powers[1][exps[:, 1]] * powers[3][exps[:, 3]]
-    scale = np.array([(-1.0) ** (q.n + q.m) for q in states]) / math.pi**2
-    return scale[:, None] * np.sum(a_ij * (cs @ b_kl @ ds.transpose(0, 2, 1)), axis=(2, 3))
+    return np.sum(a_ij * (cs @ b_kl @ ds.transpose(0, 2, 1)), axis=(2, 3))
 
 
 def moment_oracle(params: SystemParams, nm: QuantumNumbers,
@@ -155,14 +159,14 @@ def ladder_oracle(params: SystemParams, nm: QuantumNumbers) -> LadderMoments:
 def global_purity_check(params: SystemParams, nm: QuantumNumbers) -> float:
     """``4 pi^2`` times the phase-space integral of ``W^2``; must be 1.
 
-    The squared Laguerre factors double the polynomial degree, so the rule
+    Squaring W doubles the degree of its polynomial factor, so the rule
     order is ``2*max(n, m) + 4``. ``wigner.wigner_rotated`` is looked up at
     call time, so a rebound evaluator is the one integrated.
     """
     modes = model.diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
     rule = gauss_hermite(2 * max(nm.n, nm.m) + 4)
-    v, w = rule.nodes, rule.weights
+    v, rw = rule.nodes, rule.flat_weights
 
     pt = RotatedPhasePoint(
         X=(v / math.sqrt(2.0 * vx))[:, None, None, None],
@@ -171,7 +175,6 @@ def global_purity_check(params: SystemParams, nm: QuantumNumbers) -> float:
         Q=(v * math.sqrt(0.5 * vy))[None, None, None, :],
     )
     w_vals = wigner.wigner_rotated(modes, nm, pt)
-    rw = w * np.exp(v * v)
     # each product contracts the last remaining axis: l, k, j, then i
     return math.pi**2 * float((w_vals * w_vals) @ rw @ rw @ rw @ rw)
 
@@ -187,7 +190,7 @@ class SchmidtOracleResult:
     norm_deficit: float
 
 
-# Gauss-Hermite orders tried per axis; above about 350 nodes w * exp(t^2) overflows
+# Gauss-Hermite orders tried per axis, up to the limit of ``QuadratureRule.flat_weights``
 _ORDERS = (24, 48, 96, 192, 320)
 
 
@@ -208,7 +211,7 @@ def _lab_samples(modes: NormalModes,
     om_y = math.sqrt((vx * s2 + vy * c2) / (s2 / vx + c2 / vy))  # sqrt(<q^2>/<y^2>)
     for order in _ORDERS:
         rule = gauss_hermite(order)
-        t, root_w = rule.nodes, np.sqrt(rule.weights * np.exp(rule.nodes ** 2))
+        t, root_w = rule.nodes, np.sqrt(rule.flat_weights)
         big = wigner.lab_to_normal(modes, PhasePoint(t[:, None] / math.sqrt(om_x), 0.0,
                                                      t[None, :] / math.sqrt(om_y), 0.0))
         weight = np.outer(root_w, root_w) / (om_x * om_y) ** 0.25
@@ -241,45 +244,39 @@ def schmidt_oracle(params: SystemParams, nm: QuantumNumbers) -> SchmidtOracleRes
 
 
 def marginal_purity_quadrature(params: SystemParams, nm: QuantumNumbers) -> float:
-    """Marginal purity through the Wigner function itself (slow path).
+    """Marginal purity ``2 pi int W_A^2`` through ``wigner.wigner_lab`` (slow path).
 
-    The marginal ``W(x, p)`` is a Gaussian envelope times a polynomial, so
+    The marginal ``W_A(x, p)`` is a Gaussian envelope times a polynomial, so
     both the inner ``(y, q)`` integral (after completing the square) and
-    the outer ``2 pi int W^2`` are exact Gauss-Hermite sums. Entirely
+    the outer one of ``W_A^2`` are exact Gauss-Hermite sums. Entirely
     independent of the generating-function route.
     """
     modes = model.diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
     s2, c2, sc = modes.s2, modes.c2, modes.sc
 
+    # W's exponent is a_y (y - y0)^2 + a_q (q - q0)^2 + (sx^2 x^2 + sp^2 p^2) / 2,
+    # so each lab axis holds nodes over its scale and takes the flat weights over it
     a_y = vx * s2 + vy * c2
     a_q = s2 / vx + c2 / vy
-    gam_x = vx * vy / a_y
-    gam_p = 1.0 / (s2 * vy + c2 * vx)
+    sx, sp = math.sqrt(2.0 * vx * vy / a_y), math.sqrt(2.0 / (s2 * vy + c2 * vx))
+    sy, sq = math.sqrt(a_y), math.sqrt(a_q)
 
     inner = gauss_hermite(nm.n + nm.m + 2)
     outer = gauss_hermite(2 * (nm.n + nm.m) + 3)
-    ti, wi = inner.nodes, inner.weights
-    to, wo = outer.nodes, outer.weights
+    ti, wi = inner.nodes, inner.flat_weights
+    to, wo = outer.nodes, outer.flat_weights
 
-    x = to / math.sqrt(2.0 * gam_x)              # axis k
-    p = to / math.sqrt(2.0 * gam_p)              # axis l
-    y0 = -x * sc * (vx - vy) / a_y
-    q0 = -p * sc * (1.0 / vx - 1.0 / vy) / a_q
-    y_ki = y0[:, None] + ti[None, :] / math.sqrt(a_y)
-    q_lj = q0[:, None] + ti[None, :] / math.sqrt(a_q)
+    x = to / sx                                  # axis k
+    p = to / sp                                  # axis l
+    y_ki = (-x * sc * (vx - vy) / a_y)[:, None] + ti[None, :] / sy
+    q_lj = (-p * sc * (1.0 / vx - 1.0 / vy) / a_q)[:, None] + ti[None, :] / sq
 
-    # X and Y on axes (k, i), P and Q on axes (l, j)
-    big = wigner.lab_to_normal(modes, PhasePoint(x[:, None], p[:, None], y_ki, q_lj))
-
-    arg_n = 2.0 * (vx * big.X[:, None, :, None] ** 2
-                   + big.P[None, :, None, :] ** 2 / vx)   # (k, l, i, j)
-    arg_m = 2.0 * (vy * big.Y[:, None, :, None] ** 2
-                   + big.Q[None, :, None, :] ** 2 / vy)
-    # contract j, then i; then l and k of the squared inner sum
-    inner_sum = laguerre(nm.n, arg_n) * laguerre(nm.m, arg_m) @ wi @ wi
-    total = float(wo @ inner_sum**2 @ wo)
-    return total * math.pi / math.sqrt(gam_x * gam_p) / (math.pi**4 * a_y * a_q)
+    w_vals = wigner.wigner_lab(modes, nm, PhasePoint(x[:, None, None, None], p[None, :, None, None],
+                                                     y_ki[:, None, :, None], q_lj[None, :, None, :]))
+    # contract j, then i, to W_A on (k, l); then k and l of its square
+    marginal = w_vals @ (wi / sq) @ (wi / sy)
+    return 2.0 * math.pi * float((wo / sx) @ marginal**2 @ (wo / sp))
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Run from the repository root to print the table pinned in
     python tests/purity_reference.py
 
 Everything here is 60-digit mpmath arithmetic and nothing is imported from
-``oscpair``: the normal modes are recomputed from ``(wx, wy, eps)``, and
+``oscpair``: the normal modes are recomputed from ``(wx, wy, eps)`` by
+``ladder_reference.normal_modes`` (weights from the discriminant), and
 the coefficient ``[u^k s^k v^k w^k] (Q Q')^(-1/2)`` comes from the binomial
 series ``Q^(-1/2) = Q_0^(-1/2) sum_j C(-1/2, j) X^j`` with ``X = Q/Q_0 - 1``,
 not from the power recurrence the package uses. Before any coefficient is
@@ -21,20 +22,13 @@ import itertools
 import mpmath as mp
 import numpy as np
 
+from ladder_reference import normal_modes
+
 mp.mp.dps = 60
 
 # (wx, wy, eps): weak, moderate and near-bound coupling (bound 0.8), and resonance
 PARAMS = ((1.0, 0.8, 0.01), (1.0, 0.8, 0.7), (1.0, 0.8, 0.79), (1.0, 1.0, 0.5))
 K_MAX = 8
-
-
-def normal_modes(wx: float, wy: float, eps: float):
-    """``(sin^2 theta, cos^2 theta, vartheta_x, vartheta_y)`` at full precision."""
-    wx2, wy2, eps = mp.mpf(wx) ** 2, mp.mpf(wy) ** 2, mp.mpf(eps)
-    theta = mp.pi / 4 if wx == wy else mp.atan2(2 * eps, wx2 - wy2) / 2
-    disc = mp.hypot(wx2 - wy2, 2 * eps)
-    vx, vy = mp.sqrt((wx2 + wy2 + disc) / 2), mp.sqrt((wx2 + wy2 - disc) / 2)
-    return mp.sin(theta) ** 2, mp.cos(theta) ** 2, vx, vy
 
 
 def paper_integrand(s2, c2, vx, vy, u, s, v, w):
@@ -105,7 +99,7 @@ def check_identity(s2, c2, vx, vy) -> None:
 
 
 def purity(wx: float, wy: float, eps: float, k: int) -> mp.mpf:
-    s2, c2, vx, vy = normal_modes(wx, wy, eps)
+    s2, c2, _, vx, vy = normal_modes(mp.mpf(wx), mp.mpf(wy), mp.mpf(eps))
     check_identity(s2, c2, vx, vy)
     pos = inv_sqrt_jet(vx * s2, vy * c2, k)
     mom = inv_sqrt_jet(s2 / vx, c2 / vy, k)

@@ -9,12 +9,14 @@ the ones README "Numerical conventions" states.
 """
 
 import itertools
+import math
 import sys
 
 import mpmath as mp
 
 from ladder_reference import DPS, ladder, moments, normal_modes
-from oscpair import QuantumNumbers, SystemParams, diagonalize, second_and_fourth_moments, steering
+from oscpair import (PhasePoint, QuantumNumbers, SystemParams, diagonalize,
+                     second_and_fourth_moments, steering, wigner_lab)
 from oscpair.purity import _purities
 
 FREQUENCIES = [10.0**a for a in (-50, -25, 0, 25, 50)]
@@ -29,6 +31,22 @@ STATES = [(0, 0), (1, 0), (0, 1), (2, 1), (3, 3), (6, 2), (6, 6)]
 FACTORS = {"xx": ("xx", "xx"), "yy": ("yy", "yy"), "pp": ("pp", "pp"), "qq": ("qq", "qq"),
            "xy": ("xx", "yy"), "pq": ("pp", "qq"), "xxyy": ("xx", "yy"),
            "ppqq": ("pp", "qq"), "xxqq": ("xx", "qq"), "yypp": ("yy", "pp")}
+
+
+def _wigner(wx, wy, eps, n, m, x, p, y, q):
+    """50-digit ``(W, exp(-(a_X + a_Y)) / pi^2)``, ``a_X = vx X^2 + P^2/vx`` (likewise ``a_Y``).
+
+    The squares of the normal coordinates come from the weights alone, ``X^2 = c2 x^2 +
+    2 sc x y + s2 y^2`` and so on, so no angle, cosine or sign enters.
+    """
+    s2, c2, sc, vx, vy = normal_modes(wx, wy, eps)
+    a_x = (vx * (c2 * x * x + 2 * sc * x * y + s2 * y * y)
+           + (c2 * p * p + 2 * sc * p * q + s2 * q * q) / vx)
+    a_y = (vy * (s2 * x * x - 2 * sc * x * y + c2 * y * y)
+           + (s2 * p * p - 2 * sc * p * q + c2 * q * q) / vy)
+    envelope = mp.exp(-(a_x + a_y)) / mp.pi**2
+    lag = mp.laguerre(n, 0, 2 * a_x) * mp.laguerre(m, 0, 2 * a_y)
+    return (-1) ** (n + m) * envelope * lag, envelope
 
 
 def _worst(errors):
@@ -95,11 +113,33 @@ def test_steering_witnesses_within_the_occupation_scale():
 
 
 def test_decoupled_states_are_pure_off_resonance():
+    # 1e-14 on the decades; off them (8,8) reads 1 - 1.44e-14 at (1, 0.1), the worst
+    # of 41 log-spaced omega_y in [0.01, 100]
     states = [QuantumNumbers(n, m) for n in range(9) for m in range(9)]
-    errors = []
-    for wx, wy in itertools.product(FREQUENCIES, repeat=2):
-        if wx != wy:
+    pairs = [(wx, wy) for wx, wy in itertools.product(FREQUENCIES, repeat=2) if wx != wy]
+    for grid, bound in ((pairs, 1e-14), ([(1.0, 0.1), (1.0, 0.5), (1.0, 2.0)], 2e-14)):
+        errors = []
+        for wx, wy in grid:
             for nm, p in zip(states, _purities(SystemParams(wx, wy, 0.0), states)):
                 errors.append((abs(p - 1.0), (wx, wy, nm.n, nm.m)))
+        worst = _worst(errors)
+        assert worst[0] <= bound, worst
+
+
+def test_wigner_function_within_its_envelope():
+    # the origin, one ground-state standard deviation out along each lab axis, and out
+    # along x and y (p and q) at once, where the sign of the mixing enters
+    errors = []
+    for (wx, wy, eps), (n, m) in itertools.product(POINTS, [(0, 0), (1, 0), (2, 1), (3, 3),
+                                                             (6, 6)]):
+        modes = diagonalize(SystemParams(wx, wy, eps))
+        x, p = 0.7 / math.sqrt(wx), 0.7 * math.sqrt(wx)
+        y, q = 0.7 / math.sqrt(wy), 0.7 * math.sqrt(wy)
+        for pt in ((0.0, 0.0, 0.0, 0.0), (x, 0.0, 0.0, 0.0), (0.0, p, 0.0, 0.0),
+                   (0.0, 0.0, y, 0.0), (0.0, 0.0, 0.0, q), (x, 0.0, y, 0.0), (0.0, p, 0.0, q)):
+            got = wigner_lab(modes, QuantumNumbers(n, m), PhasePoint(*pt))
+            with mp.workdps(DPS):
+                want, envelope = _wigner(*map(mp.mpf, (wx, wy, eps)), n, m, *map(mp.mpf, pt))
+                errors.append((abs(got - want) / envelope, (wx, wy, eps, n, m, pt)))
     worst = _worst(errors)
-    assert worst[0] <= 1e-14, worst
+    assert worst[0] <= 1e-13, worst

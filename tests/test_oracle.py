@@ -132,6 +132,29 @@ class TestGlobalPurity:
         got = global_purity_check(PARAMS, QuantumNumbers(0, 0))
         assert got == pytest.approx(4.0, abs=1e-8)
 
+    def test_negative_control_scaled_wigner_mode(self, monkeypatch):
+        # the moment oracle integrates wigner_mode itself, so a scaled factor fails the table
+        true_fn = wigner.wigner_mode
+
+        def doubled(n, vartheta, X, P):
+            return 2.0 * true_fn(n, vartheta, X, P)
+
+        monkeypatch.setattr(wigner, "wigner_mode", doubled)
+        failed = {c.name for c in run_verification().checks if not c.passed}
+        assert "moment-table" in failed
+
+    def test_negative_control_scaled_wigner_lab(self, monkeypatch):
+        # the Wigner-route purity integrates wigner_lab squared: a doubled W reads 4x
+        true_fn = wigner.wigner_lab
+
+        def doubled(modes, nm, pt):
+            return 2.0 * true_fn(modes, nm, pt)
+
+        monkeypatch.setattr(wigner, "wigner_lab", doubled)
+        q = QuantumNumbers(2, 1)
+        got = oracle.marginal_purity_quadrature(PARAMS, q)
+        assert got == pytest.approx(4.0 * purity.purity_exact(PARAMS, q).purity, rel=1e-12)
+
 
 class TestSchmidtOracle:
     def test_decoupled_state_is_rank_one(self):
