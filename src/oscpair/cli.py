@@ -6,9 +6,17 @@ order, each coupling's states from one call, ``n`` and ``m`` are printed with
 omega_x*omega_y`` are skipped with a warning on stderr instead of aborting the
 sweep; a frequency outside ``SystemParams``'s domain fails before any row.
 ``--format json`` writes exactly the bytes of ``json.dumps(rows, indent=2)``.
-Both formats come from one table writer: each key point's text is formatted
-once, and the float values become Python floats one block of at most
-``_BLOCK`` rows at a time.
+Both formats come from one table writer, ``_write_table``: each key point's
+text is formatted once, and the values, rows x fields as a sequence of rows
+(the sweeps) or as one array (``wigner-eval``'s W), become Python floats
+one block of at most ``_BLOCK`` rows at a time.
+
+Only the commands that compute with numpy import it: ``wigner-eval``,
+``purity-scan`` and ``verify`` import ``wigner``, ``purity`` or ``oracle``
+(and numpy with them) when they run, and ``json`` is imported where JSON is
+written. ``spectrum``, ``moments`` and ``steering-scan`` run on the
+numpy-free ``model``, ``moments`` and ``steering`` alone; their ranges come
+from ``_linspace``, which gives ``numpy.linspace``'s points bit for bit.
 
 ``main`` builds its parser on the first call and reuses it for every later
 call in the process (the tests, a notebook, the benchmark): a build takes
@@ -23,21 +31,19 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import math
 import operator
 import sys
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, fields
-from typing import Callable, Sequence, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, TextIO
 
 from .model import QuantumNumbers, SystemParams, cutoff_angle, diagonalize, energy
 from .moments import second_and_fourth_moments
-from .oracle import run_verification
-from .purity import _purities, makarov_entropy
 from .steering import SteeringResult, steering
-from .wigner import PhasePoint, wigner_lab
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STEERING_PRESETS = ("0.99", "0.8", "0.6")
 _EPSILON_FIELDS = ["omega_x", "omega_y", "epsilon"]
@@ -49,7 +55,28 @@ _Values = Callable[[SystemParams, list[QuantumNumbers]], list[tuple]]  # one row
 _BLOCK = 512  # rows per write at most: one whole-table string costs memory
 
 
-def _parse_range(text: str) -> np.ndarray:
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``numpy.linspace(start, stop, num).tolist()`` for ``num >= 1``, bit for bit.
+
+    The same float operations in the same order: ``i*step + start``, or
+    ``i/div*delta + start`` where the step underflows to zero (numpy's branch
+    for subnormal steps), and ``stop`` as the last point. An overflowing
+    span gives points that are not finite, as numpy's do, with no exception.
+    """
+    div = num - 1
+    delta = stop - start
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
+def _parse_range(text: str) -> list[float]:
     """Parse ``start:stop:steps`` into a linspace of finite points."""
     parts = text.split(":")
     if len(parts) != 3:
@@ -58,9 +85,8 @@ def _parse_range(text: str) -> np.ndarray:
     steps = int(parts[2])
     if steps < 1:
         raise ValueError(f"range needs at least one step, got {steps}")
-    with np.errstate(all="ignore"):  # inf, nan or an overflowing span: rejected below
-        points = np.linspace(start, stop, steps)
-    if not np.isfinite(points).all():
+    points = _linspace(start, stop, steps)  # inf, nan or an overflowing span: rejected below
+    if not all(map(math.isfinite, points)):
         raise ValueError(f"range has a point that is not finite: {text!r}")
     return points
 
@@ -82,6 +108,8 @@ def _opened(output: str | None):
 
 
 def _write_json(payload, out: TextIO) -> None:
+    import json
+
     out.write(json.dumps(payload, indent=2) + "\n")
 
 
@@ -91,25 +119,35 @@ def _template(fieldnames: Sequence[str]) -> str:
 
 def _json_values(column: Sequence) -> list[str]:
     """Each value of ``column`` as ``json.dumps`` writes it (``NaN``, ``Infinity`` included)."""
+    import json
+
     return json.dumps(column)[1:-1].split(", ") if len(column) else []
 
 
-def _write_table(keys: list[_Axis], names: list[str], values: np.ndarray | Sequence, fmt: str,
-                 out: TextIO) -> None:
+def _write_table(keys: list[_Axis], names: list[str], values: Sequence[Sequence] | np.ndarray,
+                 fmt: str, out: TextIO) -> None:
     """Write a table as CSV or JSON rows.
 
     ``keys`` are the key axes, each ``(fieldnames, points)`` with one tuple
     per point; the rows run over their product, the last axis fastest, and
-    continue with the float fields ``names``, whose ``values`` are one array
-    of rows x fields. Each key point's text is formatted once. The trailing
-    axes whose product fits in a block, and the value fields, make one row
-    template per table; a block splices a few leading points' text in front
-    of every row of it, is filled by one ``%`` and written at once. Field
-    names must hold no ``%``.
+    continue with the float fields ``names``, whose ``values`` are rows x
+    fields: a sequence of rows, each holding one number per field, or an
+    array whose size is the row count times ``len(names)``. Either becomes
+    Python floats one block at a time, a sequence through ``float()`` and an
+    array through ``tolist``. Each key point's text is formatted once. The
+    trailing axes whose product fits in a block, and the value fields, make
+    one row template per table; a block splices a few leading points' text
+    in front of every row of it, is filled by one ``%`` and written at once.
+    Field names must hold no ``%``.
     """
     to_json = fmt == "json"
-    values = np.asarray(values, dtype=float).reshape(-1, len(names))
+    if isinstance(values, Sequence):
+        rows, floats = values, lambda block: [float(v) for row in block for v in row]
+    else:
+        rows, floats = values.reshape(-1, len(names)), lambda block: block.ravel().tolist()
     if to_json:
+        import json
+
         # the bytes of json.dumps(rows, indent=2): every row opens with ",", and "["
         # takes the first one's place
         def key_template(fieldnames):
@@ -144,7 +182,7 @@ def _write_table(keys: list[_Axis], names: list[str], values: np.ndarray | Seque
     # an empty table has no rows per lead, and one lead
     while group := list(itertools.islice(leads, _BLOCK // max(per_lead, 1))):
         stop = start + len(group) * per_lead
-        cells = values[start:stop].ravel().tolist()
+        cells = floats(rows[start:stop])
         if to_json:
             cells = _json_values(cells)
         block = "".join(lead.join(inner) for lead in group) % tuple(cells)
@@ -172,7 +210,7 @@ def _scan(args, out: TextIO, values: _Values, names: list[str]) -> int:
     eps_values = []
     for eps in _parse_range(args.epsilon):
         if 0.0 <= eps < bound:
-            eps_values.append(float(eps))
+            eps_values.append(eps)
         else:
             print(f"warning: skipping epsilon={eps:g} "
                   f"(requires 0 <= epsilon < omega_x*omega_y = {bound:g})", file=sys.stderr)
@@ -182,9 +220,12 @@ def _scan(args, out: TextIO, values: _Values, names: list[str]) -> int:
 
 
 def _purity_values(params: SystemParams, states: list[QuantumNumbers]) -> list[tuple]:
+    from . import purity
+
     mu = diagonalize(params).mu
-    makarov = [makarov_entropy(nm, mu) for nm in states]
-    return [(p, 1.0 - p, slm, 1.0 - p - slm) for p, slm in zip(_purities(params, states), makarov)]
+    makarov = [purity.makarov_entropy(nm, mu) for nm in states]
+    return [(p, 1.0 - p, slm, 1.0 - p - slm)
+            for p, slm in zip(purity._purities(params, states), makarov)]
 
 
 def _steering_values(params: SystemParams, states: list[QuantumNumbers]) -> list[tuple]:
@@ -196,12 +237,12 @@ def cmd_spectrum(args, out: TextIO) -> int:
         rates = []
         for r in _parse_range(args.r_scan):
             if r > 0:
-                rates.append(float(r))
+                rates.append(r)
             else:
                 print(f"warning: skipping r={r:g} (resonance rate must be positive)",
                       file=sys.stderr)
         _write_table([(["r"], [(r,) for r in rates])], ["theta_c"],
-                     [cutoff_angle(r) for r in rates], args.format, out)
+                     [(cutoff_angle(r),) for r in rates], args.format, out)
         return 0
     return _scan(args, out, lambda p, states: [(energy(p, nm),) for nm in states], ["energy"])
 
@@ -215,12 +256,17 @@ def cmd_moments(args, out: TextIO) -> int:
 
 
 def cmd_wigner_eval(args, out: TextIO) -> int:
+    import numpy as np
+
+    from . import wigner
+
     modes = diagonalize(SystemParams(args.omega_x, args.omega_y, args.epsilon))
     nm = QuantumNumbers(args.n, args.m)
     axes = [_parse_range(r) for r in (args.x, args.p, args.y, args.q)]
     # on the sparse grid the rotated X, Y take (x, y) and P, Q take (p, q): W comes out full
-    w = wigner_lab(modes, nm, PhasePoint(*np.meshgrid(*axes, indexing="ij", sparse=True)))
-    keys = [([name], list(zip(axis.tolist()))) for name, axis in zip("xpyq", axes)]
+    grid = wigner.PhasePoint(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    w = wigner.wigner_lab(modes, nm, grid)
+    keys = [([name], list(zip(axis))) for name, axis in zip("xpyq", axes)]
     _write_table(keys, ["W"], w, args.format, out)
     return 0
 
@@ -235,7 +281,7 @@ def cmd_steering_scan(args, out: TextIO) -> int:
     # the detuned sweep over the (n, 0) and (0, m) families: omega_x = 1 and
     # epsilon over [0, omega_y], without the rows at or beyond the stability bound
     omega_y = float(args.preset)
-    eps_values = [float(e) for e in np.linspace(0.0, omega_y, args.steps) if 0.0 <= e < omega_y]
+    eps_values = [e for e in _linspace(0.0, omega_y, args.steps) if 0.0 <= e < omega_y]
     states = [QuantumNumbers(n, 0) for n in range(1, args.n_max + 1)]
     states += [QuantumNumbers(0, m) for m in range(1, args.n_max + 1)]
     return _sweep(1.0, omega_y, eps_values, states, _steering_values, _STEERING_FIELDS,
@@ -243,6 +289,8 @@ def cmd_steering_scan(args, out: TextIO) -> int:
 
 
 def cmd_verify(args, out: TextIO) -> int:
+    from .oracle import run_verification
+
     report = run_verification()
     if args.json:
         _write_json(report.as_dict(), out)

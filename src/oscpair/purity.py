@@ -208,14 +208,29 @@ def _power_nd(a: np.ndarray, alpha: float) -> np.ndarray:
     return flat.take(plan.dense, axis=1).reshape(a.shape)
 
 
+@functools.lru_cache(maxsize=64)
+def _radicand_slots(batch: int, orders: tuple[int, int, int, int]
+                    ) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """The shape of ``batch`` jets truncated at ``orders``, which of ``Q``'s 16
+    terms (exponents in ``{0, 1}^4``, C order) they keep, and those terms' flat
+    slots in every member, member by member."""
+    shape = tuple(o + 1 for o in orders)
+    size = math.prod(shape)
+    terms = [(i, e) for i, e in enumerate(itertools.product((0, 1), repeat=4))
+             if all(k <= o for k, o in zip(e, orders))]
+    slots = [int(np.ravel_multi_index(e, shape)) for _, e in terms]
+    flat = np.array([member * size + slot for member in range(batch) for slot in slots])
+    flat.flags.writeable = False
+    return (batch,) + shape, tuple(i for i, _ in terms), flat
+
+
 def _radicands(ab: list[tuple[float, float]], orders: tuple[int, int, int, int]) -> np.ndarray:
     """Jet coefficients of ``Q = a (1+u)(1+v)(1-sw) + b (1+s)(1+w)(1-uv)``, axes
     ``(u, s, v, w)``, for each ``(a, b)`` in ``ab``, stacked on a leading axis."""
-    q = np.array([(a + b, b, a, 0, b, b - a, 0, -a, a, 0, a - b, -b, 0, -a, -b, -a - b)
-                  for a, b in ab]).reshape(-1, 2, 2, 2, 2)
-    coeffs = np.zeros((len(ab),) + tuple(o + 1 for o in orders))
-    kept = (slice(None),) + tuple(slice(0, min(o + 1, 2)) for o in orders)
-    coeffs[kept] = q[kept]
+    shape, kept, flat = _radicand_slots(len(ab), orders)
+    q = [(a + b, b, a, 0, b, b - a, 0, -a, a, 0, a - b, -b, 0, -a, -b, -a - b) for a, b in ab]
+    coeffs = np.zeros(shape)
+    coeffs.put(flat, [terms[i] for terms in q for i in kept])
     return coeffs
 
 

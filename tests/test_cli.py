@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -12,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oscpair import cli, purity
+from oscpair import cli, purity, wigner
 from oscpair.cli import _write_table, main
 from oscpair.model import QuantumNumbers, SystemParams
 
@@ -393,7 +396,7 @@ class TestWriter:
         # the writer turns one block of W at a time into Python floats: converting the
         # whole 21^4 grid at once takes about four times W's own 1.5 MB
         w = np.random.default_rng(4).standard_normal([21] * 4)
-        monkeypatch.setattr(cli, "wigner_lab", lambda modes, nm, pt: w)
+        monkeypatch.setattr(wigner, "wigner_lab", lambda modes, nm, pt: w)
         tracemalloc.start()
         try:
             code = main(["wigner-eval", "--format", fmt, "--output", os.devnull]
@@ -447,6 +450,41 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 2
         assert "FAIL moment-table" in out
+
+
+def _bits(points):
+    """Each point's IEEE bits (``0.0`` and ``-0.0`` differ), every NaN as one value."""
+    return [None if math.isnan(p) else struct.pack("<d", p) for p in points]
+
+
+class TestLinspace:
+    """``cli._linspace``, the ranges of every command, against ``numpy.linspace``."""
+
+    @given(start=st.floats(), stop=st.floats(), num=st.integers(1, 400))
+    @example(start=0.5, stop=0.5, num=4)  # equal endpoints
+    @example(start=-0.0, stop=-0.0, num=3)
+    @example(start=0.0, stop=-0.0, num=2)
+    @example(start=-0.0, stop=0.0, num=1)
+    @example(start=-2.0, stop=7.0, num=1)  # one point
+    @example(start=0.0, stop=1.5e-323, num=8)  # a subnormal step that rounds to 0
+    @example(start=-1e308, stop=1e308, num=3)  # the span overflows
+    @example(start=1.7976931348623157e308, stop=-1.7976931348623157e308, num=7)
+    @example(start=0.0, stop=0.99, num=161)  # the --preset grids
+    @example(start=0.0, stop=0.8, num=161)
+    @example(start=0.0, stop=0.6, num=161)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_numpy_bit_for_bit(self, start, stop, num):
+        with np.errstate(all="ignore"):  # an overflowing or non-finite span
+            want = np.linspace(start, stop, num).tolist()
+        assert _bits(cli._linspace(start, stop, num)) == _bits(want)
+
+    def test_examples_reach_the_edge_branches(self):
+        # numpy divides before it scales where the step underflows to 0, and an
+        # overflowing span gives a point that is not finite; the examples above hit both
+        assert np.linspace(0.0, 1.5e-323, 8, retstep=True)[1] == 0.0
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(np.linspace(-1e308, 1e308, 3)).all()
+        assert not all(map(math.isfinite, cli._linspace(-1e308, 1e308, 3)))
 
 
 class TestArgumentHandling:
@@ -542,7 +580,7 @@ class TestArgumentHandling:
             calls.append((params, states))
             raise RuntimeError("the sweep ran")
 
-        monkeypatch.setattr(cli, "_purities", purities)
+        monkeypatch.setattr(purity, "_purities", purities)
         path = tmp_path / "missing" / "x.csv"
         code, out, err = run_cli(capsys, "purity-scan", "--output", str(path))
         assert code == 1
