@@ -20,7 +20,10 @@ from ``_linspace``, which gives ``numpy.linspace``'s points bit for bit.
 
 ``main`` builds its parser on the first call and reuses it for every later
 call in the process (the tests, a notebook, the benchmark): a build takes
-1–2 ms, about a third of a ``wigner-eval`` call on a 41×41 plane.
+1–2 ms, about a third of a ``wigner-eval`` call on a 41×41 plane. Called
+before numpy is loaded, it sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS`` to 1 where they are unset; ``verify --json`` reports
+their values as ``blas_threads``.
 
 Exit codes: 0 success, 1 validation or output error, 2 verification failure.
 """
@@ -33,6 +36,7 @@ import functools
 import itertools
 import math
 import operator
+import os
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, fields
@@ -293,7 +297,8 @@ def cmd_verify(args, out: TextIO) -> int:
 
     report = run_verification()
     if args.json:
-        _write_json(report.as_dict(), out)
+        threads = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+        _write_json({**report.as_dict(), "blas_threads": threads}, out)
     else:
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"
@@ -384,7 +389,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# read once, when numpy loads its BLAS: under OpenBLAS's default threading some fresh
+# processes spent about 80 ms in the Schmidt oracle's small SVDs, against about 2 ms
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:  # a user's value wins; a loaded BLAS is left as it is
+        for var in _BLAS_THREAD_VARS:
+            os.environ.setdefault(var, "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -50,8 +50,10 @@ class SystemParams:
     0.5, 0.99} of the bound, the mixing weights are within 1e-15 relative
     (absolute below the normal range), each moment within 1e-13 of its
     natural scale, each raw steering witness within 1e-13 of
-    ``(nx+1)(ny+1)``, and at ``eps = 0`` off resonance every purity up to
-    (8,8) within 1e-14 of 1 (within 2e-14 between the decades).
+    ``(nx+1)(ny+1)``, each ladder correlator within 2e-15 of its occupation
+    scale (``nx+1``, ``ny+1`` or ``(nx+1)(ny+1)``), and at ``eps = 0`` off
+    resonance every purity up to (8,8) within 1e-14 of 1 (within 2e-14
+    between the decades).
     """
 
     omega_x: float

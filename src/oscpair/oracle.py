@@ -18,9 +18,9 @@ check:
 
 ``run_verification`` sweeps a built-in parameter grid through all checks
 and returns a machine-readable report; the CLI ``verify`` command wraps
-it. Both oracles above run once per coupling of the grid, batched over its
-six states (``_schmidt``: one grid and one stacked SVD;
-``_moment_sets``: one quadrature rule).
+it. The oracles run once per coupling, over its six states (``_schmidt``: one
+grid, one stacked SVD; ``_moment_sets``: one rule; ``_global_purities``: one
+rule, one 2-D integral of ``wigner_mode`` squared per mode and quantum number).
 """
 
 from __future__ import annotations
@@ -156,27 +156,28 @@ def ladder_oracle(params: SystemParams, nm: QuantumNumbers) -> LadderMoments:
     return _ladder(params, moment_set_oracle(params, nm))
 
 
+def _global_purities(params: SystemParams, states: list[QuantumNumbers]) -> list[float]:
+    """``global_purity_check`` for each state, on one rule sized for the largest."""
+    modes = model.diagonalize(params)
+    rule = gauss_hermite(2 * max(max(q.n, q.m) for q in states) + 4)
+    v, rw = rule.nodes, rule.flat_weights
+    integrals = []  # per normal mode, its squared factor's integral for each quantum number
+    for vt, ks in ((modes.vartheta_x, {q.n for q in states}),
+                   (modes.vartheta_y, {q.m for q in states})):
+        big, small = (v / math.sqrt(2.0 * vt))[:, None], (v * math.sqrt(0.5 * vt))[None, :]
+        integrals.append({k: float(rw @ wigner.wigner_mode(k, vt, big, small) ** 2 @ rw)
+                          for k in ks})
+    return [math.pi**2 * integrals[0][q.n] * integrals[1][q.m] for q in states]
+
+
 def global_purity_check(params: SystemParams, nm: QuantumNumbers) -> float:
     """``4 pi^2`` times the phase-space integral of ``W^2``; must be 1.
 
-    Squaring W doubles the degree of its polynomial factor, so the rule
-    order is ``2*max(n, m) + 4``. ``wigner.wigner_rotated`` is looked up at
-    call time, so a rebound evaluator is the one integrated.
+    W is a product of ``wigner.wigner_mode`` factors, so the integral is one 2-D
+    Gauss-Hermite sum per normal mode, with ``2*max(n, m) + 4`` nodes on ``X = v /
+    sqrt(2 vx)``, ``P = v sqrt(vx / 2)`` (``Y``, ``Q`` likewise) and flat weights.
     """
-    modes = model.diagonalize(params)
-    vx, vy = modes.vartheta_x, modes.vartheta_y
-    rule = gauss_hermite(2 * max(nm.n, nm.m) + 4)
-    v, rw = rule.nodes, rule.flat_weights
-
-    pt = RotatedPhasePoint(
-        X=(v / math.sqrt(2.0 * vx))[:, None, None, None],
-        P=(v * math.sqrt(0.5 * vx))[None, :, None, None],
-        Y=(v / math.sqrt(2.0 * vy))[None, None, :, None],
-        Q=(v * math.sqrt(0.5 * vy))[None, None, None, :],
-    )
-    w_vals = wigner.wigner_rotated(modes, nm, pt)
-    # each product contracts the last remaining axis: l, k, j, then i
-    return math.pi**2 * float((w_vals * w_vals) @ rw @ rw @ rw @ rw)
+    return _global_purities(params, [nm])[0]
 
 
 @dataclass(frozen=True)
@@ -337,8 +338,8 @@ def _point(p: SystemParams, q: QuantumNumbers) -> str:
 def run_verification() -> VerificationReport:
     """Run the oracle suite over the built-in reference grid.
 
-    The exact purity and both oracles run once per coupling over its six states
-    (``_purities``, ``_schmidt``, ``_moment_sets``); every other routine runs
+    The exact purity and the oracles run once per coupling over its six states
+    (``_purities``, ``_schmidt``, ``_moment_sets``, ``_global_purities``); the rest
     once per reference point, and each result feeds every check that needs it.
     Module-level functions under test are resolved at call time, so a fault
     injected by rebinding (for instance a corrupted moment formula) surfaces as
@@ -370,15 +371,14 @@ def run_verification() -> VerificationReport:
             svds = _schmidt(p, states)
         with stage("quadrature-oracles"):
             refs = _moment_sets(p, states)
+            lads = [_ladder(p, ref) for ref in refs]
+            norms = _global_purities(p, states)
         with stage("purity"):
             exacts = purity._purities(p, states)  # states[0] is the ground state
             ground = purity.purity_ground_closed(p).purity
         record("ground-purity-closed-form", abs(exacts[0] - ground), _point(p, states[0]))
-        for q, exact, svd, ref in zip(states, exacts, svds, refs):
+        for q, exact, svd, ref, lad, norm in zip(states, exacts, svds, refs, lads, norms):
             at = _point(p, q)
-            with stage("quadrature-oracles"):
-                norm = global_purity_check(p, q)
-                lad = _ladder(p, ref)
             with stage("closed-forms"):
                 ms = moments.second_and_fourth_moments(p, q)
                 ax, ay = moments.uncertainty_areas(p, q)

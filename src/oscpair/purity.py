@@ -154,7 +154,9 @@ def _plan(shape: tuple[int, ...], pattern: bytes, alpha: float) -> _Plan | None:
     size = math.prod(jet_shape)
     degree = np.indices(jet_shape).sum(axis=0).ravel()
     order = np.argsort(degree, kind="stable")
-    dense = np.empty(size, dtype=np.int32)  # half int64's bytes, and takes as fast
+    # int32 for memory: ``take`` converts the indices to intp on every call (1.17 against
+    # 0.78 us on an (11, 25) gather), but intp plans cost 2.5 MB more peak RSS on a sweep
+    dense = np.empty(size, dtype=np.int32)
     dense[order] = np.arange(size)
     bounds = np.searchsorted(degree[order], np.arange(1, degree[-1] + 2))
 

@@ -409,6 +409,8 @@ class TestWriter:
 
 
 class TestVerify:
+    BLAS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+
     def test_fresh_build_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
@@ -434,6 +436,26 @@ class TestVerify:
         assert list(stages) == ["purity", "schmidt-oracle", "quadrature-oracles", "closed-forms"]
         assert all(seconds >= 0.0 for seconds in stages.values())
         assert sum(stages.values()) <= report["elapsed_seconds"]
+
+    @pytest.mark.parametrize("given, want", [
+        ({}, ["1", "1", "1"]),
+        ({"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "3"}, ["2", "1", "3"]),
+    ])
+    def test_fresh_process_runs_on_one_blas_thread_unless_told(self, given, want):
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS}
+        proc = subprocess.run([sys.executable, "-m", "oscpair", "verify", "--json"],
+                              env=dict(env, PYTHONPATH=str(SRC), **given),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["blas_threads"] == dict(zip(self.BLAS, want))
+
+    def test_in_process_call_leaves_the_environment(self, capsys, monkeypatch):
+        # numpy is loaded here, so its BLAS has read its settings already
+        for var in self.BLAS:
+            monkeypatch.delenv(var, raising=False)
+        _, out, _ = run_cli(capsys, "verify", "--json")
+        assert set(json.loads(out)["blas_threads"].values()) == {None}
+        assert not set(self.BLAS) & set(os.environ)
 
     def test_injected_fault_fails_with_exit_two(self, capsys, monkeypatch):
         from oscpair import moments as moments_module

@@ -15,8 +15,8 @@ import sys
 import mpmath as mp
 
 from ladder_reference import DPS, ladder, moments, normal_modes
-from oscpair import (PhasePoint, QuantumNumbers, SystemParams, diagonalize,
-                     second_and_fourth_moments, steering, wigner_lab)
+from oscpair import (PhasePoint, QuantumNumbers, SystemParams, diagonalize, excitation_numbers,
+                     ladder_moments, second_and_fourth_moments, steering, wigner_lab)
 from oscpair.purity import _purities
 
 FREQUENCIES = [10.0**a for a in (-50, -25, 0, 25, 50)]
@@ -110,6 +110,24 @@ def test_steering_witnesses_within_the_occupation_scale():
                 errors.append((abs(got - want) / scale, (wx, wy, eps, n, m, name)))
     worst = _worst(errors)
     assert worst[0] <= 1e-13, worst
+
+
+def test_ladder_correlators_within_the_occupation_scale():
+    # a virtual excitation far below 1 is held to that scale, not to its own size
+    errors = []
+    for (wx, wy, eps), (n, m) in itertools.product(POINTS, STATES):
+        params, nm = SystemParams(wx, wy, eps), QuantumNumbers(n, m)
+        ex, lm = excitation_numbers(params, nm), ladder_moments(params, nm)
+        with mp.workdps(DPS):
+            nx, ny, nxny, cross = ladder(wx, wy, eps, n, m)
+            scale = (nx + 1) * (ny + 1)
+            for name, got, want, unit in (
+                    ("nx", ex.nx, nx, nx + 1), ("ny", ex.ny, ny, ny + 1),
+                    ("ladder nx", lm.nx, nx, nx + 1), ("ladder ny", lm.ny, ny, ny + 1),
+                    ("nxny", lm.nxny, nxny, scale), ("cross_mag_sq", lm.cross_mag_sq, cross**2, scale)):
+                errors.append((abs(got - want) / unit, (wx, wy, eps, n, m, name)))
+    worst = _worst(errors)
+    assert worst[0] <= 2e-15, worst
 
 
 def test_decoupled_states_are_pure_off_resonance():

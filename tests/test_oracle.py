@@ -53,6 +53,23 @@ def einsum_moment(params, nm, exponents):
     return (-1.0) ** (nm.n + nm.m) / math.pi**2 * float(total)
 
 
+def rotated_global_purity(params, nm):
+    """Reference ``4 pi^2 int W^2``: ``wigner_rotated`` on a 4-D grid of one rule."""
+    modes = diagonalize(params)
+    vx, vy = modes.vartheta_x, modes.vartheta_y
+    rule = gauss_hermite(2 * max(nm.n, nm.m) + 4)
+    v, rw = rule.nodes, rule.flat_weights
+    pt = wigner.RotatedPhasePoint(
+        X=(v / math.sqrt(2.0 * vx))[:, None, None, None],
+        P=(v * math.sqrt(0.5 * vx))[None, :, None, None],
+        Y=(v / math.sqrt(2.0 * vy))[None, None, :, None],
+        Q=(v * math.sqrt(0.5 * vy))[None, None, None, :],
+    )
+    w_vals = wigner_rotated(modes, nm, pt)
+    # each product contracts the last remaining axis: l, k, j, then i
+    return math.pi**2 * float((w_vals * w_vals) @ rw @ rw @ rw @ rw)
+
+
 class TestQuadratureRule:
     def test_weights_positive_and_normalized(self):
         rule = gauss_hermite(24)
@@ -124,13 +141,28 @@ class TestGlobalPurity:
         params = SystemParams(1.0, 1.0, eps)
         assert global_purity_check(params, QuantumNumbers(*nm)) == pytest.approx(1.0, abs=1e-8)
 
-    def test_negative_control_scaled_wigner(self, monkeypatch):
-        def doubled(modes, nm, pt):
-            return 2.0 * wigner_rotated(modes, nm, pt)
+    @pytest.mark.parametrize("frac", [0.0, 0.5, 0.99, 0.9999])
+    @pytest.mark.parametrize("wy", [0.8, 1.0])
+    def test_matches_the_rotated_4d_integral(self, wy, frac):
+        # the check integrates one mode at a time; the reference integrates W^2 on the 4-D grid
+        params = SystemParams(1.0, wy, frac * wy)
+        states = [QuantumNumbers(n, m) for n in range(7) for m in range(7)]
+        batch = oracle._global_purities(params, states)
+        for q, together in zip(states, batch):
+            want = rotated_global_purity(params, q)
+            assert abs(global_purity_check(params, q) - want) <= 1e-14, q
+            assert abs(together - want) <= 1e-14, q
 
-        monkeypatch.setattr(wigner, "wigner_rotated", doubled)
+    def test_negative_control_scaled_wigner(self, monkeypatch):
+        # each mode's factor doubles, so W^2 reads 16 times its value
+        true_fn = wigner.wigner_mode
+
+        def doubled(n, vartheta, X, P):
+            return 2.0 * true_fn(n, vartheta, X, P)
+
+        monkeypatch.setattr(wigner, "wigner_mode", doubled)
         got = global_purity_check(PARAMS, QuantumNumbers(0, 0))
-        assert got == pytest.approx(4.0, abs=1e-8)
+        assert got == pytest.approx(16.0, abs=1e-8)
 
     def test_negative_control_scaled_wigner_mode(self, monkeypatch):
         # the moment oracle integrates wigner_mode itself, so a scaled factor fails the table
@@ -262,8 +294,8 @@ class TestVerification:
         assert [(c.name, c.tolerance, c.detail) for c in report.checks] == self.CHECKS
 
     def test_each_reference_point_is_computed_once(self, monkeypatch):
-        # the two batched oracles and the exact purity run once per coupling over its six states
-        batches = {"moments": [], "schmidt": [], "purity": []}
+        # the batched oracles and the exact purity run once per coupling over its six states
+        batches = {"moments": [], "schmidt": [], "global": [], "purity": []}
 
         def batching(key, fn):
             def wrapped(params, states):
@@ -273,12 +305,27 @@ class TestVerification:
 
         monkeypatch.setattr(oracle, "_moment_sets", batching("moments", oracle._moment_sets))
         monkeypatch.setattr(oracle, "_schmidt", batching("schmidt", oracle._schmidt))
+        monkeypatch.setattr(oracle, "_global_purities",
+                            batching("global", oracle._global_purities))
         monkeypatch.setattr(purity, "_purities", batching("purity", purity._purities))
         assert run_verification().passed
         for key, seen in batches.items():
             assert len(seen) == 4 and all(states == seen[0][1] for _, states in seen), key
             assert len(seen[0][1]) == 6, key
             assert len({(params, q) for params, states in seen for q in states}) == 24, key
+
+    def test_builds_one_rule_per_size(self, monkeypatch):
+        # from a cold cache: the Schmidt grid (24), the moment rule (6) and the global rule (8)
+        built, hermgauss = [], np.polynomial.hermite.hermgauss
+
+        def recording(order):
+            built.append(order)
+            return hermgauss(order)
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", recording)
+        oracle.gauss_hermite.cache_clear()
+        assert run_verification().passed
+        assert sorted(built) == [6, 8, 24]
 
     def test_reference_grid_passes(self):
         report = run_verification()
@@ -326,13 +373,14 @@ class TestVerification:
         assert check.worst == f"omega_x=1.0 omega_y=0.8 epsilon={0.9 * 0.8} n=2 m=1"
 
     def test_nan_deviation_fails_its_check(self, monkeypatch):
-        true_fn = oracle.global_purity_check
+        true_fn = oracle._global_purities
         bad = (SystemParams(1.0, 1.0, 0.9), QuantumNumbers(1, 1))
 
-        def broken(params, nm):
-            return math.nan if (params, nm) == bad else true_fn(params, nm)
+        def broken(params, states):
+            return [math.nan if (params, q) == bad else norm
+                    for q, norm in zip(states, true_fn(params, states))]
 
-        monkeypatch.setattr(oracle, "global_purity_check", broken)
+        monkeypatch.setattr(oracle, "_global_purities", broken)
         check = {c.name: c for c in run_verification().checks}["global-purity"]
         assert not check.passed
         assert math.isnan(check.max_deviation)
