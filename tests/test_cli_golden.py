@@ -50,6 +50,11 @@ GOLDEN = [
     (["wigner-eval", "--omega-y", "0.8", "--epsilon", "0.3", "--n", "2", "--m", "1",
       "--x=-1:1:3", "--p=0:1:5", "--y=-0.5:0.5:4", "--q=-0:-0:2"],
      0, "aa0a8557794b89d20fd3509ccef7f6daa0098731dfbbc73a0c5eeeaa52464b74", ""),
+    # a wide x axis: W holds 0 and -0 where exp(-arg) underflows, three-digit exponents,
+    # and values on both sides of %g's switch at 1e-4 (-0.00068..., -3.39...e-05)
+    (["wigner-eval", "--omega-y", "0.8", "--n", "0", "--m", "1", "--x=-38:38:39",
+      "--p=0:2:3", "--y=0:6:2"],
+     0, "275c89755f6d74b7f18b9c64837811c5a7de0ba647a5245680749e9b548d3a95", ""),
     # n-max != m-max: pins the order of the state axis
     (["spectrum", "--omega-y", "0.8", "--epsilon", "0:0.5:3", "--n-max", "1", "--m-max", "3"],
      0, "abff6a1d53169a9857b7fce8cacc4f9425c9e5e219f93e0813cdb33636ec314f", ""),
