@@ -9,7 +9,11 @@ sweep; a frequency outside ``SystemParams``'s domain fails before any row.
 Both formats come from one table writer, ``_write_table``: each key point's
 text is formatted once, and the values, rows x fields as a sequence of rows
 (the sweeps) or as one array (``wigner-eval``'s W), become Python floats
-one block of at most ``_BLOCK`` rows at a time.
+one block of at most ``_BLOCK`` rows at a time; an array's CSV text comes
+from ``_g17``, ``_CHUNK`` (4,096) values per call, in ``%.17g``'s bytes: the
+17 digits of a double-double product, kept for ``0 < |x| < 1`` where their
+rounding is certain (the fraction more than 1e-9 from 1/2, 17 digits exactly).
+Zeros, inf, nan, ties, a ``log10`` off by one and ``|x| >= 1`` go through ``%``.
 
 Only the commands that compute with numpy import it: ``wigner-eval``,
 ``purity-scan`` and ``verify`` import ``wigner``, ``purity`` or ``oracle``
@@ -42,7 +46,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import asdict, fields
 from typing import TYPE_CHECKING, TextIO
 
-from .model import QuantumNumbers, SystemParams, cutoff_angle, diagonalize, energy
+from .model import QuantumNumbers, SystemParams, _two_product, cutoff_angle, diagonalize, energy
 from .moments import second_and_fourth_moments
 from .steering import SteeringResult, steering
 
@@ -57,6 +61,7 @@ _steering_row = operator.attrgetter(*_STEERING_FIELDS)  # astuple would deep-cop
 _Axis = tuple[Sequence[str], Sequence[tuple]]  # field names, one tuple per point
 _Values = Callable[[SystemParams, list[QuantumNumbers]], list[tuple]]  # one row per state
 _BLOCK = 512  # rows per write at most: one whole-table string costs memory
+_CHUNK = 4096  # array values per _g17 call: a few numpy passes each, never the whole table
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -117,8 +122,8 @@ def _write_json(payload, out: TextIO) -> None:
     out.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _template(fieldnames: Sequence[str]) -> str:
-    return ",".join("%d" if name in ("n", "m") else "%.17g" for name in fieldnames)
+def _template(fieldnames: Sequence[str], spec: str = "%.17g") -> str:
+    return ",".join("%d" if name in ("n", "m") else spec for name in fieldnames)
 
 
 def _json_values(column: Sequence) -> list[str]:
@@ -126,6 +131,64 @@ def _json_values(column: Sequence) -> list[str]:
     import json
 
     return json.dumps(column)[1:-1].split(", ") if len(column) else []
+
+
+@functools.cache
+def _g17_tables() -> tuple[np.ndarray, ...]:
+    """``_g17``'s tables, built on first use: ``0000``..``9999`` as uint32 words, then with
+    trailing zeros as NUL; ``5**(16-k) = hi + lo`` (to 2**-106) at ``k`` and the bytes around
+    the digits at ``2k + sign``, for every ``k = floor(log10|x|)`` of a double below 1."""
+    import numpy as np
+
+    quad = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + 48  # "0000".."9999"
+    kept = np.logical_or.accumulate(quad[:, ::-1] != 48, 1)[:, ::-1]
+    digits = np.concatenate([quad, quad * kept]).view(np.uint32).ravel()
+    edges, scales = "", []
+    for k in range(-324, 0):
+        lead, exp = ("", f"e{k:03d}") if k < -4 else ("0." + "0" * (-k - 1), "")
+        edges += "".join(sign + lead.ljust(5, "\0") + exp.ljust(5, "\0") + "\n" for sign in "\0-")
+        five = 5 ** (16 - k)
+        scales.append((float(five), float(five - int(float(five)))))
+    hi, lo = np.array(scales).T
+    return digits, np.frombuffer(edges.encode(), np.uint8).reshape(-1, 12), hi, lo
+
+
+def _g17(x: np.ndarray) -> list[str]:
+    """``["%.17g" % v for v in x.tolist()]`` for a 1-d float64 array, with numpy.
+
+    With ``k = floor(log10|x|)``, ``|x| 10**(16-k) = (|x| 2**(16-k)) (hi + lo) = p + r``
+    (``p`` exact by ``_two_product``) to about 1e-14: its 17 digits are ``floor`` and a
+    rounding bit, laid out as ``d.ddde-XX`` for ``k < -4``, else ``0.000ddd``.
+    """
+    import numpy as np
+
+    digits, edges, his, los = _g17_tables()
+    ok = (x != 0) & (abs(x) < 1)
+    a = np.where(ok, abs(x), 0.5)
+    k = np.floor(np.log10(a)).astype(np.intp)  # a k of 0 would index junk, and fails below
+    y = np.ldexp(a, 16 - k)
+    p, err = _two_product(y, his[k])
+    r = err + y * los[k]
+    low = p.astype(np.int64) + np.floor(r).astype(np.int64)
+    frac = r - np.floor(r)
+    d = low + (frac > 0.5)
+    ok &= (abs(frac - 0.5) > 1e-9) & (low >= 10**16) & (d < 10**17) & (k < 0)
+    lead, rest = np.divmod(np.where(ok, d, 10**16), 10**16)
+    quad = np.stack(np.divmod(np.stack(np.divmod(rest, 10**8), 1), 10**4), 2).reshape(-1, 4)
+    strip = True  # a group's trailing zeros go where every later group is zero
+    for j in (3, 2, 1, 0):
+        quad[:, j] += 10000 * strip
+        strip = quad[:, j] == 10000
+    text = np.zeros((len(x), 30), np.uint8)  # NULs are dropped, "\n" ends each value
+    edge = np.take(edges, 2 * k + np.signbit(x), 0)
+    text[:, :6], text[:, 24:] = edge[:, :6], edge[:, 6:]
+    text[:, 6] = 48 + lead
+    text[:, 7] = 46 * ((k < -4) & (rest != 0))
+    text[:, 8:24] = digits[quad].view(np.uint8)
+    out = text.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    for j in np.flatnonzero(~ok).tolist():
+        out[j] = "%.17g" % x[j]
+    return out
 
 
 def _write_table(keys: list[_Axis], names: list[str], values: Sequence[Sequence] | np.ndarray,
@@ -138,17 +201,24 @@ def _write_table(keys: list[_Axis], names: list[str], values: Sequence[Sequence]
     fields: a sequence of rows, each holding one number per field, or an
     array whose size is the row count times ``len(names)``. Either becomes
     Python floats one block at a time, a sequence through ``float()`` and an
-    array through ``tolist``. Each key point's text is formatted once. The
+    array through ``tolist``; an array's CSV text instead comes from ``_g17``,
+    ``_CHUNK`` values per call, those it cannot certify (zeros, inf, nan, ties,
+    ``|x| >= 1``) through ``%.17g``. Each key point's text is formatted once. The
     trailing axes whose product fits in a block, and the value fields, make
     one row template per table; a block splices a few leading points' text
     in front of every row of it, is filled by one ``%`` and written at once.
     Field names must hold no ``%``.
     """
-    to_json = fmt == "json"
+    to_json, spec = fmt == "json", "%.17g"
     if isinstance(values, Sequence):
         rows, floats = values, lambda block: [float(v) for row in block for v in row]
     else:
         rows, floats = values.reshape(-1, len(names)), lambda block: block.ravel().tolist()
+        if not to_json:  # the text of W, _CHUNK values per _g17 call, into %s fields
+            step = max(_CHUNK // len(names), 1)
+            strings = itertools.chain.from_iterable(
+                _g17(rows[i:i + step].ravel()) for i in range(0, len(rows), step))
+            floats, spec = lambda block: list(itertools.islice(strings, block.size)), "%s"
     if to_json:
         import json
 
@@ -165,7 +235,7 @@ def _write_table(keys: list[_Axis], names: list[str], values: Sequence[Sequence]
         def key_template(fieldnames):
             return _template(fieldnames) + ","
 
-        opening, row, cut = "", _template(names) + "\n", 0
+        opening, row, cut = "", _template(names, spec) + "\n", 0
         head = ",".join([name for axis, _ in keys for name in axis] + names) + "\n"
         tail = ""
     texts = []

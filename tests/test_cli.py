@@ -408,6 +408,79 @@ class TestWriter:
         assert peak < w.nbytes
 
 
+def _percent_g17(values):
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _neighbours(values):
+    return [w for v in values
+            for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+
+
+class TestArrayText:
+    """``cli._g17``, the CSV text of an array's values, against ``'%.17g' % v``."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(26).integers(0, 2**64, 100_000, dtype=np.uint64)
+        x = bits.view(np.float64)  # both signs, every exponent, nan and inf included
+        assert cli._g17(x) == _percent_g17(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    max_size=40))
+    def test_any_floats(self, values):
+        assert cli._g17(np.array(values, dtype=float)) == _percent_g17(values)
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+         math.nan, math.inf, -math.inf],
+        # log10 rounds to the wrong k next to a power of ten, as for 9.9999999999999997e-305
+        _neighbours(float(f"1e{i}") for i in range(-323, 309)),
+        # 2**-25 = 2.98023223876953125e-08 is a tie at 17 digits
+        [math.ldexp(1.0, i) for i in range(-1074, 1024)],
+        # %g turns from 0.000ddd to d.ddde-05 below 1e-4
+        _neighbours([1e-4, 9.9999999999999991e-05, 1.0000000000000001e-05, 1e-5])
+        + np.linspace(9e-6, 2e-4, 2001).tolist(),
+        [],
+    ], ids=["special", "powers-of-ten", "powers-of-two", "layout-switch", "empty"])
+    def test_edge_values(self, values):
+        x = np.array(values, dtype=float)
+        assert cli._g17(x) == _percent_g17(x)
+        assert cli._g17(-x) == _percent_g17(-x)
+
+    @pytest.mark.parametrize("argv, size", [
+        (["--omega-y", "0.8", "--epsilon", "0.76", "--n", "6", "--m", "6"]
+         + [f"--{axis}=-2:2:11" for axis in "xpyq"], 11**4),
+        (["--omega-y", "1", "--epsilon", "0.5", "--n", "1", "--m", "0", "--x=-2:2:41",
+          "--p=-2:2:41"], 41**2),
+    ], ids=["grid-11^4", "plane-41x41"])
+    def test_golden_grids_need_no_fallback(self, monkeypatch, argv, size):
+        # a value _g17 cannot certify is read back one by one, as x[j], for "%": a
+        # faster path that stopped certifying would show here, not as a slower run
+        class Reads(np.ndarray):
+            count = 0
+
+            def __getitem__(self, index):
+                if isinstance(index, int):
+                    Reads.count += 1
+                return super().__getitem__(index)
+
+        real, sizes = cli._g17, []
+        assert real(np.array([0.0, 1.5, 2.0**-25, 1e-3]).view(Reads)) == _percent_g17(
+            [0.0, 1.5, 2.0**-25, 1e-3])
+        assert Reads.count == 3
+        Reads.count = 0
+
+        def spy(x):
+            sizes.append(len(x))
+            return real(x.view(Reads))
+
+        monkeypatch.setattr(cli, "_g17", spy)
+        assert main(["wigner-eval", *argv, "--output", os.devnull]) == 0
+        assert sum(sizes) == size and max(sizes) <= cli._CHUNK
+        assert Reads.count == 0
+
+
 class TestVerify:
     BLAS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
 

@@ -113,3 +113,19 @@ def test_the_namespace_lists_each_name_once_and_copies_none():
     assert "purity_exact" not in vars(oscpair)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         oscpair.no_such_name
+
+
+def test_commands_load_no_numpy_ma_and_only_wigner_eval_builds_the_digit_tables():
+    # numpy 2.4's first np.unique call imports numpy.ma, 10-35 ms in a fresh process;
+    # the CSV text tables of wigner-eval are built at its first write, by no other command
+    code = (
+        "import contextlib, io, os, sys\n"
+        "from oscpair import cli\n"
+        "for argv in (['purity-scan', '--epsilon', '0:0.5:3'], ['verify'],\n"
+        "             ['wigner-eval', '--x=-1:1:3', '--n', '1', '--format', 'json'],\n"
+        "             ['wigner-eval', '--x=-1:1:3', '--n', '1']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv + ['--output', os.devnull] * (argv[0] != 'verify')) == 0\n"
+        "    print('numpy.ma' in sys.modules, cli._g17_tables.cache_info().currsize)\n"
+    )
+    assert _run(code) == ["False", "0"] * 3 + ["False", "1"]
