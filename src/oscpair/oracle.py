@@ -13,14 +13,16 @@ check:
   in lab coordinates, weighted so that the samples are an orthogonal image
   of the state's Hermite amplitudes in lab-local bases: the Schmidt
   coefficients, with their truncation residual. It shares the rule with
-  the quadrature oracles, evaluates the state with
-  ``wigner.eigenfunction``, and shares nothing with the generating function.
+  the quadrature oracles, evaluates the states with
+  ``wigner.eigenfunctions``, and shares nothing with the generating function.
 
 ``run_verification`` sweeps a built-in parameter grid through all checks
 and returns a machine-readable report; the CLI ``verify`` command wraps
-it. The oracles run once per coupling, over its six states (``_schmidt``: one
-grid, one stacked SVD; ``_moment_sets``: one rule; ``_global_purities``: one
-rule, one 2-D integral of ``wigner_mode`` squared per mode and quantum number).
+it. The oracles run once per coupling, over its six states
+(``_gram_purities``: one grid, and each state's purity from the Gram matrix
+of its samples, with no SVD; ``_moment_sets``: one rule; ``_global_purities``:
+one rule, one 2-D integral of ``wigner_mode`` squared per mode and quantum
+number). ``schmidt_oracle`` keeps the SVD, for the spectrum and the entropies.
 """
 
 from __future__ import annotations
@@ -205,7 +207,8 @@ def _lab_samples(modes: NormalModes,
     exp(t_i^2) / sqrt(Omega_x)``. ``A`` is an orthogonal image of the state's Hermite
     amplitudes in the lab-local bases of frequency ``Omega``, so its singular values are
     the Schmidt coefficients. The order grows until every deficit is ``| ||A||_F^2 - 1 |
-    < 1e-14``. ``eigenfunction`` caps ``n, m`` at 64.
+    < 1e-14``. Each grid runs each mode's Hermite recurrence once, up to the largest
+    ``n`` or ``m`` of ``states`` (``wigner.eigenfunctions``, which caps them at 64).
     """
     vx, vy, s2, c2 = modes.vartheta_x, modes.vartheta_y, modes.s2, modes.c2
     om_x = math.sqrt((vx * c2 + vy * s2) / (c2 / vx + s2 / vy))  # sqrt(<p^2>/<x^2>)
@@ -216,7 +219,7 @@ def _lab_samples(modes: NormalModes,
         big = wigner.lab_to_normal(modes, PhasePoint(t[:, None] / math.sqrt(om_x), 0.0,
                                                      t[None, :] / math.sqrt(om_y), 0.0))
         weight = np.outer(root_w, root_w) / (om_x * om_y) ** 0.25
-        amps = np.stack([weight * wigner.eigenfunction(modes, q, big.X, big.Y) for q in states])
+        amps = weight * wigner.eigenfunctions(modes, states, big.X, big.Y)
         deficits = np.abs(np.sum(amps * amps, axis=(1, 2)) - 1.0).tolist()
         if max(deficits) < 1e-14:
             return amps, deficits
@@ -242,6 +245,17 @@ def _schmidt(params: SystemParams, states: list[QuantumNumbers]) -> list[Schmidt
 def schmidt_oracle(params: SystemParams, nm: QuantumNumbers) -> SchmidtOracleResult:
     """Schmidt coefficients of ``Psi_(n, m)`` for ``n, m <= 64``; ``RuntimeError`` if unresolved."""
     return _schmidt(params, [nm])[0]
+
+
+def _gram_purities(params: SystemParams, states: list[QuantumNumbers]) -> list[float]:
+    """The Schmidt oracle's purity of each state, without an SVD.
+
+    ``Tr rho^2 = ||A A^T||_F^2 / ||A||_F^4`` of the state's ``_lab_samples`` matrix
+    ``A`` is the ``sum sigma^4 / (sum sigma^2)^2`` of its singular values.
+    """
+    amps, _ = _lab_samples(model.diagonalize(params), states)
+    gram = amps @ amps.transpose(0, 2, 1)
+    return (np.sum(gram * gram, axis=(1, 2)) / np.sum(amps * amps, axis=(1, 2)) ** 2).tolist()
 
 
 def marginal_purity_quadrature(params: SystemParams, nm: QuantumNumbers) -> float:
@@ -339,7 +353,7 @@ def run_verification() -> VerificationReport:
     """Run the oracle suite over the built-in reference grid.
 
     The exact purity and the oracles run once per coupling over its six states
-    (``_purities``, ``_schmidt``, ``_moment_sets``, ``_global_purities``); the rest
+    (``_purities``, ``_gram_purities``, ``_moment_sets``, ``_global_purities``); the rest
     once per reference point, and each result feeds every check that needs it.
     Module-level functions under test are resolved at call time, so a fault
     injected by rebinding (for instance a corrupted moment formula) surfaces as
@@ -368,7 +382,7 @@ def run_verification() -> VerificationReport:
 
     for p in grid:
         with stage("schmidt-oracle"):
-            svds = _schmidt(p, states)
+            schmidts = _gram_purities(p, states)
         with stage("quadrature-oracles"):
             refs = _moment_sets(p, states)
             lads = [_ladder(p, ref) for ref in refs]
@@ -377,7 +391,7 @@ def run_verification() -> VerificationReport:
             exacts = purity._purities(p, states)  # states[0] is the ground state
             ground = purity.purity_ground_closed(p).purity
         record("ground-purity-closed-form", abs(exacts[0] - ground), _point(p, states[0]))
-        for q, exact, svd, ref, lad, norm in zip(states, exacts, svds, refs, lads, norms):
+        for q, exact, schmidt, ref, lad, norm in zip(states, exacts, schmidts, refs, lads, norms):
             at = _point(p, q)
             with stage("closed-forms"):
                 ms = moments.second_and_fourth_moments(p, q)
@@ -385,7 +399,7 @@ def run_verification() -> VerificationReport:
                 ex = moments.excitation_numbers(p, q)
                 lm = moments.ladder_moments(p, q)
 
-            record("marginal-purity-svd", abs(exact - svd.purity), at)
+            record("marginal-purity-svd", abs(exact - schmidt), at)
             record("global-purity", abs(norm - 1.0), at)
             record("moment-table", max(abs(ref["xq"]), abs(ref["py"]),
                                        *(abs(got - ref[name]) / max(abs(ref[name]), 1e-2)

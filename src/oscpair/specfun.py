@@ -41,23 +41,27 @@ def hermite(n: int, x):
     return h if h.ndim else float(h)
 
 
-def hermite_function(n: int, x):
-    """Orthonormal Hermite function ``H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi))``.
+def hermite_functions(top: int, x) -> np.ndarray:
+    """Orthonormal Hermite functions ``H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi))``, ``n = 0..top``.
 
-    Evaluated by the normalized recurrence, which keeps values O(1) even
-    where the bare polynomial overflows against the Gaussian tail.
+    Row ``n`` of the result holds degree ``n`` over the shape of ``x``. Evaluated
+    by the normalized recurrence, which keeps values O(1) even where the bare
+    polynomial overflows against the Gaussian tail.
     """
-    _check_degree(n)
+    _check_degree(top)
     x = np.asarray(x, dtype=float)
-    f_prev = np.exp(-0.5 * x * x) * math.pi ** -0.25
-    if n == 0:
-        return f_prev if f_prev.ndim else float(f_prev)
-    f = math.sqrt(2.0) * x * f_prev
-    for k in range(1, n):
-        f, f_prev = (
-            math.sqrt(2.0 / (k + 1)) * x * f - math.sqrt(k / (k + 1.0)) * f_prev,
-            f,
-        )
+    f = np.empty((top + 1,) + x.shape)
+    f[0] = np.exp(-0.5 * x * x) * math.pi ** -0.25
+    if top:
+        f[1] = math.sqrt(2.0) * x * f[0]
+    for k in range(1, top):
+        f[k + 1] = math.sqrt(2.0 / (k + 1)) * x * f[k] - math.sqrt(k / (k + 1.0)) * f[k - 1]
+    return f
+
+
+def hermite_function(n: int, x):
+    """Orthonormal Hermite function of degree ``n``: the last row of ``hermite_functions``."""
+    f = hermite_functions(n, x)[n]
     return f if f.ndim else float(f)
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import NormalModes, QuantumNumbers
-from .specfun import hermite_function, laguerre
+from .specfun import hermite_functions, laguerre
 
 
 class PhasePoint(NamedTuple):
@@ -65,17 +65,23 @@ def normal_to_lab(modes: NormalModes, pt: RotatedPhasePoint) -> PhasePoint:
     )
 
 
-def eigenfunction(modes: NormalModes, nm: QuantumNumbers, X, Y):
-    """Normalized stationary wavefunction in normal-mode coordinates.
+def eigenfunctions(modes: NormalModes, states: list[QuantumNumbers], X, Y) -> np.ndarray:
+    """Normalized stationary wavefunctions of ``states`` in normal-mode coordinates, stacked.
 
-    Product of two harmonic-oscillator eigenfunctions with frequencies
-    ``vartheta_x`` and ``vartheta_y``; at the origin the ground state is
-    ``(vx*vy/pi^2)**0.25``.
+    Each is a product of two harmonic-oscillator eigenfunctions with frequencies
+    ``vartheta_x`` and ``vartheta_y``; each mode's Hermite recurrence runs once, up
+    to the largest quantum number of that mode among ``states``.
     """
     vx, vy = modes.vartheta_x, modes.vartheta_y
-    fx = vx**0.25 * hermite_function(nm.n, np.sqrt(vx) * np.asarray(X, dtype=float))
-    fy = vy**0.25 * hermite_function(nm.m, np.sqrt(vy) * np.asarray(Y, dtype=float))
-    out = fx * fy
+    top_n, top_m = max(q.n for q in states), max(q.m for q in states)
+    fx = vx**0.25 * hermite_functions(top_n, np.sqrt(vx) * np.asarray(X, dtype=float))
+    fy = vy**0.25 * hermite_functions(top_m, np.sqrt(vy) * np.asarray(Y, dtype=float))
+    return np.stack([fx[q.n] * fy[q.m] for q in states])
+
+
+def eigenfunction(modes: NormalModes, nm: QuantumNumbers, X, Y):
+    """``eigenfunctions`` of one state; at the origin the ground state is ``(vx*vy/pi^2)**0.25``."""
+    out = eigenfunctions(modes, [nm], X, Y)[0]
     return out if np.ndim(out) else float(out)
 
 

@@ -261,6 +261,18 @@ class TestSchmidtOracle:
         with pytest.raises(RuntimeError, match=r"^\(6, 6\) unresolved at order 320: deficit"):
             oracle._schmidt(params, states)
 
+    @pytest.mark.parametrize("wy", [0.1, 0.8, 1.0])
+    def test_gram_purity_matches_the_svd(self, wy):
+        # ||A A^T||_F^2 / ||A||_F^4 is sum sigma^4 / (sum sigma^2)^2 of the same samples
+        for frac in (0.0, 0.5, 0.99, 0.9999):
+            params = SystemParams(1.0, wy, frac * wy)
+            for n in range(9):
+                states = [QuantumNumbers(n, m) for m in range(9)]
+                gram = oracle._gram_purities(params, states)
+                svd = [res.purity for res in oracle._schmidt(params, states)]
+                for q, a, b in zip(states, gram, svd):
+                    assert abs(a - b) <= 2e-15, (frac, q, a - b)
+
     @pytest.mark.parametrize("mu", [1e-3, 0.028, 0.3, 1.0, 2.0, 50.0])
     def test_equal_normal_frequencies_give_makarov_weights(self, mu):
         # equal normal frequencies leave only the beam splitter: Makarov's approximation
@@ -294,8 +306,10 @@ class TestVerification:
         assert [(c.name, c.tolerance, c.detail) for c in report.checks] == self.CHECKS
 
     def test_each_reference_point_is_computed_once(self, monkeypatch):
-        # the batched oracles and the exact purity run once per coupling over its six states
-        batches = {"moments": [], "schmidt": [], "global": [], "purity": []}
+        # the batched oracles and the exact purity run once per coupling over its six states;
+        # the Schmidt oracle's lab grid is sampled once per coupling (its first argument is
+        # the coupling's NormalModes)
+        batches = {"moments": [], "samples": [], "global": [], "purity": []}
 
         def batching(key, fn):
             def wrapped(params, states):
@@ -304,7 +318,7 @@ class TestVerification:
             return wrapped
 
         monkeypatch.setattr(oracle, "_moment_sets", batching("moments", oracle._moment_sets))
-        monkeypatch.setattr(oracle, "_schmidt", batching("schmidt", oracle._schmidt))
+        monkeypatch.setattr(oracle, "_lab_samples", batching("samples", oracle._lab_samples))
         monkeypatch.setattr(oracle, "_global_purities",
                             batching("global", oracle._global_purities))
         monkeypatch.setattr(purity, "_purities", batching("purity", purity._purities))
@@ -313,6 +327,21 @@ class TestVerification:
             assert len(seen) == 4 and all(states == seen[0][1] for _, states in seen), key
             assert len(seen[0][1]) == 6, key
             assert len({(params, q) for params, states in seen for q in states}) == 24, key
+
+    def test_runs_no_svd(self, monkeypatch):
+        # the Schmidt check reads Tr rho^2 from each state's Gram matrix
+        calls, svd = [], np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        report = run_verification()
+        assert report.passed
+        assert calls == []
+        schmidt = next(c for c in report.checks if c.name == "marginal-purity-svd")
+        assert schmidt.max_deviation <= 2e-15
 
     def test_builds_one_rule_per_size(self, monkeypatch):
         # from a cold cache: the Schmidt grid (24), the moment rule (6) and the global rule (8)

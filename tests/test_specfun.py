@@ -10,6 +10,7 @@ from oscpair.specfun import (
     binomial_general,
     hermite,
     hermite_function,
+    hermite_functions,
     jacobi_negparam,
     laguerre,
 )
@@ -71,6 +72,30 @@ class TestHermiteFunction:
 
     def test_bounded_where_polynomial_overflows_the_gaussian(self):
         assert abs(hermite_function(60, 10.5)) < 1.0
+
+    def test_bits_of_the_two_buffer_recurrence(self):
+        # the table's last row is the value the recurrence gave before it kept every row
+        def two_buffers(n, x):
+            x = np.asarray(x, dtype=float)
+            f_prev = np.exp(-0.5 * x * x) * math.pi ** -0.25
+            if n == 0:
+                return f_prev if f_prev.ndim else float(f_prev)
+            f = math.sqrt(2.0) * x * f_prev
+            for k in range(1, n):
+                f, f_prev = math.sqrt(2.0 / (k + 1)) * x * f - math.sqrt(k / (k + 1.0)) * f_prev, f
+            return f if f.ndim else float(f)
+
+        x = np.concatenate([np.linspace(-12.0, 12.0, 241), [-0.0, 5e-324, 1e-300, 37.5, -40.0]])
+        for n in range(DEGREE_CAP + 1):
+            assert hermite_function(n, x).tobytes() == two_buffers(n, x).tobytes(), n
+            assert hermite_function(n, x[:, None]).tobytes() == two_buffers(n, x[:, None]).tobytes()
+            for v in (0.0, -0.7, 3.25):
+                got = hermite_function(n, v)
+                assert type(got) is float and got == two_buffers(n, v), (n, v)
+            np.testing.assert_array_equal(hermite_functions(n, x)[n], hermite_function(n, x))
+        assert hermite_functions(3, np.zeros((2, 5))).shape == (4, 2, 5)
+        with pytest.raises(ValueError):
+            hermite_functions(DEGREE_CAP + 1, 0.0)
 
 
 class TestLaguerre:

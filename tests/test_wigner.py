@@ -16,7 +16,8 @@ from oscpair import (
     wigner_rotated,
 )
 from oscpair.oracle import gauss_hermite
-from oscpair.specfun import laguerre
+from oscpair.specfun import hermite_function, laguerre
+from oscpair.wigner import eigenfunctions
 
 PARAMS = SystemParams(1.0, 0.8, 0.5)
 MODES = diagonalize(PARAMS)
@@ -54,6 +55,25 @@ class TestEigenfunction:
         psi = eigenfunction(MODES, QuantumNumbers(n, m), big_x[:, None], big_y[None, :])
         norm = np.einsum("i,j,ij->", rw, rw, psi**2) / math.sqrt(vx * vy)
         assert norm == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_table_is_the_stacked_single_states(self):
+        # one recurrence per mode up to the largest n or m, the same bits as one state at
+        # a time, and as the per-state product of hermite_function that it replaced
+        vx, vy = MODES.vartheta_x, MODES.vartheta_y
+        big_x, big_y = np.linspace(-5.0, 5.0, 23)[:, None], np.linspace(-4.0, 6.0, 19)[None, :]
+        states = [QuantumNumbers(n, m) for n, m in ((0, 0), (3, 1), (1, 0), (0, 7), (8, 8), (2, 2))]
+        table = eigenfunctions(MODES, states, big_x, big_y)
+        assert table.shape == (len(states), 23, 19)
+        for q, got in zip(states, table):
+            single = eigenfunction(MODES, q, big_x, big_y)
+            assert got.tobytes() == single.tobytes(), q
+            product = (vx**0.25 * hermite_function(q.n, math.sqrt(vx) * big_x)
+                       * (vy**0.25 * hermite_function(q.m, math.sqrt(vy) * big_y)))
+            assert got.tobytes() == product.tobytes(), q
+        point = eigenfunction(MODES, QuantumNumbers(2, 1), 0.3, -0.4)
+        assert type(point) is float
+        assert point == eigenfunctions(MODES, [QuantumNumbers(2, 1)], 0.3, -0.4)[0]
 
 
 class TestRotation:
