@@ -95,6 +95,9 @@ class NormalModes:
     ``c2, s2, sc`` are ``cos^2, sin^2, sin*cos`` of ``theta``, and ``c, s`` the
     cosine and sine. ``mu = tan(theta)`` is ``math.inf`` in the swapped
     decoupled corner (``epsilon = 0`` with ``omega_x < omega_y``, ``c2 = 0``).
+    ``gap_x = vartheta_x^2 - omega_x^2`` and ``gap_y = vartheta_x^2 - omega_y^2``
+    are the Bogoliubov gaps, both ``>= 0``; as ``vx^2 + vy^2 = wx^2 + wy^2``, they
+    are also ``omega_y^2 - vartheta_y^2`` and ``omega_x^2 - vartheta_y^2``.
     """
 
     theta: float
@@ -104,6 +107,8 @@ class NormalModes:
     c2: float
     s2: float
     sc: float
+    gap_x: float
+    gap_y: float
     c = property(lambda self: math.sqrt(self.c2))
     s = property(lambda self: math.sqrt(self.s2))
 
@@ -130,6 +135,9 @@ def diagonalize(params: SystemParams) -> NormalModes:
     weight is ``(D + |delta|) / (2D)``, ``sc = eps / D``, and the smaller
     weight is ``sc`` times the half-angle tangent ``2 eps / (D + |delta|)``: no
     step subtracts, so each is exact to a few ulps. ``D = 0`` is the limit 1/2.
+    Likewise the gap of the lab frequency nearer ``vartheta_x`` is ``eps`` times
+    the half-angle tangent, ``2 eps^2 / (D + |delta|)``, and the other is ``(D +
+    |delta|) / 2``.
     """
     wx, wy, eps = params.omega_x, params.omega_y, params.epsilon
     delta = (wx - wy) * (wx + wy)  # wx^2 - wy^2 to a few ulps, also near resonance
@@ -141,17 +149,19 @@ def diagonalize(params: SystemParams) -> NormalModes:
     vy2 = min(((hi - eps) + lo) * (hi + eps) / vx2, vx2)
 
     if disc == 0.0:
-        theta, mu, c2, s2, sc = 0.25 * math.pi, 1.0, 0.5, 0.5, 0.5
+        theta, mu, c2, s2, sc, gap_x, gap_y = 0.25 * math.pi, 1.0, 0.5, 0.5, 0.5, 0.0, 0.0
     else:
         outer = disc + abs(delta)
         sc, tan_half = eps / disc, 2.0 * eps / outer
         large, small = 0.5 * outer / disc, sc * tan_half
+        near, far = eps * tan_half, 0.5 * outer
         theta = 0.5 * math.atan2(2.0 * eps, delta)
-        mu, c2, s2 = ((tan_half, large, small) if delta >= 0.0
-                      else (0.5 * outer / eps if eps else math.inf, small, large))
+        mu, c2, s2, gap_x, gap_y = (
+            (tan_half, large, small, near, far) if delta >= 0.0
+            else (0.5 * outer / eps if eps else math.inf, small, large, far, near))
 
-    return NormalModes(theta=theta, mu=mu, vartheta_x=math.sqrt(vx2),
-                       vartheta_y=math.sqrt(vy2), c2=c2, s2=s2, sc=sc)
+    return NormalModes(theta=theta, mu=mu, vartheta_x=math.sqrt(vx2), vartheta_y=math.sqrt(vy2),
+                       c2=c2, s2=s2, sc=sc, gap_x=gap_x, gap_y=gap_y)
 
 
 def cutoff_angle(r: float) -> float:

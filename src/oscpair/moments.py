@@ -9,8 +9,10 @@ The ladder correlators come from the Bogoliubov expansion of ``a_x`` and
 ``a_y`` instead: a normal mode of frequency ``v`` with ``k`` quanta enters
 ``a`` of the lab frequency ``w`` as ``U A + V A^dag``, ``U, V = (w +/- v) /
 (2 sqrt(wv))``, with rotation weights ``(c, -s)`` in ``a_x`` and ``(s, c)``
-in ``a_y``. Occupations are sums of non-negative terms, and ``<Nx Ny>`` is
-its Wick part plus the Fock-state fourth cumulant ``-k(k+1)`` of each mode,
+in ``a_y``. ``V`` is ``(w^2 - v^2) / ((w + v) 2 sqrt(wv))``, with the gap
+``w^2 - v^2`` from :func:`model.diagonalize`, so a small ``V`` keeps its
+relative accuracy. Occupations are sums of non-negative terms, and ``<Nx Ny>``
+is its Wick part plus the Fock-state fourth cumulant ``-k(k+1)`` of each mode,
 so no terms of order one cancel in floating point at weak coupling.
 """
 
@@ -106,15 +108,18 @@ def uncertainty_areas(params: SystemParams, nm: QuantumNumbers) -> tuple[float, 
 def _bogoliubov(params: SystemParams, nm: QuantumNumbers) -> tuple[float, ...]:
     """``(nx, ny, <a_x a_y^dag>, <a_x a_y>, kappa)``, ``-kappa`` the fourth cumulant of ``Nx Ny``.
 
-    ``ux, vx`` and ``uy, vy`` are ``U, V`` of ``a_x`` and ``a_y`` for each normal mode.
+    ``ux, vx`` and ``uy, vy`` are ``U, V`` of ``a_x`` and ``a_y`` for each normal mode,
+    and ``gx, gy`` its gaps ``wx^2 - v^2`` and ``wy^2 - v^2``.
     """
     modes = model.diagonalize(params)
     wx, wy = params.omega_x, params.omega_y
     nx = ny = cross = pair = kappa = 0.0
-    for v, k, rx2, ry2, rxy in ((modes.vartheta_x, nm.n, modes.c2, modes.s2, modes.sc),
-                                (modes.vartheta_y, nm.m, modes.s2, modes.c2, -modes.sc)):
-        ux, vx = (wx + v) / (2.0 * math.sqrt(wx * v)), (wx - v) / (2.0 * math.sqrt(wx * v))
-        uy, vy = (wy + v) / (2.0 * math.sqrt(wy * v)), (wy - v) / (2.0 * math.sqrt(wy * v))
+    for v, k, rx2, ry2, rxy, gx, gy in (
+            (modes.vartheta_x, nm.n, modes.c2, modes.s2, modes.sc, -modes.gap_x, -modes.gap_y),
+            (modes.vartheta_y, nm.m, modes.s2, modes.c2, -modes.sc, modes.gap_y, modes.gap_x)):
+        rx, ry = 2.0 * math.sqrt(wx * v), 2.0 * math.sqrt(wy * v)
+        ux, vx = (wx + v) / rx, gx / ((wx + v) * rx)
+        uy, vy = (wy + v) / ry, gy / ((wy + v) * ry)
         nx += rx2 * (ux * ux * k + vx * vx * (k + 1))
         ny += ry2 * (uy * uy * k + vy * vy * (k + 1))
         cross += rxy * (ux * uy * (k + 1) + vx * vy * k)

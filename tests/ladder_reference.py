@@ -61,9 +61,9 @@ def moments(wx, wy, eps, n: int, m: int) -> dict[str, mp.mpf]:
     }
 
 
-def ladder(wx: float, wy: float, eps: float, n: int, m: int):
-    """``(nx, ny, <Nx Ny>, <a_x a_y^dag>)`` of the state ``(n, m)``."""
-    with mp.workdps(DPS):
+def ladder(wx: float, wy: float, eps: float, n: int, m: int, dps: int = DPS):
+    """``(nx, ny, <Nx Ny>, <a_x a_y^dag>)`` of the state ``(n, m)``, in ``dps`` digits."""
+    with mp.workdps(dps):
         wx, wy, eps = mp.mpf(wx), mp.mpf(wy), mp.mpf(eps)
         ms = moments(wx, wy, eps, n, m)
         nx = (wx * ms["xx"] + ms["pp"] / wx) / 2 - mp.mpf(1) / 2

@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -144,6 +146,23 @@ class TestExcitationNumbers:
         want_nx, want_ny, *_ = ladder(1.0, wy, eps, 0, 0)
         assert abs((ex.nx - want_nx) / want_nx) <= 1e-12
         assert abs((ex.ny - want_ny) / want_ny) <= 1e-12
+
+    def test_virtual_excitations_keep_relative_accuracy(self):
+        # over 100 decades of frequency, where V = (w - v) / (2 sqrt(wv)) by subtraction
+        # was 1e275 off (nx 5.5e-33 for 0 below the normal range); the moment route
+        # cancels O(1) terms down to nx ~ f^2, so it carries two digits per decade of f
+        tiny = sys.float_info.min
+        freqs = (1e-50, 1e-25, 0.1, 0.8, 1.0, 3.0, 1e25, 1e50)
+        worst = 0.0
+        for wx, wy in itertools.product(freqs, repeat=2):
+            for f in (1e-300, 1e-8, 1e-4, 0.5, 0.99):
+                eps, dps = f * (wx * wy), 150 + 2 * max(0, -round(math.log10(f)))
+                for n, m in ((0, 0), (1, 0), (0, 1), (2, 1)):
+                    ex = excitation_numbers(SystemParams(wx, wy, eps), QuantumNumbers(n, m))
+                    want_nx, want_ny, *_ = ladder(wx, wy, eps, n, m, dps)
+                    for got, want in ((ex.nx, want_nx), (ex.ny, want_ny)):
+                        worst = max(worst, float(abs(got - want) / max(abs(want), tiny)))
+        assert worst <= 1e-15
 
     def test_ground_state_occupations_are_never_negative(self):
         rng = np.random.default_rng(0)

@@ -278,7 +278,7 @@ class TestSchmidtOracle:
         # equal normal frequencies leave only the beam splitter: Makarov's approximation
         modes = NormalModes(theta=math.atan(mu), mu=mu, vartheta_x=1.0, vartheta_y=1.0,
                             c2=1.0 / (1.0 + mu * mu), s2=mu * mu / (1.0 + mu * mu),
-                            sc=mu / (1.0 + mu * mu))
+                            sc=mu / (1.0 + mu * mu), gap_x=0.0, gap_y=0.0)
         for n in range(7):
             for m in range(7):
                 (amp,), _ = oracle._lab_samples(modes, [QuantumNumbers(n, m)])
