@@ -60,25 +60,25 @@ GOLDEN = [
      0, "abff6a1d53169a9857b7fce8cacc4f9425c9e5e219f93e0813cdb33636ec314f", ""),
     (["steering-scan", "--omega-y", "0.8", "--epsilon", "0:0.9:7", "--n-max", "3",
       "--m-max", "3"],
-     0, "e941323f9145b1eac59190b4de70d318e9fac93884a9b0b41f0b2666650a800f",
+     0, "95840596c3a76064283476d8c2e164c9cb9382b293490dfd615933a456cc05a4",
      _warn_eps(["0.9"], "0.8")),
     (["steering-scan", "--preset", "0.8"],
-     0, "fe452c104fa141f23964255e46ef4ba448b29388bf90c30e056ab3af85d194cf", ""),
+     0, "d6bc34b352d69c458f7fbe6947adaf6fcd2b29fa99e992de61a9836671502011", ""),
     (["steering-scan", "--preset", "0.6", "--steps", "5", "--format", "json"],
-     0, "fa34d5a3e29fc8868ad1b5dd62d6c891092466c1359bbcf14a30374333293a2c", ""),
+     0, "68c61b38e976ca9ee889d95dce728340eaf1038d48f070be045ccf3c330d8db1", ""),
     # the JSON side of the r table
     (["spectrum", "--r-scan=0.5:2:4", "--format", "json"],
      0, "7ba4679d89958510c513ea297c55d323242bd3b7c94aeeab8348337b555251d2", ""),
     # a preset sweep with non-default state and epsilon counts
     (["steering-scan", "--preset", "0.99", "--n-max", "2", "--steps", "7"],
-     0, "96ba7e770eefd75d7428e45972126f2bb535f2d3d3b1d1bed3b011cb883e4732", ""),
+     0, "2eeb3f20808f6629df21609664a214397b81bf00386d5e556dcc803300c5487d", ""),
     # JSON tables of many blocks: the 11^4 (6,6) grid (14,641 records) and the
     # 0.8 preset sweep (1,920 records)
     (["wigner-eval", "--omega-y", "0.8", "--epsilon", "0.76", "--n", "6", "--m", "6"] + GRID_11
      + ["--format", "json"],
      0, "8d59f20da08033ec3e82cd8a4da3249ba3752e2021c1dfceafd0f21a95ae0650", ""),
     (["steering-scan", "--preset", "0.8", "--format", "json"],
-     0, "f3932d8e24faa2b869baa777818390ae0a9ad00e7ff3d740195ad96066630e4b", ""),
+     0, "c154ad1f20f81e0863c67e9ebc3a25eb67c0a4b771e8a179fbac41e4979ff1f0", ""),
     # every r skipped: the header alone
     (["spectrum", "--r-scan=-1:0:3"], 0,
      "620459d2f35fbcf247cdb00012167c52291abf157103a07fad24a490e1359443",
