@@ -7,13 +7,17 @@ omega_x*omega_y`` are skipped with a warning on stderr instead of aborting the
 sweep; a frequency outside ``SystemParams``'s domain fails before any row.
 ``--format json`` writes exactly the bytes of ``json.dumps(rows, indent=2)``.
 Both formats come from one table writer, ``_write_table``: each key point's
-text is formatted once, and the values, rows x fields as a sequence of rows
-(the sweeps) or as one array (``wigner-eval``'s W), become Python floats
-one block of at most ``_BLOCK`` rows at a time; an array's CSV text comes
-from ``_g17``, ``_CHUNK`` (4,096) values per call, in ``%.17g``'s bytes: the
-17 digits of a double-double product, kept for ``0 < |x| < 1`` where their
-rounding is certain (the fraction more than 1e-9 from 1/2, 17 digits exactly).
-Zeros, inf, nan, ties, a ``log10`` off by one and ``|x| >= 1`` go through ``%``.
+text is formatted once, and at most ``_BLOCK`` rows are written at a time.
+The values are rows x fields. The sweeps' rows become Python floats a block
+at a time, and one ``%`` fills the block's row templates with them. An
+array's values (``wigner-eval``'s W) become text ``_CHUNK`` (4,096) at a time,
+and ``str.join`` puts each row together from its key text and its values'
+text, with no ``%s`` fields: JSON text from ``json.dumps``, CSV text from
+``_g17`` in ``%.17g``'s bytes, laid out as four 64-bit words a value. Those
+are the 17 digits of a double-double product, kept for ``0 < |x| < 1`` where
+their rounding is certain (the fraction more than 1e-9 from 1/2, 17 digits
+exactly). Zeros, inf, nan, ties, a ``log10`` off by one and ``|x| >= 1`` go
+through ``%``.
 
 Only the commands that compute with numpy import it: ``wigner-eval``,
 ``purity-scan`` and ``verify`` import ``wigner``, ``purity`` or ``oracle``
@@ -122,8 +126,8 @@ def _write_json(payload, out: TextIO) -> None:
     out.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _template(fieldnames: Sequence[str], spec: str = "%.17g") -> str:
-    return ",".join("%d" if name in ("n", "m") else spec for name in fieldnames)
+def _template(fieldnames: Sequence[str]) -> str:
+    return ",".join("%d" if name in ("n", "m") else "%.17g" for name in fieldnames)
 
 
 def _json_values(column: Sequence) -> list[str]:
@@ -135,22 +139,24 @@ def _json_values(column: Sequence) -> list[str]:
 
 @functools.cache
 def _g17_tables() -> tuple[np.ndarray, ...]:
-    """``_g17``'s tables, built on first use: ``0000``..``9999`` as uint32 words, then with
-    trailing zeros as NUL; ``5**(16-k) = hi + lo`` (to 2**-106) at ``k`` and the bytes around
-    the digits at ``2k + sign``, for every ``k = floor(log10|x|)`` of a double below 1."""
+    """``_g17``'s tables, built on first use, as uint64 words in ``"<u8"`` byte order:
+    ``0000``..``9999`` (then with trailing zeros as NUL) in the low half and in the high half;
+    the sign and ``0.000`` lead at ``2k + sign``, the exponent and ``\n`` at ``k``, and
+    ``5**(16-k) = hi + lo`` (to 2**-106) at ``k``, for every ``k = floor(log10|x|)`` below 0."""
     import numpy as np
 
     quad = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + 48  # "0000".."9999"
     kept = np.logical_or.accumulate(quad[:, ::-1] != 48, 1)[:, ::-1]
-    digits = np.concatenate([quad, quad * kept]).view(np.uint32).ravel()
-    edges, scales = "", []
+    digits = np.concatenate([quad, quad * kept]).view("<u4").ravel().astype(np.uint64)
+    leads, exps, scales = "", "", []
     for k in range(-324, 0):
         lead, exp = ("", f"e{k:03d}") if k < -4 else ("0." + "0" * (-k - 1), "")
-        edges += "".join(sign + lead.ljust(5, "\0") + exp.ljust(5, "\0") + "\n" for sign in "\0-")
+        leads += "".join((sign + lead).ljust(8, "\0") for sign in "\0-")
+        exps += (exp + "\n").ljust(8, "\0")
         five = 5 ** (16 - k)
         scales.append((float(five), float(five - int(float(five)))))
-    hi, lo = np.array(scales).T
-    return digits, np.frombuffer(edges.encode(), np.uint8).reshape(-1, 12), hi, lo
+    words = [np.frombuffer(text.encode(), "<u8").astype(np.uint64) for text in (leads, exps)]
+    return digits, digits << np.uint64(32), *words, *np.array(scales).T
 
 
 def _g17(x: np.ndarray) -> list[str]:
@@ -158,11 +164,12 @@ def _g17(x: np.ndarray) -> list[str]:
 
     With ``k = floor(log10|x|)``, ``|x| 10**(16-k) = (|x| 2**(16-k)) (hi + lo) = p + r``
     (``p`` exact by ``_two_product``) to about 1e-14: its 17 digits are ``floor`` and a
-    rounding bit, laid out as ``d.ddde-XX`` for ``k < -4``, else ``0.000ddd``.
+    rounding bit, laid out as ``d.ddde-XX`` for ``k < -4``, else ``0.000ddd``, in four
+    words a value (sign, lead, digit and point; 8 digits; 8 digits; exponent and ``\n``).
     """
     import numpy as np
 
-    digits, edges, his, los = _g17_tables()
+    digits, digits_hi, leads, exps, his, los = _g17_tables()
     ok = (x != 0) & (abs(x) < 1)
     a = np.where(ok, abs(x), 0.5)
     k = np.floor(np.log10(a)).astype(np.intp)  # a k of 0 would index junk, and fails below
@@ -173,18 +180,19 @@ def _g17(x: np.ndarray) -> list[str]:
     frac = r - np.floor(r)
     d = low + (frac > 0.5)
     ok &= (abs(frac - 0.5) > 1e-9) & (low >= 10**16) & (d < 10**17) & (k < 0)
-    lead, rest = np.divmod(np.where(ok, d, 10**16), 10**16)
-    quad = np.stack(np.divmod(np.stack(np.divmod(rest, 10**8), 1), 10**4), 2).reshape(-1, 4)
-    strip = True  # a group's trailing zeros go where every later group is zero
-    for j in (3, 2, 1, 0):
-        quad[:, j] += 10000 * strip
-        strip = quad[:, j] == 10000
-    text = np.zeros((len(x), 30), np.uint8)  # NULs are dropped, "\n" ends each value
-    edge = np.take(edges, 2 * k + np.signbit(x), 0)
-    text[:, :6], text[:, 24:] = edge[:, :6], edge[:, 6:]
-    text[:, 6] = 48 + lead
-    text[:, 7] = 46 * ((k < -4) & (rest != 0))
-    text[:, 8:24] = digits[quad].view(np.uint8)
+    h = (d := np.where(ok, d, 10**16)) // 10**8  # the first digit and the next 8
+    first, bottom = h // 10**8, d - h * 10**8
+    top = h - first * 10**8
+    q0, q2 = top // 10**4, bottom // 10**4
+    q1, q3 = top - q0 * 10**4, bottom - q2 * 10**4
+    # the first digit, and "." (256 * 46) after it in d.ddde-XX, but not in de-XX
+    lead = (first + 48 + 11776 * ((k < -4) & (top + bottom != 0))).astype(np.uint64)
+    text = np.empty((len(x), 4), "<u8")  # NULs are dropped, "\n" ends each value
+    text[:, 0] = leads[2 * k + np.signbit(x)] | lead << np.uint64(48)
+    # a group's trailing zeros go (the second half of a table) where every later group is 0
+    text[:, 1] = digits[q0 + 10000 * (q1 + bottom == 0)] | digits_hi[q1 + 10000 * (bottom == 0)]
+    text[:, 2] = digits[q2 + 10000 * (q3 == 0)] | digits_hi[q3 + 10000]
+    text[:, 3] = exps[k]
     out = text.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
     for j in np.flatnonzero(~ok).tolist():
         out[j] = "%.17g" % x[j]
@@ -199,26 +207,17 @@ def _write_table(keys: list[_Axis], names: list[str], values: Sequence[Sequence]
     per point; the rows run over their product, the last axis fastest, and
     continue with the float fields ``names``, whose ``values`` are rows x
     fields: a sequence of rows, each holding one number per field, or an
-    array whose size is the row count times ``len(names)``. Either becomes
-    Python floats one block at a time, a sequence through ``float()`` and an
-    array through ``tolist``; an array's CSV text instead comes from ``_g17``,
-    ``_CHUNK`` values per call, those it cannot certify (zeros, inf, nan, ties,
-    ``|x| >= 1``) through ``%.17g``. Each key point's text is formatted once. The
-    trailing axes whose product fits in a block, and the value fields, make
-    one row template per table; a block splices a few leading points' text
-    in front of every row of it, is filled by one ``%`` and written at once.
-    Field names must hold no ``%``.
+    array whose size is the row count times ``len(names)``. Each key point's
+    text is formatted once; the trailing axes whose product fits in a block
+    give each leading point its rows' key text, and a block of a few leading
+    points goes out in one write. A sequence's values become Python floats
+    through ``float()``, and one ``%`` fills the block's row templates. An
+    array's values become text ``_CHUNK`` at a time, by ``_g17`` (as 64-bit
+    words) or ``json.dumps``, and ``str.join`` puts each row together from its
+    key text, its values' text and the row template's text around the fields,
+    with no ``%s`` fields. Field names must hold no ``%``.
     """
-    to_json, spec = fmt == "json", "%.17g"
-    if isinstance(values, Sequence):
-        rows, floats = values, lambda block: [float(v) for row in block for v in row]
-    else:
-        rows, floats = values.reshape(-1, len(names)), lambda block: block.ravel().tolist()
-        if not to_json:  # the text of W, _CHUNK values per _g17 call, into %s fields
-            step = max(_CHUNK // len(names), 1)
-            strings = itertools.chain.from_iterable(
-                _g17(rows[i:i + step].ravel()) for i in range(0, len(rows), step))
-            floats, spec = lambda block: list(itertools.islice(strings, block.size)), "%s"
+    to_json = fmt == "json"
     if to_json:
         import json
 
@@ -228,14 +227,14 @@ def _write_table(keys: list[_Axis], names: list[str], values: Sequence[Sequence]
             return "".join(f"    {json.dumps(name)}: %s,\n" for name in fieldnames)
 
         # the value fields close the record: the last one without its ",\n"
-        opening, row, cut = ",\n  {\n", key_template(names)[:-2] + "\n  }", 1
+        opening, row, mark, cut = ",\n  {\n", key_template(names)[:-2] + "\n  }", "%s", 1
         empty = not math.prod(len(points) for _, points in keys)
         head, tail = "[", "]\n" if empty else "\n]\n"
     else:
         def key_template(fieldnames):
             return _template(fieldnames) + ","
 
-        opening, row, cut = "", _template(names, spec) + "\n", 0
+        opening, row, mark, cut = "", _template(names) + "\n", "%.17g", 0
         head = ",".join([name for axis, _ in keys for name in axis] + names) + "\n"
         tail = ""
     texts = []
@@ -244,24 +243,40 @@ def _write_table(keys: list[_Axis], names: list[str], values: Sequence[Sequence]
             points = zip(*map(_json_values, zip(*points)))
         template = key_template(axis)
         texts.append([template % point for point in points])
-    split = len(keys)  # the axes keys[split:] go into the row template
+    split = len(keys)  # the axes keys[split:] give each leading point its rows
     while split and math.prod(map(len, texts[split - 1:])) <= _BLOCK:
         split -= 1
-    # joined by a leading point's text, this puts that text in front of every row
-    inner = [""] + list(map("".join, itertools.product(*texts[split:], [row])))
-    per_lead = len(inner) - 1
+    inner = list(map("".join, itertools.product(*texts[split:])))
+    per_lead = len(inner)
     leads = map("".join, itertools.product([opening], *texts[:split]))
+    if isinstance(values, Sequence):
+        inner = [key + row for key in inner]
+    else:  # the values' text, _CHUNK values at a time
+        step, rows = max(_CHUNK // len(names), 1), values.reshape(-1, len(names))
+        text = (lambda chunk: _json_values(chunk.tolist())) if to_json else _g17
+        cells = itertools.chain.from_iterable(
+            text(rows[i:i + step].ravel()) for i in range(0, len(rows), step))
+        before, *between, after = row.split(mark)
+        inner = [key + before for key in inner]
+        # zip takes a row's fields from the one iterator in turn, the text between them
+        # in their places
+        seps = [part for sep in between for part in (itertools.repeat(sep), cells)]
+        strings = map("".join, zip(cells, *seps)) if seps else cells
     out.write(head)
     start = 0
-    # an empty table has no rows per lead, and one lead
-    while group := list(itertools.islice(leads, _BLOCK // max(per_lead, 1))):
-        stop = start + len(group) * per_lead
-        cells = floats(rows[start:stop])
-        if to_json:
-            cells = _json_values(cells)
-        block = "".join(lead.join(inner) for lead in group) % tuple(cells)
+    # an empty table has no rows per lead, or no leads
+    while per_lead and (group := list(itertools.islice(leads, _BLOCK // per_lead))):
+        if isinstance(values, Sequence):  # one % fills the fields of the block's rows
+            stop = start + len(group) * per_lead
+            cells = [float(v) for each in values[start:stop] for v in each]
+            block = "".join(lead + lead.join(inner) for lead in group) % tuple(
+                _json_values(cells) if to_json else cells)
+            start = stop
+        else:  # map stops at the end of inner, before it takes the next lead's row
+            block = "".join(lead + (after + lead).join(map(operator.add, inner, strings)) + after
+                            for lead in group)
         out.write(block[cut:])
-        cut, start = 0, stop
+        cut = 0
     out.write(tail)
 
 

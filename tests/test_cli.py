@@ -481,6 +481,37 @@ class TestArrayText:
         assert Reads.count == 0
 
 
+class TestArrayWriter:
+    """``_write_table`` writes an array's values in the bytes of the same rows as a sequence."""
+
+    # key axis lengths and value fields: empty axes, one point, an axis longer than the
+    # block (one row per leading point), three fields across block and _CHUNK bounds
+    @pytest.mark.parametrize("lengths, fields", [
+        ((0, 3), 1), ((3, 0), 1), ((1, 1), 1), ((1, 1), 3), ((cli._BLOCK + 88,), 1),
+        ((2, cli._BLOCK + 88), 1), ((2, cli._BLOCK + 88), 3), ((3, 300), 3), ((10, 300), 3),
+    ], ids=str)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_matches_the_sequence_path(self, fmt, lengths, fields):
+        keys = [([name], [(EDGE_VALUES[(5 * a + i) % len(EDGE_VALUES)],) for i in range(n)])
+                for a, (name, n) in enumerate(zip("xpyq", lengths))]
+        names = ["W", "S_L", "delta"][:fields]
+        rng = np.random.default_rng(28)
+        values = rng.standard_normal(math.prod(lengths) * fields)
+        values *= 10.0 ** rng.integers(-320, 2, values.size)  # both layouts, a few fallbacks
+        values[::7] = [EDGE_VALUES[i % len(EDGE_VALUES)] for i in range(len(values[::7]))]
+        values = values.reshape(-1, fields)
+        texts = []
+        for given in (values, values.tolist()):
+            out = io.StringIO()
+            _write_table(keys, names, given, fmt, out)
+            texts.append(out.getvalue().splitlines(keepends=True))
+        assert texts[0] == texts[1]
+        if fmt == "csv":
+            assert len(texts[0]) == 1 + math.prod(lengths)
+        else:
+            assert len(json.loads("".join(texts[0]))) == math.prod(lengths)
+
+
 class TestVerify:
     BLAS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
 
