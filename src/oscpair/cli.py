@@ -6,18 +6,8 @@ order, each coupling's states from one call, ``n`` and ``m`` are printed with
 omega_x*omega_y`` are skipped with a warning on stderr instead of aborting the
 sweep; a frequency outside ``SystemParams``'s domain fails before any row.
 ``--format json`` writes exactly the bytes of ``json.dumps(rows, indent=2)``.
-Both formats come from one table writer, ``_write_table``: each key point's
-text is formatted once, and at most ``_BLOCK`` rows are written at a time.
-The values are rows x fields. The sweeps' rows become Python floats a block
-at a time, and one ``%`` fills the block's row templates with them. An
-array's values (``wigner-eval``'s W) become text ``_CHUNK`` (4,096) at a time,
-and ``str.join`` puts each row together from its key text and its values'
-text, with no ``%s`` fields: JSON text from ``json.dumps``, CSV text from
-``_g17`` in ``%.17g``'s bytes, laid out as four 64-bit words a value. Those
-are the 17 digits of a double-double product, kept for ``0 < |x| < 1`` where
-their rounding is certain (the fraction more than 1e-9 from 1/2, 17 digits
-exactly). Zeros, inf, nan, ties, a ``log10`` off by one and ``|x| >= 1`` go
-through ``%``.
+Both formats come from one table writer, ``_write_table``, and an array's
+CSV text from ``_g17``.
 
 Only the commands that compute with numpy import it: ``wigner-eval``,
 ``purity-scan`` and ``verify`` import ``wigner``, ``purity`` or ``oracle``

@@ -6,7 +6,7 @@ moments (``xy``, ``pq``) belong to this sign of the coupling. Flipping it,
 ``eps -> -eps``, is the reflection ``y -> -y`` (with ``q -> -q``), which
 leaves the purity and the steering quantifiers unchanged.
 
-Rotating positions and momenta by a common angle ``theta`` decouples the
+Rotating positions and momenta by a common angle decouples the
 Hamiltonian into two independent modes with frequencies
 ``vartheta_x >= vartheta_y``. The spectrum stays real only
 while ``eps < wx*wy``; approaching that bound drives ``vartheta_y`` to
@@ -15,14 +15,15 @@ zero, which motivates the cutoff mixing angle returned by
 
 Conventions adopted here:
 
-* The angle is ``atan2(2*eps, wx^2 - wy^2)/2`` in ``[0, pi/2]``, which keeps
-  ``vartheta_x >= vartheta_y`` and the identities ``vartheta_{x,y}^2 =
-  w_{x,y}^2 +/- eps*tan(theta)`` on both sides of the degeneracy. At
-  ``wx == wy`` it is ``pi/4`` for every coupling, ``eps = 0`` included (the
-  continuous limit), and at ``eps = 0`` with ``wx < wy`` it is ``pi/2``.
-* Only :func:`diagonalize` knows how the modes mix. Every other module reads
-  its exact weights ``c2 = cos^2(theta)``, ``s2`` and ``sc``, never the angle,
-  whose ``cos`` carries a roundoff of 6e-17 where the weight is 0.
+* The angle ``theta = atan2(s, c)`` is ``atan2(2*eps, wx^2 - wy^2)/2`` in
+  ``[0, pi/2]``, which keeps ``vartheta_x >= vartheta_y`` and the identities
+  ``vartheta_{x,y}^2 = w_{x,y}^2 +/- eps*tan(theta)`` on both sides of the
+  degeneracy. At ``wx == wy`` it is ``pi/4`` (``c2 = s2 = 1/2``) for every
+  coupling, ``eps = 0`` included (the continuous limit), and at ``eps = 0``
+  with ``wx < wy`` it is ``pi/2`` (``c2 = 0``).
+* Only :func:`diagonalize` knows how the modes mix. It returns the exact
+  weights ``c2 = cos^2(theta)``, ``s2`` and ``sc``, not the angle, whose
+  ``cos`` carries a roundoff of 6e-17 where the weight is 0.
 """
 
 from __future__ import annotations
@@ -90,17 +91,17 @@ class QuantumNumbers:
 
 @dataclass(frozen=True)
 class NormalModes:
-    """Rotation angle, mixing parameter, frequencies and mixing weights.
+    """Mixing parameter, frequencies and mixing weights.
 
-    ``c2, s2, sc`` are ``cos^2, sin^2, sin*cos`` of ``theta``, and ``c, s`` the
-    cosine and sine. ``mu = tan(theta)`` is ``math.inf`` in the swapped
-    decoupled corner (``epsilon = 0`` with ``omega_x < omega_y``, ``c2 = 0``).
+    ``c2, s2, sc`` are ``cos^2, sin^2, sin*cos`` of the angle ``theta = atan2(s,
+    c)``, and ``c, s`` the cosine and sine. ``mu = tan(theta)`` is ``math.inf`` in
+    the swapped decoupled corner (``epsilon = 0`` with ``omega_x < omega_y``,
+    ``c2 = 0``).
     ``gap_x = vartheta_x^2 - omega_x^2`` and ``gap_y = vartheta_x^2 - omega_y^2``
     are the Bogoliubov gaps, both ``>= 0``; as ``vx^2 + vy^2 = wx^2 + wy^2``, they
     are also ``omega_y^2 - vartheta_y^2`` and ``omega_x^2 - vartheta_y^2``.
     """
 
-    theta: float
     mu: float
     vartheta_x: float
     vartheta_y: float
@@ -149,18 +150,17 @@ def diagonalize(params: SystemParams) -> NormalModes:
     vy2 = min(((hi - eps) + lo) * (hi + eps) / vx2, vx2)
 
     if disc == 0.0:
-        theta, mu, c2, s2, sc, gap_x, gap_y = 0.25 * math.pi, 1.0, 0.5, 0.5, 0.5, 0.0, 0.0
+        mu, c2, s2, sc, gap_x, gap_y = 1.0, 0.5, 0.5, 0.5, 0.0, 0.0
     else:
         outer = disc + abs(delta)
         sc, tan_half = eps / disc, 2.0 * eps / outer
         large, small = 0.5 * outer / disc, sc * tan_half
         near, far = eps * tan_half, 0.5 * outer
-        theta = 0.5 * math.atan2(2.0 * eps, delta)
         mu, c2, s2, gap_x, gap_y = (
             (tan_half, large, small, near, far) if delta >= 0.0
             else (0.5 * outer / eps if eps else math.inf, small, large, far, near))
 
-    return NormalModes(theta=theta, mu=mu, vartheta_x=math.sqrt(vx2), vartheta_y=math.sqrt(vy2),
+    return NormalModes(mu=mu, vartheta_x=math.sqrt(vx2), vartheta_y=math.sqrt(vy2),
                        c2=c2, s2=s2, sc=sc, gap_x=gap_x, gap_y=gap_y)
 
 

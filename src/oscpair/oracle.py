@@ -47,15 +47,14 @@ from .wigner import PhasePoint, RotatedPhasePoint
 class QuadratureRule:
     """Gauss-Hermite nodes and weights for the weight ``exp(-t^2)``.
 
-    A rule with ``order`` nodes integrates polynomials of degree up to
-    ``2*order - 1`` against the Gaussian weight exactly. ``flat_weights``,
+    A rule with ``len(nodes)`` nodes integrates polynomials of degree up to
+    ``2*len(nodes) - 1`` against the Gaussian weight exactly. ``flat_weights``,
     ``w exp(t^2)``, do the same for an integrand that carries the Gaussian
     itself, as the Wigner function does; they overflow above about 350 nodes.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
     @cached_property
     def flat_weights(self) -> np.ndarray:
@@ -67,7 +66,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
     if order < 1:
         raise ValueError(f"rule order must be positive, got {order}")
     nodes, weights = np.polynomial.hermite.hermgauss(order)
-    return QuadratureRule(nodes=nodes, weights=weights, order=order)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 # exponents (a, b, c, d) of <x^a p^b y^c q^d>: the ten table moments, <xq> and <py>

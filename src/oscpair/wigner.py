@@ -9,17 +9,69 @@ and likewise for the second mode with ``(Y, Q, vy)``. Lab-frame values
 are obtained by rotating the phase-space point and evaluating the
 separable form, so the two paths agree identically by construction; the
 explicit lab-frame formula is kept as a cross-check identity in the test
-suite. All evaluators broadcast over numpy arrays.
+suite. All evaluators broadcast over numpy arrays. The Hermite and Laguerre
+recurrences behind them, and the degree cap ``DEGREE_CAP``, live here too.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import NormalModes, QuantumNumbers
-from .specfun import hermite_functions, laguerre
+
+#: Degree cap bounding factorial growth in normalizations and binomials.
+DEGREE_CAP = 64
+
+
+def _check_degree(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"polynomial degree must be non-negative, got {n}")
+    if n > DEGREE_CAP:
+        raise ValueError(f"polynomial degree {n} exceeds the cap {DEGREE_CAP}")
+
+
+def hermite_functions(top: int, x) -> np.ndarray:
+    """Orthonormal Hermite functions ``H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi))``, ``n = 0..top``.
+
+    Row ``n`` of the result holds degree ``n`` over the shape of ``x``. Evaluated
+    by the normalized recurrence, which keeps values O(1) even where the bare
+    polynomial overflows against the Gaussian tail.
+    """
+    _check_degree(top)
+    x = np.asarray(x, dtype=float)
+    f = np.empty((top + 1,) + x.shape)
+    f[0] = np.exp(-0.5 * x * x) * math.pi ** -0.25
+    if top:
+        f[1] = math.sqrt(2.0) * x * f[0]
+    for k in range(1, top):
+        f[k + 1] = math.sqrt(2.0 / (k + 1)) * x * f[k] - math.sqrt(k / (k + 1.0)) * f[k - 1]
+    return f
+
+
+def laguerre(n: int, x):
+    """Laguerre polynomial ``L_n(x)``.
+
+    Recurrence ``(k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}`` with ``L_0 = 1``.
+    """
+    _check_degree(n)
+    x = np.asarray(x, dtype=float)
+    l_prev = np.ones_like(x)
+    if n == 0:
+        return l_prev if l_prev.ndim else float(l_prev)
+    l_cur = np.subtract(1.0, x, out=np.empty_like(x))
+    # three buffers take turns; each step is the recurrence's arithmetic in its order
+    new = np.empty_like(x)
+    for k in range(1, n):
+        np.subtract(2.0 * k + 1.0, x, out=new)
+        new *= l_cur
+        l_prev *= k
+        new -= l_prev
+        new /= k + 1.0
+        l_prev, l_cur, new = l_cur, new, l_prev
+    return l_cur if l_cur.ndim else float(l_cur)
 
 
 class PhasePoint(NamedTuple):

@@ -636,6 +636,16 @@ class TestArgumentHandling:
         assert out == ""
         assert err == f"error: range has a point that is not finite: {text!r}\n"
 
+    @pytest.mark.parametrize("command, option, text, steps", [
+        ("purity-scan", "--epsilon", "0:0.5:0", 0),
+        ("wigner-eval", "--x", "-1:1:-2", -2),
+    ])
+    def test_range_without_a_step(self, capsys, command, option, text, steps):
+        code, out, err = run_cli(capsys, command, f"{option}={text}")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: range needs at least one step, got {steps}\n"
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

@@ -28,17 +28,22 @@ def test_import_loads_no_numpy_and_purity_loads_numpy_only():
 
 
 def test_the_shipped_commands_do_not_load_the_jet_ring_ops():
-    # oscpair.series holds the jet ring ops, which only the tests and the benchmark use;
-    # the purity route, Miller's recurrence included, lives in oscpair.purity
+    # oscpair.series holds the jet ring ops and oscpair.specfun the reference polynomials,
+    # which only the tests and the benchmark use; the purity route, Miller's recurrence
+    # included, lives in oscpair.purity, and the Hermite and Laguerre recurrences in wigner
     code = (
-        "import os, sys, oscpair\n"
+        "import contextlib, io, os, sys, oscpair\n"
         "from oscpair.cli import main\n"
-        "for argv in (['purity-scan', '--epsilon', '0:0.5:3'], ['steering-scan', '--n-max', '2'],\n"
-        "             ['wigner-eval', '--x=-1:1:3', '--n', '1'], ['verify']):\n"
-        "    assert main(argv + ['--output', os.devnull] * (argv[0] != 'verify')) == 0, argv\n"
-        "print('oscpair.series' in sys.modules)\n"
+        "for argv in (['spectrum', '--epsilon', '0:0.5:3'], ['moments', '--epsilon', '0.5'],\n"
+        "             ['wigner-eval', '--x=-1:1:3', '--n', '1'],\n"
+        "             ['wigner-eval', '--x=-1:1:3', '--n', '1', '--format', 'json'],\n"
+        "             ['purity-scan', '--epsilon', '0:0.5:3'], ['steering-scan', '--n-max', '2'],\n"
+        "             ['verify']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv + ['--output', os.devnull] * (argv[0] != 'verify')) == 0, argv\n"
+        "print('oscpair.series' in sys.modules, 'oscpair.specfun' in sys.modules)\n"
     )
-    assert _run(code)[-1] == "False"
+    assert _run(code) == ["False", "False"]
 
 
 def test_only_verify_loads_the_oracles():

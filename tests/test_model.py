@@ -14,7 +14,7 @@ from oscpair.model import FREQUENCY_RANGE
 
 def test_decoupled_symmetric_uses_quarter_pi_convention():
     modes = diagonalize(SystemParams(1.0, 1.0, 0.0))
-    assert modes.theta == pytest.approx(math.pi / 4)
+    assert modes.c2 == pytest.approx(0.5) and modes.s2 == pytest.approx(0.5)  # theta = pi/4
     assert modes.mu == pytest.approx(1.0)
     assert modes.vartheta_x == pytest.approx(1.0)
     assert modes.vartheta_y == pytest.approx(1.0)
@@ -23,7 +23,7 @@ def test_decoupled_symmetric_uses_quarter_pi_convention():
 def test_resonant_coupling_splits_frequencies():
     # direct evaluation, cross-checked by diagonalizing the potential matrix
     modes = diagonalize(SystemParams(1.0, 1.0, 0.5))
-    assert modes.theta == pytest.approx(math.pi / 4)
+    assert modes.c2 == pytest.approx(0.5) and modes.s2 == pytest.approx(0.5)  # theta = pi/4
     assert modes.vartheta_x**2 == pytest.approx(1.5, abs=1e-14)
     assert modes.vartheta_y**2 == pytest.approx(0.5, abs=1e-14)
     eig = np.linalg.eigvalsh(np.array([[1.0, -0.5], [-0.5, 1.0]]))
@@ -55,7 +55,7 @@ def _check_frequency_domain(omega_x: float, omega_y: float, coupling) -> None:
         return
     params = SystemParams(omega_x, omega_y, epsilon)
     modes = diagonalize(params)
-    values = [modes.theta, modes.vartheta_x, modes.vartheta_y]  # mu is inf in one corner
+    values = [modes.c2, modes.s2, modes.sc, modes.vartheta_x, modes.vartheta_y]  # mu may be inf
     for nm in (QuantumNumbers(1, 1), QuantumNumbers(3, 2)):
         values += [energy(params, nm), purity_exact(params, nm).purity,
                    wigner_lab(modes, nm, PhasePoint(0.0, 0.0, 0.0, 0.0))]
@@ -128,15 +128,16 @@ def test_frequency_shift_equals_coupling_times_mixing(omega_x, omega_y, frac):
 
 
 def test_angle_vanishes_with_coupling_and_grows_monotonically():
-    # fixed omega_x > omega_y: theta(eps -> 0) -> 0, monotone in eps
-    angles = [diagonalize(SystemParams(1.0, 0.7, e)).theta for e in np.linspace(1e-6, 0.69, 40)]
+    # fixed omega_x > omega_y: theta(eps -> 0) -> 0, monotone in eps; theta = atan2(s, c)
+    modes = [diagonalize(SystemParams(1.0, 0.7, e)) for e in np.linspace(1e-6, 0.69, 40)]
+    angles = [math.atan2(m.s, m.c) for m in modes]
     assert angles[0] == pytest.approx(0.0, abs=1e-5)
     assert all(b > a for a, b in zip(angles, angles[1:]))
 
 
 def test_swapped_decoupled_corner():
     modes = diagonalize(SystemParams(0.7, 1.0, 0.0))
-    assert modes.theta == pytest.approx(math.pi / 2)
+    assert modes.c2 == 0.0  # theta = pi/2
     assert math.isinf(modes.mu)
     assert modes.vartheta_x == pytest.approx(1.0)
     assert modes.vartheta_y == pytest.approx(0.7)
@@ -163,7 +164,8 @@ class TestCutoffAngle:
         # theta(eps -> omega_x*omega_y) approaches theta_c from below
         r = 0.5
         params = SystemParams(1.0, r, (1.0 - 1e-12) * r)
-        assert diagonalize(params).theta == pytest.approx(cutoff_angle(r), abs=1e-6)
+        modes = diagonalize(params)
+        assert math.atan2(modes.s, modes.c) == pytest.approx(cutoff_angle(r), abs=1e-6)
 
     def test_increases_toward_quarter_pi_near_resonance(self):
         rates = np.linspace(0.05, 0.999, 60)

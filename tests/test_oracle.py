@@ -20,7 +20,7 @@ from oscpair import (
     wigner_rotated,
 )
 from oscpair import oracle, purity, wigner
-from oscpair.specfun import laguerre
+from oscpair.wigner import laguerre
 
 PARAMS = SystemParams(1.0, 0.8, 0.5)
 
@@ -276,7 +276,7 @@ class TestSchmidtOracle:
     @pytest.mark.parametrize("mu", [1e-3, 0.028, 0.3, 1.0, 2.0, 50.0])
     def test_equal_normal_frequencies_give_makarov_weights(self, mu):
         # equal normal frequencies leave only the beam splitter: Makarov's approximation
-        modes = NormalModes(theta=math.atan(mu), mu=mu, vartheta_x=1.0, vartheta_y=1.0,
+        modes = NormalModes(mu=mu, vartheta_x=1.0, vartheta_y=1.0,
                             c2=1.0 / (1.0 + mu * mu), s2=mu * mu / (1.0 + mu * mu),
                             sc=mu / (1.0 + mu * mu), gap_x=0.0, gap_y=0.0)
         for n in range(7):

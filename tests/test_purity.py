@@ -173,6 +173,15 @@ class TestMakarovSchmidt:
         with pytest.raises(ValueError):
             makarov_entropy(QuantumNumbers(1, 1), math.nan)
 
+    def test_weights_off_unit_sum_raise(self, monkeypatch):
+        # a J_x basis 1 % too long, not orthonormal: the weights sum to 1.01^4
+        from oscpair import purity
+
+        eigh = purity._jx_eigh
+        monkeypatch.setattr(purity, "_jx_eigh", lambda size: (eigh(size)[0], 1.01 * eigh(size)[1]))
+        with pytest.raises(RuntimeError, match=r"not 1, for state \(2, 1\) at mu=0\.5$"):
+            makarov_schmidt(QuantumNumbers(2, 1), 0.5)
+
     @pytest.mark.parametrize("mu", [0.2, 1.0 / math.sqrt(3.0), 0.9, 1.0])
     @pytest.mark.parametrize("nm", [(1, 1), (2, 2), (4, 4), (3, 0), (0, 4)])
     def test_normalization(self, mu, nm):

@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscpair.specfun import (
-    DEGREE_CAP,
-    binomial_general,
-    hermite,
-    hermite_function,
-    hermite_functions,
-    jacobi_negparam,
-    laguerre,
-)
+from oscpair.specfun import binomial_general, hermite, hermite_function, jacobi_negparam
+from oscpair.wigner import DEGREE_CAP, hermite_functions, laguerre
 
 
 def jacobi_recurrence(n, alpha, beta, z):

@@ -16,16 +16,18 @@ from oscpair import (
     wigner_rotated,
 )
 from oscpair.oracle import gauss_hermite
-from oscpair.specfun import hermite_function, laguerre
-from oscpair.wigner import eigenfunctions
+from oscpair.specfun import hermite_function
+from oscpair.wigner import eigenfunctions, laguerre
 
 PARAMS = SystemParams(1.0, 0.8, 0.5)
 MODES = diagonalize(PARAMS)
 
 
-def lab_wigner_reference(modes, nm, pt):
-    """Explicit lab-frame formula (rotation written out), as a cross-check."""
-    c, s = math.cos(modes.theta), math.sin(modes.theta)
+def lab_wigner_reference(params, nm, pt):
+    """Explicit lab-frame formula (rotation by the angle of the parameters), as a cross-check."""
+    theta = 0.5 * math.atan2(2 * params.epsilon, params.omega_x**2 - params.omega_y**2)
+    c, s = math.cos(theta), math.sin(theta)
+    modes = diagonalize(params)
     vx, vy = modes.vartheta_x, modes.vartheta_y
     ax = vx * (pt.x * c + pt.y * s) ** 2 + (pt.p * c + pt.q * s) ** 2 / vx
     ay = vy * (pt.x * s - pt.y * c) ** 2 + (pt.p * s - pt.q * c) ** 2 / vy
@@ -125,7 +127,7 @@ class TestWignerLab:
     def test_identity_rotation_matches_rotated_form(self):
         params = SystemParams(1.0, 0.8, 0.0)  # omega_x > omega_y, eps=0: theta=0
         modes = diagonalize(params)
-        assert modes.theta == 0.0
+        assert modes.s2 == 0.0
         pt = PhasePoint(0.4, -0.2, 1.1, 0.6)
         lab = wigner_lab(modes, QuantumNumbers(2, 1), pt)
         rot = wigner_rotated(modes, QuantumNumbers(2, 1), RotatedPhasePoint(*pt))
@@ -138,7 +140,7 @@ class TestWignerLab:
         for _ in range(25):
             pt = PhasePoint(*rng.uniform(-2, 2, size=4))
             assert wigner_lab(MODES, q, pt) == pytest.approx(
-                lab_wigner_reference(MODES, q, pt), rel=1e-12, abs=1e-15
+                lab_wigner_reference(PARAMS, q, pt), rel=1e-12, abs=1e-15
             )
 
     def test_parity_symmetry(self):
