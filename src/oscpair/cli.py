@@ -304,7 +304,7 @@ def _purity_values(params: SystemParams, states: list[QuantumNumbers]) -> list[t
     mu = diagonalize(params).mu
     makarov = [purity.makarov_entropy(nm, mu) for nm in states]
     return [(p, 1.0 - p, slm, 1.0 - p - slm)
-            for p, slm in zip(purity._purities(params, states), makarov)]
+            for p, slm in zip(purity._purities([params], states)[0], makarov)]
 
 
 def _steering_values(params: SystemParams, states: list[QuantumNumbers]) -> list[tuple]:

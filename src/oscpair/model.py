@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 FREQUENCY_RANGE = (1e-50, 1e50)  # admissible frequencies: SystemParams says why
 
@@ -75,6 +76,8 @@ class SystemParams:
                 f"epsilon must satisfy 0 <= epsilon < omega_x*omega_y = {bound}, "
                 f"got {self.epsilon}"
             )
+
+    _modes = cached_property(lambda self: _normal_modes(self))  # diagonalize's record
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,14 @@ def diagonalize(params: SystemParams) -> NormalModes:
     Likewise the gap of the lab frequency nearer ``vartheta_x`` is ``eps`` times
     the half-angle tangent, ``2 eps^2 / (D + |delta|)``, and the other is ``(D +
     |delta|) / 2``.
+
+    It is computed (``_normal_modes``) once per ``SystemParams`` object, which keeps the
+    result as its record; a new object, from ``dataclasses.replace`` say, computes afresh.
     """
+    return params._modes
+
+
+def _normal_modes(params: SystemParams) -> NormalModes:
     wx, wy, eps = params.omega_x, params.omega_y, params.epsilon
     delta = (wx - wy) * (wx + wy)  # wx^2 - wy^2 to a few ulps, also near resonance
     disc = math.hypot(delta, 2.0 * eps)

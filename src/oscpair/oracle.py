@@ -18,11 +18,16 @@ check:
 
 ``run_verification`` sweeps a built-in parameter grid through all checks
 and returns a machine-readable report; the CLI ``verify`` command wraps
-it. The oracles run once per coupling, over its six states
-(``_gram_purities``: one grid, and each state's purity from the Gram matrix
-of its samples, with no SVD; ``_moment_sets``: one rule; ``_global_purities``:
-one rule, one 2-D integral of ``wigner_mode`` squared per mode and quantum
-number). ``schmidt_oracle`` keeps the SVD, for the spectrum and the entropies.
+it. The oracles and the exact purity run once per run, over the whole 4
+couplings x 6 states table (``_gram_purities``: one lab grid per coupling,
+each state's purity from the Gram matrix of its samples, no SVD;
+``_moment_sets``: one rule, one set of mode factors, one batched
+contraction; ``_global_purities``: one rule, one 2-D integral of
+``wigner_mode`` squared per mode and quantum number for all couplings).
+``schmidt_oracle`` keeps the SVD, for the spectrum and the entropies. On
+``X = v / sqrt(2 vx)``, ``P = v sqrt(vx / 2)`` the global-purity integrand
+no longer depends on the coupling (its argument is ``(v_i^2 + v_j^2) / 2``),
+so that check tests ``wigner_mode``'s normalization for each quantum number.
 """
 
 from __future__ import annotations
@@ -78,33 +83,32 @@ _MOMENT_EXPONENTS = {
 }
 
 
-def _quadrature_moments(params: SystemParams, states: list[QuantumNumbers],
+def _quadrature_moments(couplings: list[SystemParams], states: list[QuantumNumbers],
                         exponents: list[tuple[int, int, int, int]]) -> np.ndarray:
-    """``<x^a p^b y^c q^d>`` by exact quadrature: row ``s`` for ``states[s]``, column per exponent.
+    """``<x^a p^b y^c q^d>`` by exact quadrature: ``[c, s, e]`` for ``couplings[c]``,
+    ``states[s]`` and ``exponents[e]``.
 
     The Wigner integral is taken in scaled normal-mode coordinates, where each
     mode's factor is ``wigner.wigner_mode`` at unit frequency on the node grid
     and the monomial is a polynomial, so one rule whose order is chosen from
     the largest total degree and the largest state is analytically sufficient
-    for every monomial of every state.
+    for every monomial of every state, and of every coupling.
     """
     if any(min(e) < 0 or sum(e) > 8 for e in exponents):
         raise ValueError(f"monomial exponents must be non-negative with total <= 8, got {exponents}")
 
-    modes = model.diagonalize(params)
-    vx, vy = modes.vartheta_x, modes.vartheta_y
     needed = (max(map(sum, exponents)) + 2 * max(max(q.n, q.m) for q in states)) // 2 + 2
     rule = gauss_hermite(needed)
     t, rw = rule.nodes, rule.flat_weights
 
-    big_x = t / math.sqrt(vx)      # axis i
-    big_p = t * math.sqrt(vx)      # axis j
-    big_y = t / math.sqrt(vy)      # axis k
-    big_q = t * math.sqrt(vy)      # axis l
-
-    # x and y on axes (i, k), p and q on axes (j, l)
-    lab = wigner.normal_to_lab(modes, RotatedPhasePoint(big_x[:, None], big_p[:, None],
-                                                        big_y[None, :], big_q[None, :]))
+    # per coupling X = t / sqrt(vx) on axis i, P = t sqrt(vx) on j, Y = t / sqrt(vy) on k and
+    # Q = t sqrt(vy) on l: x and y land on axes (i, k), p and q on (j, l)
+    grids = []
+    for modes in map(model.diagonalize, couplings):
+        rx, ry = math.sqrt(modes.vartheta_x), math.sqrt(modes.vartheta_y)
+        grids.append(wigner.normal_to_lab(modes, RotatedPhasePoint(
+            (t / rx)[:, None], (t * rx)[:, None], (t / ry)[None, :], (t * ry)[None, :])))
+    lab = [np.stack(z) for z in zip(*grids)]  # x, p, y and q, each over the couplings
 
     # vx X^2 + P^2/vx = t_i^2 + t_j^2 = vy Y^2 + Q^2/vy: one factor serves both modes
     ww = rw[:, None] * rw[None, :]
@@ -113,31 +117,32 @@ def _quadrature_moments(params: SystemParams, states: list[QuantumNumbers],
     a_ij = np.stack([factor[q.n] for q in states])[:, None]
     b_kl = np.stack([factor[q.m] for q in states])[:, None]
 
-    # sum_ijkl a_ij b_kl c_ik d_jl = sum_ij a_ij (c b d^T)_ij, c = x^a y^c, d = p^b q^d,
-    # for every exponent of every state in one batched product; row e of ``exps`` holds (a, b, c, d)
+    # sum_ijkl a_ij b_kl c_ik d_jl = sum_ij a_ij (c b d^T)_ij, c = x^a y^c, d = p^b q^d, in one
+    # product over (coupling, state, exponent); row e of ``exps`` holds (a, b, c, d)
     exps = np.array(exponents)
-    powers = [z ** np.arange(top + 1)[:, None, None]
+    powers = [z ** np.arange(top + 1)[:, None, None, None]
               for z, top in zip(lab, exps.max(axis=0))]
-    cs = powers[0][exps[:, 0]] * powers[2][exps[:, 2]]
-    ds = powers[1][exps[:, 1]] * powers[3][exps[:, 3]]
-    return np.sum(a_ij * (cs @ b_kl @ ds.transpose(0, 2, 1)), axis=(2, 3))
+    cs = (powers[0][exps[:, 0]] * powers[2][exps[:, 2]]).swapaxes(0, 1)[:, None]
+    ds = (powers[1][exps[:, 1]] * powers[3][exps[:, 3]]).swapaxes(0, 1)[:, None]
+    return np.sum(a_ij * (cs @ b_kl @ ds.swapaxes(-1, -2)), axis=(-2, -1))
 
 
 def moment_oracle(params: SystemParams, nm: QuantumNumbers,
                   exponents: tuple[int, int, int, int]) -> float:
     """Expectation value ``<x^a p^b y^c q^d>`` by exact quadrature."""
-    return float(_quadrature_moments(params, [nm], [exponents])[0, 0])
+    return float(_quadrature_moments([params], [nm], [exponents])[0, 0, 0])
 
 
-def _moment_sets(params: SystemParams, states: list[QuantumNumbers]) -> list[dict[str, float]]:
-    """``moment_set_oracle`` for each state, all on one rule sized for the largest."""
-    table = _quadrature_moments(params, states, list(_MOMENT_EXPONENTS.values()))
-    return [dict(zip(_MOMENT_EXPONENTS, row)) for row in table.tolist()]
+def _moment_sets(couplings: list[SystemParams],
+                 states: list[QuantumNumbers]) -> list[list[dict[str, float]]]:
+    """``moment_set_oracle`` for each state, one row per coupling, all on one rule."""
+    table = _quadrature_moments(couplings, states, list(_MOMENT_EXPONENTS.values()))
+    return [[dict(zip(_MOMENT_EXPONENTS, row)) for row in block] for block in table.tolist()]
 
 
 def moment_set_oracle(params: SystemParams, nm: QuantumNumbers) -> dict[str, float]:
     """All ten table moments plus the parity-odd ``<xq>`` and ``<py>``, on one rule."""
-    return _moment_sets(params, [nm])[0]
+    return _moment_sets([params], [nm])[0][0]
 
 
 def _ladder(params: SystemParams, ms: dict[str, float]) -> LadderMoments:
@@ -157,18 +162,20 @@ def ladder_oracle(params: SystemParams, nm: QuantumNumbers) -> LadderMoments:
     return _ladder(params, moment_set_oracle(params, nm))
 
 
-def _global_purities(params: SystemParams, states: list[QuantumNumbers]) -> list[float]:
-    """``global_purity_check`` for each state, on one rule sized for the largest."""
-    modes = model.diagonalize(params)
+def _global_purities(couplings: list[SystemParams],
+                     states: list[QuantumNumbers]) -> list[list[float]]:
+    """``global_purity_check`` for each state, one row per coupling, all on one rule."""
     rule = gauss_hermite(2 * max(max(q.n, q.m) for q in states) + 4)
     v, rw = rule.nodes, rule.flat_weights
-    integrals = []  # per normal mode, its squared factor's integral for each quantum number
-    for vt, ks in ((modes.vartheta_x, {q.n for q in states}),
-                   (modes.vartheta_y, {q.m for q in states})):
-        big, small = (v / math.sqrt(2.0 * vt))[:, None], (v * math.sqrt(0.5 * vt))[None, :]
-        integrals.append({k: float(rw @ wigner.wigner_mode(k, vt, big, small) ** 2 @ rw)
+    frequencies = [(m.vartheta_x, m.vartheta_y) for m in map(model.diagonalize, couplings)]
+    integrals = []  # per normal mode and quantum number, its squared factor's integral per coupling
+    for vt, ks in zip(np.array(frequencies).T[:, :, None, None],
+                      ({q.n for q in states}, {q.m for q in states})):
+        big, small = v[:, None] / np.sqrt(2.0 * vt), v[None, :] * np.sqrt(0.5 * vt)
+        integrals.append({k: (wigner.wigner_mode(k, vt, big, small) ** 2 @ rw @ rw).tolist()
                           for k in ks})
-    return [math.pi**2 * integrals[0][q.n] * integrals[1][q.m] for q in states]
+    return [[math.pi**2 * integrals[0][q.n][c] * integrals[1][q.m][c] for q in states]
+            for c in range(len(couplings))]
 
 
 def global_purity_check(params: SystemParams, nm: QuantumNumbers) -> float:
@@ -178,7 +185,7 @@ def global_purity_check(params: SystemParams, nm: QuantumNumbers) -> float:
     Gauss-Hermite sum per normal mode, with ``2*max(n, m) + 4`` nodes on ``X = v /
     sqrt(2 vx)``, ``P = v sqrt(vx / 2)`` (``Y``, ``Q`` likewise) and flat weights.
     """
-    return _global_purities(params, [nm])[0]
+    return _global_purities([params], [nm])[0][0]
 
 
 @dataclass(frozen=True)
@@ -246,15 +253,20 @@ def schmidt_oracle(params: SystemParams, nm: QuantumNumbers) -> SchmidtOracleRes
     return _schmidt(params, [nm])[0]
 
 
-def _gram_purities(params: SystemParams, states: list[QuantumNumbers]) -> list[float]:
-    """The Schmidt oracle's purity of each state, without an SVD.
+def _gram_purities(couplings: list[SystemParams],
+                   states: list[QuantumNumbers]) -> list[list[float]]:
+    """The Schmidt oracle's purity of each state, one row per coupling, without an SVD.
 
     ``Tr rho^2 = ||A A^T||_F^2 / ||A||_F^4`` of the state's ``_lab_samples`` matrix
-    ``A`` is the ``sum sigma^4 / (sum sigma^2)^2`` of its singular values.
+    ``A`` (one grid per coupling) is ``sum sigma^4 / (sum sigma^2)^2``.
     """
-    amps, _ = _lab_samples(model.diagonalize(params), states)
-    gram = amps @ amps.transpose(0, 2, 1)
-    return (np.sum(gram * gram, axis=(1, 2)) / np.sum(amps * amps, axis=(1, 2)) ** 2).tolist()
+    rows = []
+    for params in couplings:
+        amps, _ = _lab_samples(model.diagonalize(params), states)
+        gram = amps @ amps.transpose(0, 2, 1)
+        rows.append((np.sum(gram * gram, axis=(1, 2)) / np.sum(amps * amps, axis=(1, 2)) ** 2
+                     ).tolist())
+    return rows
 
 
 def marginal_purity_quadrature(params: SystemParams, nm: QuantumNumbers) -> float:
@@ -351,9 +363,9 @@ def _point(p: SystemParams, q: QuantumNumbers) -> str:
 def run_verification() -> VerificationReport:
     """Run the oracle suite over the built-in reference grid.
 
-    The exact purity and the oracles run once per coupling over its six states
-    (``_purities``, ``_gram_purities``, ``_moment_sets``, ``_global_purities``); the rest
-    once per reference point, and each result feeds every check that needs it.
+    The exact purity and the oracles run once over the table of couplings and states
+    (``_purities``, ``_gram_purities``, ``_moment_sets``, ``_global_purities``), the rest
+    once per reference point; each result feeds every check that needs it.
     Module-level functions under test are resolved at call time, so a fault
     injected by rebinding (for instance a corrupted moment formula) surfaces as
     a named failing check, at the point where it is largest.
@@ -373,40 +385,39 @@ def run_verification() -> VerificationReport:
         finally:
             stage_seconds[name] += time.perf_counter() - begin
 
-    def record(name: str, dev: float, at: str) -> None:
+    def record(name: str, dev: float, *point, where=_point) -> None:
         check = checks[name]
-        # a NaN deviation is kept, so that it fails its check
+        # a NaN deviation is kept, so that it fails its check; a new worst formats its point
         if not (dev <= check.max_deviation or math.isnan(check.max_deviation)):
-            check.max_deviation, check.worst = float(dev), at
+            check.max_deviation, check.worst = float(dev), where(*point)
 
-    for p in grid:
-        with stage("schmidt-oracle"):
-            schmidts = _gram_purities(p, states)
-        with stage("quadrature-oracles"):
-            refs = _moment_sets(p, states)
-            lads = [_ladder(p, ref) for ref in refs]
-            norms = _global_purities(p, states)
-        with stage("purity"):
-            exacts = purity._purities(p, states)  # states[0] is the ground state
-            ground = purity.purity_ground_closed(p).purity
-        record("ground-purity-closed-form", abs(exacts[0] - ground), _point(p, states[0]))
-        for q, exact, schmidt, ref, lad, norm in zip(states, exacts, schmidts, refs, lads, norms):
-            at = _point(p, q)
+    with stage("schmidt-oracle"):
+        schmidts = _gram_purities(grid, states)
+    with stage("quadrature-oracles"):
+        refs = _moment_sets(grid, states)
+        lads = [[_ladder(p, ref) for ref in row] for p, row in zip(grid, refs)]
+        norms = _global_purities(grid, states)
+    with stage("purity"):
+        exacts = purity._purities(grid, states)  # states[0] is the ground state
+        grounds = [purity.purity_ground_closed(p).purity for p in grid]
+    for p, ground, *rows in zip(grid, grounds, exacts, schmidts, refs, lads, norms):
+        record("ground-purity-closed-form", abs(rows[0][0] - ground), p, states[0])
+        for q, exact, schmidt, ref, lad, norm in zip(states, *rows):
             with stage("closed-forms"):
                 ms = moments.second_and_fourth_moments(p, q)
                 ax, ay = moments.uncertainty_areas(p, q)
                 ex = moments.excitation_numbers(p, q)
                 lm = moments.ladder_moments(p, q)
 
-            record("marginal-purity-svd", abs(exact - schmidt), at)
-            record("global-purity", abs(norm - 1.0), at)
+            record("marginal-purity-svd", abs(exact - schmidt), p, q)
+            record("global-purity", abs(norm - 1.0), p, q)
             record("moment-table", max(abs(ref["xq"]), abs(ref["py"]),
                                        *(abs(got - ref[name]) / max(abs(ref[name]), 1e-2)
-                                         for name, got in vars(ms).items())), at)
-            record("uncertainty-areas", max(0.5 - ax, 0.5 - ay), at)
+                                         for name, got in vars(ms).items())), p, q)
+            record("uncertainty-areas", max(0.5 - ax, 0.5 - ay), p, q)
             record("excitation-oracle", max(abs(ex.nx - lad.nx), abs(ex.ny - lad.ny),
                                             abs(lm.nxny - lad.nxny),
-                                            abs(lm.cross_mag_sq - lad.cross_mag_sq)), at)
+                                            abs(lm.cross_mag_sq - lad.cross_mag_sq)), p, q)
 
     # the remaining loops are cheap; each is timed whole, its bookkeeping included
     with stage("closed-forms"):
@@ -414,14 +425,13 @@ def run_verification() -> VerificationReport:
             p = SystemParams(1.0, 1.0, frac)
             for q in states:
                 ax, ay = moments.uncertainty_areas(p, q)
-                record("uncertainty-areas", abs(ax - ay), _point(p, q))
+                record("uncertainty-areas", abs(ax - ay), p, q)
 
         for frac in (0.1, 0.5, 0.9):
             p = SystemParams(1.0, 1.0, frac)
             for q in states:
                 res = compute_steering(p, q)
-                record("resonance-steering-null", max(abs(res.s_xy), abs(res.s_yx)),
-                       _point(p, q))
+                record("resonance-steering-null", max(abs(res.s_xy), abs(res.s_yx)), p, q)
 
         eps = 1e-4
         for mu_target in (0.3, 0.6):
@@ -431,15 +441,15 @@ def run_verification() -> VerificationReport:
             for q in (QuantumNumbers(n, 0) for n in (1, 3, 5)):
                 weak = steering_weak_general(q, mu)
                 record("weak-coupling-steering",
-                       abs(compute_steering(p, q).s_xy - weak) / weak, _point(p, q))
+                       abs(compute_steering(p, q).s_xy - weak) / weak, p, q)
 
     with stage("purity"):
         for n in range(4):
             for m in range(4):
                 for mu in (0.2, 1.0 / math.sqrt(3.0), 0.9, 1.0):
                     lam = purity.makarov_schmidt(QuantumNumbers(n, m), mu).lambdas
-                    record("schmidt-normalization", abs(math.fsum(lam) - 1.0),
-                           f"n={n} m={m} mu={mu}")
+                    record("schmidt-normalization", abs(math.fsum(lam) - 1.0), n, m, mu,
+                           where="n={} m={} mu={}".format)
 
     for check in checks.values():
         check.passed = bool(check.max_deviation <= check.tolerance)

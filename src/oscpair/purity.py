@@ -65,8 +65,9 @@ cell of the table (``_purities``; ``purity_exact`` is a table of one).
 
 The recurrence runs on a batch: ``_power_nd`` takes coefficient arrays
 stacked along a leading axis and raises each to the same power, so ``Q``
-and ``Q'`` share one degree loop. Where it reads and writes depends only
-on the batch's shape and zero pattern, not on the coefficient values, so
+and ``Q'`` of every coupling in a table share one degree loop. Where it
+reads and writes depends only on the batch's shape and zero pattern, not
+on the coefficient values, so
 all of its index work is done once, in a gather plan from a bounded
 ``functools.lru_cache`` keyed on the shape, the packed ``a != 0`` mask and
 ``alpha``; the plan also holds the factors ``(alpha + 1)|mu| - D``. The
@@ -79,8 +80,8 @@ one stacked gemv written into its slice, and one in-place division, and
 one gather at the end returns the dense jets. Keying on the zero pattern
 keeps vanishing coefficients (``a = 0`` or ``b = 0`` at zero coupling) out
 of the sums, so every member gets exactly the terms, and the bits, it
-would get alone. A plan serves members that share one zero pattern;
-members whose patterns differ run one at a time.
+would get alone. A plan serves members that share one zero pattern; a
+batch whose members' patterns differ runs in groups, one per pattern.
 
 The weak-coupling Schmidt weights ``lambda_k`` (an approximation that
 treats both normal frequencies as equal) are also provided; their linear
@@ -189,8 +190,13 @@ def _power_nd(a: np.ndarray, alpha: float) -> np.ndarray:
     caller checks that every constant term admits the power.
     """
     plan = _plan(a.shape, np.packbits(a != 0).tobytes(), alpha)
-    if plan is None:  # members whose zero patterns differ run one at a time
-        return np.concatenate([_power_nd(member[None], alpha) for member in a])
+    if plan is None:  # members whose zero patterns differ run in groups, one per pattern
+        patterns = [row.tobytes() for row in np.packbits(a.reshape(len(a), -1) != 0, axis=1)]
+        out = np.empty_like(a)
+        for pattern in dict.fromkeys(patterns):
+            group = [i for i, other in enumerate(patterns) if other == pattern]
+            out[group] = _power_nd(a[group], alpha)
+        return out
     members = a.reshape(len(a), -1)
     a0 = members[:, 0]
     buf = np.zeros((len(a), 1, plan.size + 1))  # a degree's slots take a (batch, 1, P_d) gemv stack
@@ -236,34 +242,38 @@ def _radicands(ab: list[tuple[float, float]], orders: tuple[int, int, int, int])
     return coeffs
 
 
-def _purities(params: SystemParams, states: list[QuantumNumbers]) -> list[float]:
-    """Exact marginal purity of ``Psi_(n, m)`` for each ``(n, m)`` in ``states``.
+def _purities(couplings: list[SystemParams], states: list[QuantumNumbers]) -> list[list[float]]:
+    """Exact marginal purity of ``Psi_(n, m)`` for each ``(n, m)`` in ``states``, one row
+    per coupling; every coupling's radicands go through one ``_power_nd`` call.
 
-    Raises ``RuntimeError``, naming the state, if a coefficient falls outside
-    ``(0, 1 + 1e-9]``, which would signal a cancellation failure rather than a
-    physical value; roundoff-level overshoot above 1 is clamped.
+    Raises ``RuntimeError``, naming the coupling and the state, if a coefficient
+    falls outside ``(0, 1 + 1e-9]``, which would signal a cancellation failure
+    rather than a physical value; roundoff-level overshoot above 1 is clamped.
     """
-    modes = model.diagonalize(params)
-    vx, vy, s2, c2 = modes.vartheta_x, modes.vartheta_y, modes.s2, modes.c2
+    ab = []  # (a, b) of Q and of Q', coupling by coupling
+    for m in map(model.diagonalize, couplings):
+        ab += [(m.vartheta_x * m.s2, m.vartheta_y * m.c2),
+               (m.s2 / m.vartheta_x, m.c2 / m.vartheta_y)]
     orders = (max(nm.n for nm in states), max(nm.m for nm in states)) * 2  # (n, m, n, m)
 
-    # a + b > 0 for both radicands, so the inverse square roots exist
-    pos, mom = _power_nd(_radicands([(vx * s2, vy * c2), (s2 / vx, c2 / vy)], orders), -0.5)
-    purities = []
-    for nm in states:
-        # [u^n s^m v^n w^m] of the product: sum over e <= (n,m,n,m) of pos[e] mom[(n,m,n,m) - e]
-        block = (slice(nm.n + 1), slice(nm.m + 1)) * 2
-        p = float(np.dot(pos[block].ravel(), mom[block].ravel()[::-1]))
-        if not (0.0 < p <= 1.0 + 1e-9):
-            raise RuntimeError(f"extracted purity coefficient {p} outside (0, 1]; "
-                               f"params={params}, state=({nm.n}, {nm.m})")
-        purities.append(min(p, 1.0))
-    return purities
+    # a + b > 0 for every radicand, so the inverse square roots exist
+    jets = _power_nd(_radicands(ab, orders), -0.5)
+    rows = [[] for _ in couplings]
+    for params, row, pos, mom in zip(couplings, rows, jets[::2], jets[1::2]):
+        for nm in states:
+            # [u^n s^m v^n w^m] of the product: sum over e <= (n,m,n,m) of pos[e] mom[(n,m,n,m) - e]
+            block = (slice(nm.n + 1), slice(nm.m + 1)) * 2
+            p = float(np.dot(pos[block].ravel(), mom[block].ravel()[::-1]))
+            if not (0.0 < p <= 1.0 + 1e-9):
+                raise RuntimeError(f"extracted purity coefficient {p} outside (0, 1]; "
+                                   f"params={params}, state=({nm.n}, {nm.m})")
+            row.append(min(p, 1.0))
+    return rows
 
 
 def purity_exact(params: SystemParams, nm: QuantumNumbers) -> PurityResult:
-    """Exact marginal purity of ``Psi_(n, m)``: ``_purities`` of the one state."""
-    p = _purities(params, [nm])[0]
+    """Exact marginal purity of ``Psi_(n, m)``: ``_purities`` of the one coupling and state."""
+    p = _purities([params], [nm])[0][0]
     return PurityResult(purity=p, linear_entropy=1.0 - p)
 
 

@@ -184,7 +184,7 @@ class TestPurityScan:
         monkeypatch.setattr(purity, "_power_nd", corrupted)
         states = [QuantumNumbers(n, m) for n in range(3) for m in range(4)]
         with pytest.raises(RuntimeError, match=r"outside \(0, 1\].*state=\(2, 3\)"):
-            purity._purities(SystemParams(1.0, 0.8, 0.5), states)
+            purity._purities([SystemParams(1.0, 0.8, 0.5)], states)
         code, out, err = run_cli(
             capsys, "purity-scan", "--omega-y", "0.8", "--epsilon", "0:0.5:3",
             "--n-max", "2", "--m-max", "3",
@@ -712,8 +712,8 @@ class TestArgumentHandling:
     def test_unwritable_output_fails_before_the_sweep(self, capsys, tmp_path, monkeypatch):
         calls = []
 
-        def purities(params, states):
-            calls.append((params, states))
+        def purities(couplings, states):
+            calls.append((couplings, states))
             raise RuntimeError("the sweep ran")
 
         monkeypatch.setattr(purity, "_purities", purities)

@@ -134,3 +134,21 @@ def test_commands_load_no_numpy_ma_and_only_wigner_eval_builds_the_digit_tables(
         "    print('numpy.ma' in sys.modules, cli._g17_tables.cache_info().currsize)\n"
     )
     assert _run(code) == ["False", "0"] * 3 + ["False", "1"]
+
+
+def test_a_failing_hypothesis_test_reports_its_assertion(tmp_path):
+    # under the repo's pytest settings (every warning an error), a failing @given test
+    # must end in its assertion, not in an INTERNALERROR from the hypothesis plugin
+    test = tmp_path / "test_falsified.py"
+    test.write_text("from hypothesis import given, strategies as st\n\n\n"
+                    "@given(st.integers())\n"
+                    "def test_falsified(x):\n"
+                    "    assert x == 'never'\n")
+    ini = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(ini), str(test)], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 1, output
+    assert "AssertionError: assert 0 == 'never'" in output
+    assert "INTERNALERROR" not in output

@@ -138,7 +138,7 @@ def test_decoupled_states_are_pure_off_resonance():
     for grid, bound in ((pairs, 1e-14), ([(1.0, 0.1), (1.0, 0.5), (1.0, 2.0)], 2e-14)):
         errors = []
         for wx, wy in grid:
-            for nm, p in zip(states, _purities(SystemParams(wx, wy, 0.0), states)):
+            for nm, p in zip(states, _purities([SystemParams(wx, wy, 0.0)], states)[0]):
                 errors.append((abs(p - 1.0), (wx, wy, nm.n, nm.m)))
         worst = _worst(errors)
         assert worst[0] <= bound, worst

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import itertools
 import math
 from dataclasses import astuple
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 
 from oscpair import (PhasePoint, QuantumNumbers, SystemParams, cutoff_angle, diagonalize, energy,
                      purity_exact, second_and_fourth_moments, steering, wigner_lab)
+from oscpair import model, run_verification
+from oscpair.cli import main
 from oscpair.model import FREQUENCY_RANGE
 
 
@@ -141,6 +146,65 @@ def test_swapped_decoupled_corner():
     assert math.isinf(modes.mu)
     assert modes.vartheta_x == pytest.approx(1.0)
     assert modes.vartheta_y == pytest.approx(0.7)
+
+
+class TestCouplingRecord:
+    """``diagonalize`` computes once per ``SystemParams`` object and keeps the result."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """The parameters of each ``diagonalize`` computation made while the test runs."""
+        seen, compute = [], model._normal_modes
+
+        def counted(params):
+            seen.append(params)
+            return compute(params)
+
+        monkeypatch.setattr(model, "_normal_modes", counted)
+        return seen
+
+    def test_one_computation_per_object(self, computed):
+        params = SystemParams(1.0, 0.8, 0.5)
+        first = diagonalize(params)
+        assert diagonalize(params) is first
+        energy(params, QuantumNumbers(2, 1))
+        steering(params, QuantumNumbers(1, 0))
+        assert computed == [params]
+        # a new object, even an equal one, computes afresh
+        assert diagonalize(SystemParams(1.0, 0.8, 0.5)) == first
+        assert len(computed) == 2
+        changed = dataclasses.replace(params, epsilon=0.25)
+        assert diagonalize(changed) != first
+        assert computed[-1] is changed and len(computed) == 3
+
+    def test_equality_hash_and_repr_see_the_three_fields(self):
+        params, fresh = SystemParams(1.0, 0.8, 0.5), SystemParams(1.0, 0.8, 0.5)
+        diagonalize(params)
+        assert params == fresh and hash(params) == hash(fresh)
+        assert repr(params) == repr(fresh) == "SystemParams(omega_x=1.0, omega_y=0.8, epsilon=0.5)"
+        assert astuple(params) == (1.0, 0.8, 0.5)
+        assert [f.name for f in dataclasses.fields(params)] == ["omega_x", "omega_y", "epsilon"]
+
+    def test_verify_computes_once_per_coupling(self, computed):
+        # the four reference couplings, then the tail loops' 2, 3 and 2
+        assert run_verification().passed
+        assert len(computed) == 11
+        assert len({id(params) for params in computed}) == 11
+
+    def test_preset_sweep_computes_once_per_coupling(self, computed, monkeypatch):
+        argv = ["steering-scan", "--preset", "0.8"]
+        cached = io.StringIO()
+        with contextlib.redirect_stdout(cached):
+            assert main(argv) == 0
+        assert len(computed) == 160
+        assert cached.getvalue().count("\n") == 1 + 1920
+        # every row recomputing its modes, as without the record, writes the same bytes
+        monkeypatch.setattr(model, "diagonalize", lambda params: model._normal_modes(params))
+        fresh = io.StringIO()
+        with contextlib.redirect_stdout(fresh):
+            assert main(argv) == 0
+        assert len(computed) == 160 + 1920
+        assert fresh.getvalue() == cached.getvalue()
 
 
 class TestCutoffAngle:

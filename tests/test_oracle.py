@@ -147,7 +147,7 @@ class TestGlobalPurity:
         # the check integrates one mode at a time; the reference integrates W^2 on the 4-D grid
         params = SystemParams(1.0, wy, frac * wy)
         states = [QuantumNumbers(n, m) for n in range(7) for m in range(7)]
-        batch = oracle._global_purities(params, states)
+        batch, = oracle._global_purities([params], states)
         for q, together in zip(states, batch):
             want = rotated_global_purity(params, q)
             assert abs(global_purity_check(params, q) - want) <= 1e-14, q
@@ -249,7 +249,7 @@ class TestSchmidtOracle:
             single = schmidt_oracle(params, q)
             assert abs(got.purity - single.purity) <= 1e-14, q
             assert got.norm_deficit < 1e-14
-        for q, got in zip(states, oracle._moment_sets(params, states)):
+        for q, got in zip(states, oracle._moment_sets([params], states)[0]):
             single = oracle.moment_set_oracle(params, q)
             assert list(got) == list(single)
             for name, value in single.items():
@@ -268,7 +268,7 @@ class TestSchmidtOracle:
             params = SystemParams(1.0, wy, frac * wy)
             for n in range(9):
                 states = [QuantumNumbers(n, m) for m in range(9)]
-                gram = oracle._gram_purities(params, states)
+                gram, = oracle._gram_purities([params], states)
                 svd = [res.purity for res in oracle._schmidt(params, states)]
                 for q, a, b in zip(states, gram, svd):
                     assert abs(a - b) <= 2e-15, (frac, q, a - b)
@@ -286,6 +286,37 @@ class TestSchmidtOracle:
                 want = np.zeros_like(got)
                 want[-(n + m + 1):] = np.sort(makarov_schmidt(QuantumNumbers(n, m), mu).lambdas)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestCouplingBatch:
+    """The quadrature oracles over a table of couplings agree with one call per coupling."""
+
+    # verify's four couplings, the decoupled (1, 0.8, 0) and a subnormal coupling
+    COUPLINGS = [SystemParams(1.0, wy, frac * wy) for wy in (0.8, 1.0) for frac in (0.3, 0.9)]
+    COUPLINGS += [SystemParams(1.0, 0.8, 0.0), SystemParams(2.0, 1.0, 4.722627690175157e-162)]
+    STATES = [QuantumNumbers(n, m) for n, m in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))]
+
+    def test_moment_sets(self):
+        table = oracle._moment_sets(self.COUPLINGS, self.STATES)
+        assert len(table) == len(self.COUPLINGS)
+        for params, row in zip(self.COUPLINGS, table):
+            for q, got, want in zip(self.STATES, row, oracle._moment_sets([params], self.STATES)[0]):
+                assert list(got) == list(want)
+                # <xq> and <py> vanish; Cauchy-Schwarz bounds them by sqrt(<x^2><q^2>) and
+                # sqrt(<p^2><y^2>), which stand in for their size
+                sizes = {name: abs(value) for name, value in want.items()}
+                sizes["xq"] = math.sqrt(want["xx"] * want["qq"])
+                sizes["py"] = math.sqrt(want["pp"] * want["yy"])
+                for name, value in want.items():
+                    assert abs(got[name] - value) <= 1e-14 * sizes[name], (params, q, name)
+
+    def test_global_purities(self):
+        table = oracle._global_purities(self.COUPLINGS, self.STATES)
+        assert len(table) == len(self.COUPLINGS)
+        for params, row in zip(self.COUPLINGS, table):
+            single = oracle._global_purities([params], self.STATES)[0]
+            for q, got, want in zip(self.STATES, row, single):
+                assert abs(got - want) <= 1e-15, (params, q)
 
 
 class TestVerification:
@@ -306,27 +337,30 @@ class TestVerification:
         assert [(c.name, c.tolerance, c.detail) for c in report.checks] == self.CHECKS
 
     def test_each_reference_point_is_computed_once(self, monkeypatch):
-        # the batched oracles and the exact purity run once per coupling over its six states;
-        # the Schmidt oracle's lab grid is sampled once per coupling (its first argument is
-        # the coupling's NormalModes)
-        batches = {"moments": [], "samples": [], "global": [], "purity": []}
+        # the exact purity and the quadrature oracles run once over the 4 x 6 table; the
+        # Schmidt oracle's lab grid is sampled once per coupling (its first argument is the
+        # coupling's NormalModes), over its six states
+        calls = {"moments": [], "global": [], "purity": [], "samples": []}
 
-        def batching(key, fn):
-            def wrapped(params, states):
-                batches[key].append((params, list(states)))
-                return fn(params, states)
+        def counted(key, fn):
+            def wrapped(first, states):
+                calls[key].append((first, list(states)))
+                return fn(first, states)
             return wrapped
 
-        monkeypatch.setattr(oracle, "_moment_sets", batching("moments", oracle._moment_sets))
-        monkeypatch.setattr(oracle, "_lab_samples", batching("samples", oracle._lab_samples))
+        monkeypatch.setattr(oracle, "_moment_sets", counted("moments", oracle._moment_sets))
         monkeypatch.setattr(oracle, "_global_purities",
-                            batching("global", oracle._global_purities))
-        monkeypatch.setattr(purity, "_purities", batching("purity", purity._purities))
+                            counted("global", oracle._global_purities))
+        monkeypatch.setattr(purity, "_purities", counted("purity", purity._purities))
+        monkeypatch.setattr(oracle, "_lab_samples", counted("samples", oracle._lab_samples))
         assert run_verification().passed
-        for key, seen in batches.items():
-            assert len(seen) == 4 and all(states == seen[0][1] for _, states in seen), key
-            assert len(seen[0][1]) == 6, key
-            assert len({(params, q) for params, states in seen for q in states}) == 24, key
+        for key in ("moments", "global", "purity"):
+            (couplings, states), = calls[key]
+            assert len({(params, q) for params in couplings for q in states}) == 24, key
+        samples = calls["samples"]
+        assert len(samples) == 4 and len({modes for modes, _ in samples}) == 4
+        assert all(states == calls["purity"][0][1] for _, states in samples)
+        assert len(samples[0][1]) == 6
 
     def test_runs_no_svd(self, monkeypatch):
         # the Schmidt check reads Tr rho^2 from each state's Gram matrix
@@ -405,9 +439,9 @@ class TestVerification:
         true_fn = oracle._global_purities
         bad = (SystemParams(1.0, 1.0, 0.9), QuantumNumbers(1, 1))
 
-        def broken(params, states):
-            return [math.nan if (params, q) == bad else norm
-                    for q, norm in zip(states, true_fn(params, states))]
+        def broken(couplings, states):
+            return [[math.nan if (params, q) == bad else norm for q, norm in zip(states, row)]
+                    for params, row in zip(couplings, true_fn(couplings, states))]
 
         monkeypatch.setattr(oracle, "_global_purities", broken)
         check = {c.name: c for c in run_verification().checks}["global-purity"]

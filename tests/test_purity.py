@@ -92,8 +92,8 @@ class TestPurityExact:
                              ids=lambda p: "wx%g-wy%g-eps%g" % p)
     def test_against_high_precision_reference(self, params):
         # the table holds every (n, m) <= (8, 8) at this coupling, (k, k) at 10 k
-        table = _purities(SystemParams(*params), [QuantumNumbers(n, m)
-                                                  for n in range(9) for m in range(9)])
+        table, = _purities([SystemParams(*params)], [QuantumNumbers(n, m)
+                                                     for n in range(9) for m in range(9)])
         for k, want in enumerate(PURITY_REFERENCE[params]):
             state = SystemParams(*params), QuantumNumbers(k, k)
             for route, got in (("exact", purity_exact(*state).purity),
@@ -388,10 +388,10 @@ def test_cached_route_is_bit_identical_to_the_per_call_route(bit_grid_reference)
 def per_member_calls(monkeypatch):
     """The shapes of the one-member ``_power_nd`` calls made while the test runs.
 
-    ``_purities`` passes its two radicands as one batch, and a batch whose
-    members' zero patterns differ recurses once per member through the module
-    global, which the counter replaces; so a one-member call is the per-member
-    route.
+    ``_purities`` passes a coupling's two radicands as one batch, and a batch
+    whose members' zero patterns differ recurses once per pattern through the
+    module global, which the counter replaces; so a one-member call is the
+    per-member route.
     """
     from oscpair import purity
 
@@ -422,7 +422,7 @@ def test_subnormal_coupling_takes_the_per_member_route(per_member_calls):
     # in Q', so the radicands' zero patterns differ and each runs alone
     params = SystemParams(2.0, 1.0, 4.722627690175157e-162)
     states = [QuantumNumbers(n, m) for n in range(4) for m in range(4)]
-    table = _purities(params, states)
+    table, = _purities([params], states)
     assert per_member_calls == [(1, 4, 4, 4, 4)] * 2
     assert table == [1.0] * len(states)
     single = [purity_exact(params, nm).purity for nm in states]
@@ -436,9 +436,31 @@ def test_table_cells_match_the_one_state_route():
     for wy in BIT_GRID_WY:
         for frac in BIT_GRID_EPS:
             params = SystemParams(1.0, wy, frac * wy)
-            table = _purities(params, states)
+            table, = _purities([params], states)
             single = [purity_exact(params, nm).purity for nm in states]
             assert table == pytest.approx(single, rel=0, abs=1e-14), (wy, frac)
+
+
+class TestCouplingBatch:
+    """A table of couplings through ``_purities`` equals one call per coupling, bit for bit."""
+
+    # verify's four couplings, the decoupled (1, 0.8, 0), whose radicands drop their a
+    # terms, and the subnormal coupling, whose Q keeps a = 1e-323 while Q' drops a'
+    COUPLINGS = [SystemParams(1.0, wy, frac * wy) for wy in (0.8, 1.0) for frac in (0.3, 0.9)]
+    COUPLINGS += [SystemParams(1.0, 0.8, 0.0), SystemParams(2.0, 1.0, 4.722627690175157e-162)]
+    STATES = [QuantumNumbers(n, m) for n, m in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))]
+
+    def test_rows_equal_single_coupling_calls(self):
+        table = _purities(self.COUPLINGS, self.STATES)
+        assert len(table) == len(self.COUPLINGS)
+        for params, row in zip(self.COUPLINGS, table):
+            assert row == _purities([params], self.STATES)[0], params
+
+    def test_off_pattern_members_run_with_their_peers(self, per_member_calls):
+        # the 12 radicands take two zero patterns, 9 with every term and 3 without a, and
+        # each pattern runs as one batch: no member is left to run alone
+        _purities(self.COUPLINGS, self.STATES)
+        assert per_member_calls == []
 
 
 def test_plan_cache_of_the_sweep_cells_stays_small(monkeypatch):
