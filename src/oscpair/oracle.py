@@ -263,9 +263,8 @@ def _gram_purities(couplings: list[SystemParams],
     rows = []
     for params in couplings:
         amps, _ = _lab_samples(model.diagonalize(params), states)
-        gram = amps @ amps.transpose(0, 2, 1)
-        rows.append((np.sum(gram * gram, axis=(1, 2)) / np.sum(amps * amps, axis=(1, 2)) ** 2
-                     ).tolist())
+        gram, norms = amps @ amps.transpose(0, 2, 1), np.sum(amps * amps, axis=(1, 2))
+        rows.append((np.sum(gram * gram, axis=(1, 2)) / norms**2).tolist())
     return rows
 
 
@@ -400,9 +399,9 @@ def run_verification() -> VerificationReport:
     with stage("purity"):
         exacts = purity._purities(grid, states)  # states[0] is the ground state
         grounds = [purity.purity_ground_closed(p).purity for p in grid]
-    for p, ground, *rows in zip(grid, grounds, exacts, schmidts, refs, lads, norms):
-        record("ground-purity-closed-form", abs(rows[0][0] - ground), p, states[0])
-        for q, exact, schmidt, ref, lad, norm in zip(states, *rows):
+    for p, ground, exact_row, *rows in zip(grid, grounds, exacts, schmidts, refs, lads, norms):
+        record("ground-purity-closed-form", abs(exact_row[0] - ground), p, states[0])
+        for q, exact, schmidt, ref, lad, norm in zip(states, exact_row, *rows):
             with stage("closed-forms"):
                 ms = moments.second_and_fourth_moments(p, q)
                 ax, ay = moments.uncertainty_areas(p, q)
