@@ -65,23 +65,22 @@ cell of the table (``_purities``; ``purity_exact`` is a table of one).
 
 The recurrence runs on a batch: ``_power_nd`` takes coefficient arrays
 stacked along a leading axis and raises each to the same power, so ``Q``
-and ``Q'`` of every coupling in a table share one degree loop. Where it
-reads and writes depends only on the batch's shape and zero pattern, not
-on the coefficient values, so all of its index work is done once, in a
-gather plan from a bounded ``functools.lru_cache`` keyed on the shape,
-the packed ``a != 0`` mask and ``alpha``; the plan also holds the factors
-``(alpha + 1)|mu| - D``. The recurrence's buffer holds each member's
-coefficients degree by degree, with one zero slot at the end, so each
-degree's output is one contiguous slice. For every degree the plan holds
-the buffer slots of ``f_{e - mu}``, one row per nonzero shift ``mu``, the
-zero slot wherever ``e - mu`` leaves the jet; one index set serves every
-member. A degree is then one gather, one stacked gemv written into its
-slice, and one in-place division, and one gather at the end returns the
-dense jets. Keying on the zero pattern keeps vanishing coefficients
-(``a = 0`` or ``b = 0`` at zero coupling) out of the sums, so every
-member gets exactly the terms, and the bits, it would get alone. A plan
-serves members that share one zero pattern; a batch whose members'
-patterns differ runs in groups, one per pattern.
+and ``Q'`` share one degree loop. Where it reads and writes depends only
+on the batch's shape and zero pattern, not on the coefficient values, so
+all of its index work is done once, in a gather plan from a bounded
+``functools.lru_cache`` keyed on the shape, the packed ``a != 0`` mask and
+``alpha``; the plan also holds the factors ``(alpha + 1)|mu| - D``. The
+recurrence's buffer holds each member's coefficients degree by degree,
+with one zero slot at the end, so each degree's output is one contiguous
+slice. For every degree the plan holds the buffer slots of ``f_{e - mu}``,
+one row per nonzero shift ``mu``, the zero slot wherever ``e - mu`` leaves
+the jet; one index set serves every member. A degree is then one gather,
+one stacked gemv written into its slice, and one in-place division, and
+one gather at the end returns the dense jets. Keying on the zero pattern
+keeps vanishing coefficients (``a = 0`` or ``b = 0`` at zero coupling) out
+of the sums, so every member gets exactly the terms, and the bits, it
+would get alone. A plan serves members that share one zero pattern; a
+batch whose members' patterns differ runs in groups, one per pattern.
 
 The weak-coupling Schmidt weights ``lambda_k`` (an approximation that
 treats both normal frequencies as equal) are also provided; their linear
