@@ -18,12 +18,13 @@ check:
 
 ``run_verification`` sweeps a built-in parameter grid through all checks
 and returns a machine-readable report; the CLI ``verify`` command wraps
-it. The oracles and the exact purity run once per run, over the whole 4
-couplings x 6 states table (``_gram_purities``: one lab grid per coupling,
-each state's purity from the Gram matrix of its samples, no SVD;
-``_moment_sets``: one rule, one set of mode factors, one batched
-contraction; ``_global_purities``: one rule, one 2-D integral of
-``wigner_mode`` squared per mode and quantum number for all couplings).
+it. The quadrature oracles and the exact purity run once per run, over the
+whole 4 couplings x 6 states table, and the Schmidt oracle once per coupling
+(``_gram_purities``: one lab grid, each state's purity from the Gram matrix
+of its samples, no SVD; ``_moment_sets``: one rule, one set of mode
+factors, one batched contraction; ``_global_purities``: one rule, one 2-D
+integral of ``wigner_mode`` squared per mode and quantum number for all
+couplings).
 ``schmidt_oracle`` keeps the SVD, for the spectrum and the entropies. On
 ``X = v / sqrt(2 vx)``, ``P = v sqrt(vx / 2)`` the global-purity integrand
 no longer depends on the coupling (its argument is ``(v_i^2 + v_j^2) / 2``),
@@ -253,19 +254,15 @@ def schmidt_oracle(params: SystemParams, nm: QuantumNumbers) -> SchmidtOracleRes
     return _schmidt(params, [nm])[0]
 
 
-def _gram_purities(couplings: list[SystemParams],
-                   states: list[QuantumNumbers]) -> list[list[float]]:
-    """The Schmidt oracle's purity of each state, one row per coupling, without an SVD.
+def _gram_purities(params: SystemParams, states: list[QuantumNumbers]) -> list[float]:
+    """The Schmidt oracle's purity of each state, without an SVD.
 
     ``Tr rho^2 = ||A A^T||_F^2 / ||A||_F^4`` of the state's ``_lab_samples`` matrix
-    ``A`` (one grid per coupling) is ``sum sigma^4 / (sum sigma^2)^2``.
+    ``A`` is the ``sum sigma^4 / (sum sigma^2)^2`` of its singular values.
     """
-    rows = []
-    for params in couplings:
-        amps, _ = _lab_samples(model.diagonalize(params), states)
-        gram, norms = amps @ amps.transpose(0, 2, 1), np.sum(amps * amps, axis=(1, 2))
-        rows.append((np.sum(gram * gram, axis=(1, 2)) / norms**2).tolist())
-    return rows
+    amps, _ = _lab_samples(model.diagonalize(params), states)
+    gram = amps @ amps.transpose(0, 2, 1)
+    return (np.sum(gram * gram, axis=(1, 2)) / np.sum(amps * amps, axis=(1, 2)) ** 2).tolist()
 
 
 def marginal_purity_quadrature(params: SystemParams, nm: QuantumNumbers) -> float:
@@ -362,9 +359,10 @@ def _point(p: SystemParams, q: QuantumNumbers) -> str:
 def run_verification() -> VerificationReport:
     """Run the oracle suite over the built-in reference grid.
 
-    The exact purity and the oracles run once over the table of couplings and states
-    (``_purities``, ``_gram_purities``, ``_moment_sets``, ``_global_purities``), the rest
-    once per reference point; each result feeds every check that needs it.
+    The exact purity and the quadrature oracles run once over the table of couplings
+    and states (``_purities``, ``_moment_sets``, ``_global_purities``), the Schmidt oracle
+    once per coupling (``_gram_purities``), the rest once per reference point; each
+    result feeds every check that needs it.
     Module-level functions under test are resolved at call time, so a fault
     injected by rebinding (for instance a corrupted moment formula) surfaces as
     a named failing check, at the point where it is largest.
@@ -391,7 +389,7 @@ def run_verification() -> VerificationReport:
             check.max_deviation, check.worst = float(dev), where(*point)
 
     with stage("schmidt-oracle"):
-        schmidts = _gram_purities(grid, states)
+        schmidts = [_gram_purities(p, states) for p in grid]
     with stage("quadrature-oracles"):
         refs = _moment_sets(grid, states)
         lads = [[_ladder(p, ref) for ref in row] for p, row in zip(grid, refs)]

@@ -79,8 +79,8 @@ one stacked gemv written into its slice, and one in-place division, and
 one gather at the end returns the dense jets. Keying on the zero pattern
 keeps vanishing coefficients (``a = 0`` or ``b = 0`` at zero coupling) out
 of the sums, so every member gets exactly the terms, and the bits, it
-would get alone. A plan serves members that share one zero pattern; a
-batch whose members' patterns differ runs in groups, one per pattern.
+would get alone. A plan serves members that share one zero pattern;
+members whose patterns differ run one at a time.
 
 The weak-coupling Schmidt weights ``lambda_k`` (an approximation that
 treats both normal frequencies as equal) are also provided; their linear
@@ -189,13 +189,8 @@ def _power_nd(a: np.ndarray, alpha: float) -> np.ndarray:
     caller checks that every constant term admits the power.
     """
     plan = _plan(a.shape, np.packbits(a != 0).tobytes(), alpha)
-    if plan is None:  # members whose zero patterns differ run in groups, one per pattern
-        patterns = [row.tobytes() for row in np.packbits(a.reshape(len(a), -1) != 0, axis=1)]
-        out = np.empty_like(a)
-        for pattern in dict.fromkeys(patterns):
-            group = [i for i, other in enumerate(patterns) if other == pattern]
-            out[group] = _power_nd(a[group], alpha)
-        return out
+    if plan is None:  # members whose zero patterns differ run one at a time
+        return np.concatenate([_power_nd(member[None], alpha) for member in a])
     members = a.reshape(len(a), -1)
     a0 = members[:, 0]
     buf = np.zeros((len(a), 1, plan.size + 1))  # a degree's slots take a (batch, 1, P_d) gemv stack

@@ -268,7 +268,7 @@ class TestSchmidtOracle:
             params = SystemParams(1.0, wy, frac * wy)
             for n in range(9):
                 states = [QuantumNumbers(n, m) for m in range(9)]
-                gram, = oracle._gram_purities([params], states)
+                gram = oracle._gram_purities(params, states)
                 svd = [res.purity for res in oracle._schmidt(params, states)]
                 for q, a, b in zip(states, gram, svd):
                     assert abs(a - b) <= 2e-15, (frac, q, a - b)

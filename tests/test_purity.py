@@ -388,8 +388,8 @@ def test_cached_route_is_bit_identical_to_the_per_call_route(bit_grid_reference)
 def per_member_calls(monkeypatch):
     """The shapes of the one-member ``_power_nd`` calls made while the test runs.
 
-    ``_purities`` passes a coupling's two radicands as one batch, and a batch
-    whose members' zero patterns differ recurses once per pattern through the
+    ``_purities`` passes its couplings' radicands as one batch, and a batch
+    whose members' zero patterns differ recurses once per member through the
     module global, which the counter replaces; so a one-member call is the
     per-member route.
     """
@@ -455,12 +455,6 @@ class TestCouplingBatch:
         assert len(table) == len(self.COUPLINGS)
         for params, row in zip(self.COUPLINGS, table):
             assert row == _purities([params], self.STATES)[0], params
-
-    def test_off_pattern_members_run_with_their_peers(self, per_member_calls):
-        # the 12 radicands take two zero patterns, 9 with every term and 3 without a, and
-        # each pattern runs as one batch: no member is left to run alone
-        _purities(self.COUPLINGS, self.STATES)
-        assert per_member_calls == []
 
 
 def test_plan_cache_of_the_sweep_cells_stays_small(monkeypatch):
