@@ -94,6 +94,14 @@ def _parse_range(text: str) -> list[float]:
     return points
 
 
+def _kept(points: list[float], name: str, valid: Callable[[float], bool], why: str) -> list[float]:
+    """The ``valid`` points; each other one is named on stderr as skipped."""
+    for x in points:
+        if not valid(x):
+            print(f"warning: skipping {name}={x:g} ({why})", file=sys.stderr)
+    return [x for x in points if valid(x)]
+
+
 def _int_at_least(low: int) -> Callable[[str], int]:
     """argparse type for an integer option that must be ``>= low``."""
     def parse(text: str) -> int:
@@ -286,13 +294,8 @@ def _scan(args, out: TextIO, values: _Values, names: list[str]) -> int:
     """Write the sweep over ``--epsilon`` and the ``--n-max`` x ``--m-max`` grid."""
     SystemParams(args.omega_x, args.omega_y)  # invalid frequencies fail here, not row by row
     bound = args.omega_x * args.omega_y
-    eps_values = []
-    for eps in _parse_range(args.epsilon):
-        if 0.0 <= eps < bound:
-            eps_values.append(eps)
-        else:
-            print(f"warning: skipping epsilon={eps:g} "
-                  f"(requires 0 <= epsilon < omega_x*omega_y = {bound:g})", file=sys.stderr)
+    eps_values = _kept(_parse_range(args.epsilon), "epsilon", lambda eps: 0.0 <= eps < bound,
+                       f"requires 0 <= epsilon < omega_x*omega_y = {bound:g}")
     states = [QuantumNumbers(n, m) for n in range(args.n_max + 1)
               for m in range(args.m_max + 1)]
     return _sweep(args.omega_x, args.omega_y, eps_values, states, values, names, args.format, out)
@@ -313,13 +316,8 @@ def _steering_values(params: SystemParams, states: list[QuantumNumbers]) -> list
 
 def cmd_spectrum(args, out: TextIO) -> int:
     if args.r_scan:
-        rates = []
-        for r in _parse_range(args.r_scan):
-            if r > 0:
-                rates.append(r)
-            else:
-                print(f"warning: skipping r={r:g} (resonance rate must be positive)",
-                      file=sys.stderr)
+        rates = _kept(_parse_range(args.r_scan), "r", lambda r: r > 0,
+                      "resonance rate must be positive")
         _write_table([(["r"], [(r,) for r in rates])], ["theta_c"],
                      [(cutoff_angle(r),) for r in rates], args.format, out)
         return 0

@@ -18,17 +18,14 @@ check:
 
 ``run_verification`` sweeps a built-in parameter grid through all checks
 and returns a machine-readable report; the CLI ``verify`` command wraps
-it. The quadrature oracles and the exact purity run once per run, over the
-whole 4 couplings x 6 states table, and the Schmidt oracle once per coupling
-(``_gram_purities``: one lab grid, each state's purity from the Gram matrix
-of its samples, no SVD; ``_moment_sets``: one rule, one set of mode
-factors, one batched contraction; ``_global_purities``: one rule, one 2-D
-integral of ``wigner_mode`` squared per mode and quantum number for all
-couplings).
-``schmidt_oracle`` keeps the SVD, for the spectrum and the entropies. On
-``X = v / sqrt(2 vx)``, ``P = v sqrt(vx / 2)`` the global-purity integrand
-no longer depends on the coupling (its argument is ``(v_i^2 + v_j^2) / 2``),
-so that check tests ``wigner_mode``'s normalization for each quantum number.
+it. It computes each table once and records the checks from them: the
+exact purity and the moment oracle over the whole 4 couplings x 6 states
+table (``_moment_sets``: one rule, one set of mode factors, one batched
+contraction), the Schmidt oracle once per coupling (``_gram_purities``: one
+lab grid, each state's purity from the Gram matrix of its samples, no SVD),
+and the global-purity integral once per quantum number
+(``_global_purities``). ``schmidt_oracle`` keeps the SVD, for the spectrum
+and the entropies.
 """
 
 from __future__ import annotations
@@ -163,20 +160,17 @@ def ladder_oracle(params: SystemParams, nm: QuantumNumbers) -> LadderMoments:
     return _ladder(params, moment_set_oracle(params, nm))
 
 
-def _global_purities(couplings: list[SystemParams],
-                     states: list[QuantumNumbers]) -> list[list[float]]:
-    """``global_purity_check`` for each state, one row per coupling, all on one rule."""
+def _global_purities(states: list[QuantumNumbers]) -> list[float]:
+    """``global_purity_check`` for each state: one 2-D integral per quantum number, on one rule.
+
+    On ``X = v / sqrt(2 vx)``, ``P = v sqrt(vx / 2)`` the squared factor's argument ``vx X^2 +
+    P^2 / vx`` is ``(v_i^2 + v_j^2) / 2`` at every frequency, so each is taken at unit frequency.
+    """
     rule = gauss_hermite(2 * max(max(q.n, q.m) for q in states) + 4)
-    v, rw = rule.nodes, rule.flat_weights
-    frequencies = [(m.vartheta_x, m.vartheta_y) for m in map(model.diagonalize, couplings)]
-    integrals = []  # per normal mode and quantum number, its squared factor's integral per coupling
-    for vt, ks in zip(np.array(frequencies).T[:, :, None, None],
-                      ({q.n for q in states}, {q.m for q in states})):
-        big, small = v[:, None] / np.sqrt(2.0 * vt), v[None, :] * np.sqrt(0.5 * vt)
-        integrals.append({k: (wigner.wigner_mode(k, vt, big, small) ** 2 @ rw @ rw).tolist()
-                          for k in ks})
-    return [[math.pi**2 * integrals[0][q.n][c] * integrals[1][q.m][c] for q in states]
-            for c in range(len(couplings))]
+    v, rw = rule.nodes / math.sqrt(2.0), rule.flat_weights
+    integrals = {k: float(wigner.wigner_mode(k, 1.0, v[:, None], v[None, :]) ** 2 @ rw @ rw)
+                 for k in sorted({q.n for q in states} | {q.m for q in states})}
+    return [math.pi**2 * integrals[q.n] * integrals[q.m] for q in states]
 
 
 def global_purity_check(params: SystemParams, nm: QuantumNumbers) -> float:
@@ -184,9 +178,11 @@ def global_purity_check(params: SystemParams, nm: QuantumNumbers) -> float:
 
     W is a product of ``wigner.wigner_mode`` factors, so the integral is one 2-D
     Gauss-Hermite sum per normal mode, with ``2*max(n, m) + 4`` nodes on ``X = v /
-    sqrt(2 vx)``, ``P = v sqrt(vx / 2)`` (``Y``, ``Q`` likewise) and flat weights.
+    sqrt(2 vx)``, ``P = v sqrt(vx / 2)`` (``Y``, ``Q`` likewise) and flat weights. On
+    those nodes the integrand does not depend on the frequencies, so the value does not
+    depend on ``params``: the check tests ``wigner_mode``'s normalization for ``n`` and ``m``.
     """
-    return _global_purities([params], [nm])[0][0]
+    return _global_purities([nm])[0]
 
 
 @dataclass(frozen=True)
@@ -359,10 +355,10 @@ def _point(p: SystemParams, q: QuantumNumbers) -> str:
 def run_verification() -> VerificationReport:
     """Run the oracle suite over the built-in reference grid.
 
-    The exact purity and the quadrature oracles run once over the table of couplings
-    and states (``_purities``, ``_moment_sets``, ``_global_purities``), the Schmidt oracle
-    once per coupling (``_gram_purities``), the rest once per reference point; each
-    result feeds every check that needs it.
+    Each table is computed once: the exact purity, the moment oracle and the closed
+    forms over the couplings and states (``_purities``, ``_moment_sets``), the Schmidt
+    oracle once per coupling (``_gram_purities``), the global-purity integrals once per
+    quantum number (``_global_purities``); then one pass records the checks that read them.
     Module-level functions under test are resolved at call time, so a fault
     injected by rebinding (for instance a corrupted moment formula) surfaces as
     a named failing check, at the point where it is largest.
@@ -393,37 +389,33 @@ def run_verification() -> VerificationReport:
     with stage("quadrature-oracles"):
         refs = _moment_sets(grid, states)
         lads = [[_ladder(p, ref) for ref in row] for p, row in zip(grid, refs)]
-        norms = _global_purities(grid, states)
+        norms = _global_purities(states)
     with stage("purity"):
         exacts = purity._purities(grid, states)  # states[0] is the ground state
         grounds = [purity.purity_ground_closed(p).purity for p in grid]
-    for p, ground, exact_row, *rows in zip(grid, grounds, exacts, schmidts, refs, lads, norms):
-        record("ground-purity-closed-form", abs(exact_row[0] - ground), p, states[0])
-        for q, exact, schmidt, ref, lad, norm in zip(states, exact_row, *rows):
-            with stage("closed-forms"):
-                ms = moments.second_and_fourth_moments(p, q)
-                ax, ay = moments.uncertainty_areas(p, q)
-                ex = moments.excitation_numbers(p, q)
-                lm = moments.ladder_moments(p, q)
+    with stage("closed-forms"):
+        closed = [[(moments.second_and_fourth_moments(p, q), moments.uncertainty_areas(p, q),
+                    moments.excitation_numbers(p, q), moments.ladder_moments(p, q))
+                   for q in states] for p in grid]
 
+    for q, norm in zip(states, norms):
+        record("global-purity", abs(norm - 1.0), q.n, q.m, where="n={} m={}".format)
+    for p, ground, exact_row, *rows in zip(grid, grounds, exacts, schmidts, refs, lads, closed):
+        record("ground-purity-closed-form", abs(exact_row[0] - ground), p, states[0])
+        for q, exact, schmidt, ref, lad, (ms, (ax, ay), ex, lm) in zip(states, exact_row, *rows):
             record("marginal-purity-svd", abs(exact - schmidt), p, q)
-            record("global-purity", abs(norm - 1.0), p, q)
             record("moment-table", max(abs(ref["xq"]), abs(ref["py"]),
                                        *(abs(got - ref[name]) / max(abs(ref[name]), 1e-2)
                                          for name, got in vars(ms).items())), p, q)
             record("uncertainty-areas", max(0.5 - ax, 0.5 - ay), p, q)
+            if p.omega_x == p.omega_y:  # the resonance equality
+                record("uncertainty-areas", abs(ax - ay), p, q)
             record("excitation-oracle", max(abs(ex.nx - lad.nx), abs(ex.ny - lad.ny),
                                             abs(lm.nxny - lad.nxny),
                                             abs(lm.cross_mag_sq - lad.cross_mag_sq)), p, q)
 
     # the remaining loops are cheap; each is timed whole, its bookkeeping included
     with stage("closed-forms"):
-        for frac in (0.3, 0.9):
-            p = SystemParams(1.0, 1.0, frac)
-            for q in states:
-                ax, ay = moments.uncertainty_areas(p, q)
-                record("uncertainty-areas", abs(ax - ay), p, q)
-
         for frac in (0.1, 0.5, 0.9):
             p = SystemParams(1.0, 1.0, frac)
             for q in states:

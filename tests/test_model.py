@@ -186,10 +186,10 @@ class TestCouplingRecord:
         assert [f.name for f in dataclasses.fields(params)] == ["omega_x", "omega_y", "epsilon"]
 
     def test_verify_computes_once_per_coupling(self, computed):
-        # the four reference couplings, then the tail loops' 2, 3 and 2
+        # the four reference couplings, then the steering loops' 3 and 2
         assert run_verification().passed
-        assert len(computed) == 11
-        assert len({id(params) for params in computed}) == 11
+        assert len(computed) == 9
+        assert len({id(params) for params in computed}) == 9
 
     def test_preset_sweep_computes_once_per_coupling(self, computed, monkeypatch):
         argv = ["steering-scan", "--preset", "0.8"]

@@ -147,11 +147,26 @@ class TestGlobalPurity:
         # the check integrates one mode at a time; the reference integrates W^2 on the 4-D grid
         params = SystemParams(1.0, wy, frac * wy)
         states = [QuantumNumbers(n, m) for n in range(7) for m in range(7)]
-        batch, = oracle._global_purities([params], states)
+        batch = oracle._global_purities(states)
         for q, together in zip(states, batch):
             want = rotated_global_purity(params, q)
             assert abs(global_purity_check(params, q) - want) <= 1e-14, q
             assert abs(together - want) <= 1e-14, q
+
+    def test_integrates_once_per_quantum_number(self, monkeypatch):
+        # the integrand does not depend on the coupling: verify's six states take one 2-D
+        # integral on the 8-node rule for each quantum number in {0, 1, 2}
+        calls, true_fn = [], wigner.wigner_mode
+
+        def recording(n, vartheta, X, P):
+            out = true_fn(n, vartheta, X, P)
+            calls.append((n, out.shape))
+            return out
+
+        monkeypatch.setattr(wigner, "wigner_mode", recording)
+        states = [QuantumNumbers(n, m) for n, m in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))]
+        oracle._global_purities(states)
+        assert sorted(calls) == [(0, (8, 8)), (1, (8, 8)), (2, (8, 8))]
 
     def test_negative_control_scaled_wigner(self, monkeypatch):
         # each mode's factor doubles, so W^2 reads 16 times its value
@@ -310,14 +325,6 @@ class TestCouplingBatch:
                 for name, value in want.items():
                     assert abs(got[name] - value) <= 1e-14 * sizes[name], (params, q, name)
 
-    def test_global_purities(self):
-        table = oracle._global_purities(self.COUPLINGS, self.STATES)
-        assert len(table) == len(self.COUPLINGS)
-        for params, row in zip(self.COUPLINGS, table):
-            single = oracle._global_purities([params], self.STATES)[0]
-            for q, got, want in zip(self.STATES, row, single):
-                assert abs(got - want) <= 1e-15, (params, q)
-
 
 class TestVerification:
     CHECKS = [
@@ -337,15 +344,15 @@ class TestVerification:
         assert [(c.name, c.tolerance, c.detail) for c in report.checks] == self.CHECKS
 
     def test_each_reference_point_is_computed_once(self, monkeypatch):
-        # the exact purity and the quadrature oracles run once over the 4 x 6 table; the
-        # Schmidt oracle's lab grid is sampled once per coupling (its first argument is the
-        # coupling's NormalModes), over its six states
+        # the exact purity and the moment oracle run once over the 4 x 6 table, the global
+        # purity once over the six states; the Schmidt oracle's lab grid is sampled once per
+        # coupling (its first argument is the coupling's NormalModes), over its six states
         calls = {"moments": [], "global": [], "purity": [], "samples": []}
 
         def counted(key, fn):
-            def wrapped(first, states):
-                calls[key].append((first, list(states)))
-                return fn(first, states)
+            def wrapped(*args):
+                calls[key].append(args)
+                return fn(*args)
             return wrapped
 
         monkeypatch.setattr(oracle, "_moment_sets", counted("moments", oracle._moment_sets))
@@ -354,9 +361,11 @@ class TestVerification:
         monkeypatch.setattr(purity, "_purities", counted("purity", purity._purities))
         monkeypatch.setattr(oracle, "_lab_samples", counted("samples", oracle._lab_samples))
         assert run_verification().passed
-        for key in ("moments", "global", "purity"):
+        for key in ("moments", "purity"):
             (couplings, states), = calls[key]
             assert len({(params, q) for params in couplings for q in states}) == 24, key
+        (states,), = calls["global"]
+        assert states == calls["purity"][0][1]
         samples = calls["samples"]
         assert len(samples) == 4 and len({modes for modes, _ in samples}) == 4
         assert all(states == calls["purity"][0][1] for _, states in samples)
@@ -417,7 +426,8 @@ class TestVerification:
     def test_worst_point_is_named(self):
         point = r"omega_x=\S+ omega_y=\S+ epsilon=\S+ n=\d+ m=\d+"
         for check in run_verification().checks:
-            pattern = r"n=\d+ m=\d+ mu=\S+" if check.name == "schmidt-normalization" else point
+            pattern = {"schmidt-normalization": r"n=\d+ m=\d+ mu=\S+",
+                       "global-purity": r"n=\d+ m=\d+"}.get(check.name, point)
             assert re.fullmatch(pattern, check.worst), (check.name, check.worst)
 
     def test_injected_fault_is_reported_at_its_point(self, monkeypatch):
@@ -437,14 +447,13 @@ class TestVerification:
 
     def test_nan_deviation_fails_its_check(self, monkeypatch):
         true_fn = oracle._global_purities
-        bad = (SystemParams(1.0, 1.0, 0.9), QuantumNumbers(1, 1))
+        bad = QuantumNumbers(1, 1)
 
-        def broken(couplings, states):
-            return [[math.nan if (params, q) == bad else norm for q, norm in zip(states, row)]
-                    for params, row in zip(couplings, true_fn(couplings, states))]
+        def broken(states):
+            return [math.nan if q == bad else norm for q, norm in zip(states, true_fn(states))]
 
         monkeypatch.setattr(oracle, "_global_purities", broken)
         check = {c.name: c for c in run_verification().checks}["global-purity"]
         assert not check.passed
         assert math.isnan(check.max_deviation)
-        assert check.worst == "omega_x=1.0 omega_y=1.0 epsilon=0.9 n=1 m=1"
+        assert check.worst == "n=1 m=1"
