@@ -18,7 +18,7 @@ from ``_linspace``, which gives ``numpy.linspace``'s points bit for bit.
 
 ``main`` builds its parser on the first call and reuses it for every later
 call in the process (the tests, a notebook, the benchmark): a build takes
-1–2 ms, about a third of a ``wigner-eval`` call on a 41×41 plane. Called
+about 1.1 ms (timeit minimum, Python 3.11 on a 2-core VM). Called
 before numpy is loaded, it sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` to 1 where they are unset; ``verify --json`` reports
 their values as ``blas_threads``.
@@ -397,62 +397,49 @@ def _build_parser() -> argparse.ArgumentParser:
                     "of two bilinearly coupled harmonic oscillators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each option group is a parent parser: a subcommand shares its action objects
+    frequencies, output, fmt, state = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    frequencies.add_argument("--omega-x", type=float, default=1.0)
+    frequencies.add_argument("--omega-y", type=float, default=1.0)
+    output.add_argument("--output", default=None, help="write to this path instead of stdout")
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
+    state.add_argument("--epsilon", type=float, default=0.0)
+    state.add_argument("--n", type=int, default=0)
+    state.add_argument("--m", type=int, default=0)
 
-    def common(p: argparse.ArgumentParser, sweep: bool = True) -> None:
-        p.add_argument("--output", default=None, help="write to this path instead of stdout")
-        if sweep:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    def physical(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--omega-x", type=float, default=1.0)
-        p.add_argument("--omega-y", type=float, default=1.0)
-
-    def grid(p: argparse.ArgumentParser, epsilon: str, n_max: int) -> None:
+    def grid(epsilon: str, n_max: int) -> argparse.ArgumentParser:
+        """The sweep grid with one command's defaults, in action objects of its own."""
+        p = argparse.ArgumentParser(add_help=False)
         p.add_argument("--epsilon", default=epsilon, metavar="A:B:STEPS")
         p.add_argument("--n-max", type=_int_at_least(0), default=n_max)
         p.add_argument("--m-max", type=_int_at_least(0), default=n_max)
+        return p
 
-    p = sub.add_parser("spectrum", help="cutoff-angle scan or eigenenergy table")
-    physical(p)
+    p = sub.add_parser("spectrum", help="cutoff-angle scan or eigenenergy table",
+                       parents=[frequencies, grid("0:0:1", 2), output, fmt])
     p.add_argument("--r-scan", default=None, metavar="A:B:STEPS",
                    help="emit (r, theta_c) rows over this resonance-rate range")
-    grid(p, "0:0:1", 2)
-    common(p)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("moments", help="moment table of one state as JSON")
-    physical(p)
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--m", type=int, default=0)
-    common(p, sweep=False)
-    p.set_defaults(func=cmd_moments)
+    sub.add_parser("moments", help="moment table of one state as JSON",
+                   parents=[frequencies, state, output]).set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("wigner-eval", help="Wigner function on a phase-space grid")
-    physical(p)
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--m", type=int, default=0)
+    p = sub.add_parser("wigner-eval", help="Wigner function on a phase-space grid",
+                       parents=[frequencies, state, output, fmt])
     for axis in ("x", "p", "y", "q"):
         p.add_argument(f"--{axis}", default="0:0:1", metavar="A:B:STEPS")
-    common(p)
     p.set_defaults(func=cmd_wigner_eval)
 
-    p = sub.add_parser("purity-scan", help="purity / linear entropy sweep")
-    physical(p)
-    grid(p, "0:0.9:10", 3)
-    common(p)
-    p.set_defaults(func=cmd_purity_scan)
+    sub.add_parser("purity-scan", help="purity / linear entropy sweep", parents=[
+        frequencies, grid("0:0.9:10", 3), output, fmt]).set_defaults(func=cmd_purity_scan)
 
-    p = sub.add_parser("steering-scan", help="directional steering sweep")
-    physical(p)
-    grid(p, "0:0.9:10", 6)
+    p = sub.add_parser("steering-scan", help="directional steering sweep",
+                       parents=[frequencies, grid("0:0.9:10", 6), output, fmt])
     p.add_argument("--preset", choices=STEERING_PRESETS, default=None,
                    help="detuned sweep: omega_x=1, omega_y=PRESET, the (n,0) and (0,n) families "
                         "up to --n-max; ignores --omega-x, --omega-y, --epsilon, --m-max")
     p.add_argument("--steps", type=_int_at_least(1), default=161,
                    help="epsilon steps for --preset sweeps")
-    common(p)
     p.set_defaults(func=cmd_steering_scan)
 
     p = sub.add_parser("verify", help="run the oracle verification suite")
@@ -462,8 +449,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# read once, when numpy loads its BLAS: under OpenBLAS's default threading some fresh
-# processes spent about 80 ms in the Schmidt oracle's small SVDs, against about 2 ms
+# read once, when numpy loads its BLAS: `verify` takes no SVD, but under OpenBLAS's default
+# threading a fresh process could spend about 80 ms in `schmidt_oracle`'s small SVDs, against
+# about 2 ms, and numpy's import starts the thread pool (206 ms against 146 ms on one thread)
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

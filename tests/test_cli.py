@@ -649,6 +649,34 @@ class TestArgumentHandling:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    # each subcommand's parsed defaults, option by option: the sweeps share option groups
+    # but not their grid defaults, so a grid whose action objects two commands share
+    # would give them one command's defaults
+    @pytest.mark.parametrize("command, defaults", [
+        ("spectrum", {"omega_x": 1.0, "omega_y": 1.0, "r_scan": None, "epsilon": "0:0:1",
+                      "n_max": 2, "m_max": 2, "output": None, "format": "csv"}),
+        ("moments", {"omega_x": 1.0, "omega_y": 1.0, "epsilon": 0.0, "n": 0, "m": 0,
+                     "output": None}),
+        ("wigner-eval", {"omega_x": 1.0, "omega_y": 1.0, "epsilon": 0.0, "n": 0, "m": 0,
+                         "x": "0:0:1", "p": "0:0:1", "y": "0:0:1", "q": "0:0:1",
+                         "output": None, "format": "csv"}),
+        ("purity-scan", {"omega_x": 1.0, "omega_y": 1.0, "epsilon": "0:0.9:10", "n_max": 3,
+                         "m_max": 3, "output": None, "format": "csv"}),
+        ("steering-scan", {"omega_x": 1.0, "omega_y": 1.0, "epsilon": "0:0.9:10", "n_max": 6,
+                           "m_max": 6, "preset": None, "steps": 161, "output": None,
+                           "format": "csv"}),
+        ("verify", {"json": False}),
+    ])
+    def test_subcommand_defaults_and_help(self, capsys, command, defaults):
+        parsed = vars(cli._build_parser().parse_args([command]))
+        assert parsed.pop("func") is getattr(cli, "cmd_" + command.replace("-", "_"))
+        assert parsed == {"command": command, **defaults}
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: oscpair {command} [-h]")
+        for dest in defaults:
+            assert f" --{dest.replace('_', '-')} " in out
+
     # past [1e-50, 1e50] squares overflow or fourth powers underflow: SystemParams
     # rejects such a frequency, so each command fails with one line, not a traceback,
     # a nan row or an overflow blamed on cancellation
