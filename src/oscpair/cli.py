@@ -304,8 +304,7 @@ def _scan(args, out: TextIO, values: _Values, names: list[str]) -> int:
 def _purity_values(params: SystemParams, states: list[QuantumNumbers]) -> list[tuple]:
     from . import purity
 
-    mu = diagonalize(params).mu
-    makarov = [purity.makarov_entropy(nm, mu) for nm in states]
+    makarov = purity._makarov_entropies(states, diagonalize(params).mu)
     return [(p, 1.0 - p, slm, 1.0 - p - slm)
             for p, slm in zip(purity._purities([params], states)[0], makarov)]
 

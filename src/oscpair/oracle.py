@@ -12,9 +12,12 @@ check:
 * The singular values of ``Psi_(n, m)`` sampled on one Gauss-Hermite grid
   in lab coordinates, weighted so that the samples are an orthogonal image
   of the state's Hermite amplitudes in lab-local bases: the Schmidt
-  coefficients, with their truncation residual. It shares the rule with
-  the quadrature oracles, evaluates the states with
-  ``wigner.eigenfunctions``, and shares nothing with the generating function.
+  coefficients, with their truncation residual. Its rule is its own: 24
+  nodes per axis, raised (48, 96, 192, 320) until every state's norm
+  deficit is below 1e-14, where each quadrature oracle sizes its rule from
+  the largest state (on the reference grid, 6 nodes for the moment oracle
+  and 8 for the global purity). It evaluates the states with
+  ``wigner.eigenfunctions`` and shares nothing with the generating function.
 
 ``run_verification`` sweeps a built-in parameter grid through all checks
 and returns a machine-readable report; the CLI ``verify`` command wraps
@@ -23,9 +26,10 @@ exact purity and the moment oracle over the whole 4 couplings x 6 states
 table (``_moment_sets``: one rule, one set of mode factors, one batched
 contraction), the Schmidt oracle once per coupling (``_gram_purities``: one
 lab grid, each state's purity from the Gram matrix of its samples, no SVD),
-and the global-purity integral once per quantum number
-(``_global_purities``). ``schmidt_oracle`` keeps the SVD, for the spectrum
-and the entropies.
+the global-purity integral once per quantum number
+(``_global_purities``), and Makarov's weights once per total photon number
+``n + m``, over all four mixings (``purity._makarov_weights``).
+``schmidt_oracle`` keeps the SVD, for the spectrum and the entropies.
 """
 
 from __future__ import annotations
@@ -358,7 +362,8 @@ def run_verification() -> VerificationReport:
     Each table is computed once: the exact purity, the moment oracle and the closed
     forms over the couplings and states (``_purities``, ``_moment_sets``), the Schmidt
     oracle once per coupling (``_gram_purities``), the global-purity integrals once per
-    quantum number (``_global_purities``); then one pass records the checks that read them.
+    quantum number (``_global_purities``), Makarov's weights once per ``n + m``
+    (``purity._makarov_weights``); then one pass records the checks that read them.
     Module-level functions under test are resolved at call time, so a fault
     injected by rebinding (for instance a corrupted moment formula) surfaces as
     a named failing check, at the point where it is largest.
@@ -393,6 +398,12 @@ def run_verification() -> VerificationReport:
     with stage("purity"):
         exacts = purity._purities(grid, states)  # states[0] is the ground state
         grounds = [purity.purity_ground_closed(p).purity for p in grid]
+        # Makarov's weights of every (n, m) with n, m <= 3 at four mixings: one product
+        # per total n + m, whose block starts at n = max(0, n + m - 3)
+        mixings = (0.2, 1.0 / math.sqrt(3.0), 0.9, 1.0)
+        makarovs = [purity._makarov_weights(total + 1, mixings,
+                                            range(max(0, total - 3), min(total, 3) + 1)).tolist()
+                    for total in range(7)]
     with stage("closed-forms"):
         closed = [[(moments.second_and_fourth_moments(p, q), moments.uncertainty_areas(p, q),
                     moments.excitation_numbers(p, q), moments.ladder_moments(p, q))
@@ -435,8 +446,8 @@ def run_verification() -> VerificationReport:
     with stage("purity"):
         for n in range(4):
             for m in range(4):
-                for mu in (0.2, 1.0 / math.sqrt(3.0), 0.9, 1.0):
-                    lam = purity.makarov_schmidt(QuantumNumbers(n, m), mu).lambdas
+                for mu, block in zip(mixings, makarovs[n + m]):
+                    lam = block[n - max(0, n + m - 3)]
                     record("schmidt-normalization", abs(math.fsum(lam) - 1.0), n, m, mu,
                            where="n={} m={} mu={}".format)
 

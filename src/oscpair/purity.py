@@ -87,7 +87,16 @@ treats both normal frequencies as equal) are also provided; their linear
 entropy depends on the mixing parameter only, not on the coupling
 strength, which is exactly where the approximation parts ways with the
 exact result. They are squared Wigner d-matrix elements, computed by
-exact diagonalisation of ``J_x`` (see :func:`makarov_schmidt`).
+exact diagonalisation of ``J_x`` (see :func:`makarov_schmidt`): one state's
+weights are the squared moduli of one column of ``V diag(exp(-i beta
+lambda)) V^T``, a gemv on the cached eigenvectors ``V`` of its block of
+total photon number ``n + m``. A table takes each block in one stacked
+product (``_makarov_weights``), every starting ``n`` and every ``mu`` at
+once: the stack runs the same gemv per column, so each weight has the bits
+the one-state route gives it (a gemm over the block would round
+differently). ``purity-scan`` and ``verify`` read their weights from such
+blocks; ``makarov_schmidt`` and ``makarov_entropy`` keep the single gemv,
+the cheaper route for one state.
 """
 
 from __future__ import annotations
@@ -97,7 +106,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -298,6 +307,43 @@ def _jx_eigh(size: int) -> tuple[np.ndarray, np.ndarray]:
     return evals, vecs
 
 
+def _makarov_weights(size: int, mus: Sequence[float], starts: Sequence[int]) -> np.ndarray:
+    """Makarov's weights of the states ``(n, size - 1 - n)``, ``n`` in ``starts``, at each
+    finite positive ``mu`` in ``mus``: ``[i, j]`` holds ``lambda_0 .. lambda_{size-1}`` of
+    ``starts[j]`` at ``mus[i]``.
+
+    One stacked product for the whole block, with the same operations, and so the same
+    bits, as ``makarov_schmidt``'s gemv for each state; the caller applies the sum guard.
+    """
+    evals, vecs = _jx_eigh(size)
+    phases = np.exp(np.array([-2j * math.atan(mu) for mu in mus])[:, None] * evals)
+    columns = np.matmul(vecs, (phases[:, None, :] * vecs[list(starts)])[..., None])[..., 0]
+    return columns.real**2 + columns.imag**2
+
+
+def _checked(lam: list[float], n: int, m: int, mu: float) -> list[float]:
+    """``lam``, the weights of ``(n, m)`` at ``mu``; ``RuntimeError`` unless they sum to 1."""
+    total = math.fsum(lam)
+    if not abs(total - 1.0) <= 1e-8:
+        raise RuntimeError(
+            f"Schmidt weights sum to {total}, not 1, for state ({n}, {m}) at mu={mu}"
+        )
+    return lam
+
+
+def _decoupled(mu: float) -> bool:
+    """Whether ``mu`` is a decoupled limit, 0 or inf; ``ValueError`` if negative or NaN."""
+    if not mu >= 0:  # also rejects NaN
+        raise ValueError(f"mixing parameter must be non-negative, got {mu}")
+    return mu == 0.0 or math.isinf(mu)
+
+
+def _linear_entropy(lam: list[float]) -> float:
+    """``1 - sum(lambda_k^2)`` of unit-sum weights, summed as ``2 sum_k lambda_k sum_(j<k)
+    lambda_j``, with no negative term, so it keeps its relative accuracy at weak coupling."""
+    return 2.0 * math.fsum(map(operator.mul, lam[1:], itertools.accumulate(lam)))
+
+
 def makarov_schmidt(nm: QuantumNumbers, mu: float) -> SchmidtSpectrum:
     """Weak-coupling Schmidt weights ``lambda_k(n, m)`` for mixing ``mu``.
 
@@ -313,35 +359,41 @@ def makarov_schmidt(nm: QuantumNumbers, mu: float) -> SchmidtSpectrum:
     analytically: ``mu = 0`` gives a unit weight at ``k = n`` and
     ``mu = inf`` (swapped decoupling) at ``k = m``.
     """
-    if not mu >= 0:  # also rejects NaN
-        raise ValueError(f"mixing parameter must be non-negative, got {mu}")
     n, m = nm.n, nm.m
     size = n + m + 1
-    if mu == 0.0 or math.isinf(mu):
+    if _decoupled(mu):
         lam = [0.0] * size
         lam[n if mu == 0.0 else m] = 1.0
         return SchmidtSpectrum(lambdas=tuple(lam))
 
     evals, vecs = _jx_eigh(size)
     column = vecs @ (np.exp(-2j * math.atan(mu) * evals) * vecs[n])
-    lam = (column.real**2 + column.imag**2).tolist()
-
-    total = math.fsum(lam)
-    if not abs(total - 1.0) <= 1e-8:
-        raise RuntimeError(
-            f"Schmidt weights sum to {total}, not 1, for state ({n}, {m}) at mu={mu}"
-        )
-    return SchmidtSpectrum(lambdas=tuple(lam))
+    return SchmidtSpectrum(lambdas=tuple(_checked((column.real**2 + column.imag**2).tolist(),
+                                                  n, m, mu)))
 
 
 def makarov_entropy(nm: QuantumNumbers, mu: float) -> float:
-    """Linear entropy ``1 - sum(lambda_k^2)`` of the approximate weights.
+    """Linear entropy ``1 - sum(lambda_k^2)`` of the approximate weights (``_linear_entropy``)."""
+    return _linear_entropy(makarov_schmidt(nm, mu).lambdas)
 
-    Summed as ``2 sum_k lambda_k sum_(j<k) lambda_j``, with no negative term,
-    so it keeps its relative accuracy at weak coupling.
+
+def _makarov_entropies(states: list[QuantumNumbers], mu: float) -> list[float]:
+    """``makarov_entropy`` of each state at ``mu``, the same floats and errors, from one
+    ``_makarov_weights`` product per total photon number ``n + m``.
+
+    The sum guard runs in the order of ``states``, so a failure names the state the
+    one-state route fails at first.
     """
-    lam = makarov_schmidt(nm, mu).lambdas
-    return 2.0 * math.fsum(map(operator.mul, lam[1:], itertools.accumulate(lam)))
+    if _decoupled(mu):
+        return [0.0] * len(states)  # one unit weight per state: no cross term
+    starts: dict[int, list[int]] = {}
+    for nm in states:
+        starts.setdefault(nm.n + nm.m, []).append(nm.n)
+    weights = {}
+    for total, ns in starts.items():
+        for n, lam in zip(ns, _makarov_weights(total + 1, [mu], ns)[0].tolist()):
+            weights[n, total - n] = lam
+    return [_linear_entropy(_checked(weights[nm.n, nm.m], nm.n, nm.m, mu)) for nm in states]
 
 
 def entropy_gap(params: SystemParams, nm: QuantumNumbers) -> float:

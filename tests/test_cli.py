@@ -194,6 +194,50 @@ class TestPurityScan:
         assert err.startswith("error: extracted purity coefficient ")
         assert err.endswith("state=(2, 3)\n")
 
+    def test_one_makarov_block_per_photon_number(self, capsys, monkeypatch):
+        calls, weights = [], purity._makarov_weights
+
+        def counted(size, mus, starts):
+            calls.append((size, list(mus), list(starts)))
+            return weights(size, mus, starts)
+
+        monkeypatch.setattr(purity, "_makarov_weights", counted)
+        monkeypatch.setattr(purity, "makarov_schmidt", None)  # the one-state route is not taken
+        code, out, err = run_cli(
+            capsys, "purity-scan", "--omega-y", "0.8", "--epsilon", "0:0.5:3",
+            "--n-max", "2", "--m-max", "3",
+        )
+        assert code == 0, err
+        assert len(read_csv(out)) == 3 * 12
+        # eps = 0 is decoupled (mu = 0), so only the two coupled rows take products
+        mus = [cli.diagonalize(SystemParams(1.0, 0.8, eps)).mu for eps in (0.25, 0.5)]
+        starts = {total: [n for n in range(3) if 0 <= total - n <= 3] for total in range(6)}
+        assert calls == [(total + 1, [mu], starts[total]) for mu in mus for total in range(6)]
+
+    def test_makarov_fault_names_the_one_state_routes_state(self, capsys, monkeypatch):
+        # a J_x basis 1 % too long for n + m = 2 and 3 only, so not every state's weights
+        # sum to 1: the table must fail where the one-state route first fails
+        eigh = purity._jx_eigh
+
+        def faulty(size):
+            evals, vecs = eigh(size)
+            return (evals, 1.01 * vecs) if size in (3, 4) else (evals, vecs)
+
+        monkeypatch.setattr(purity, "_jx_eigh", faulty)
+        states = [QuantumNumbers(n, m) for n in range(3) for m in range(4)]
+        with pytest.raises(RuntimeError, match="not 1, for state") as one_state:
+            for eps in (0.0, 0.25, 0.5):
+                mu = cli.diagonalize(SystemParams(1.0, 0.8, eps)).mu
+                for nm in states:
+                    purity.makarov_entropy(nm, mu)
+        code, out, err = run_cli(
+            capsys, "purity-scan", "--omega-y", "0.8", "--epsilon", "0:0.5:3",
+            "--n-max", "2", "--m-max", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {one_state.value}\n"
+
 
 class TestSteeringScan:
     def test_preset_has_no_mutual_steering(self, capsys):

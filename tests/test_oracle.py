@@ -347,7 +347,8 @@ class TestVerification:
         # the exact purity and the moment oracle run once over the 4 x 6 table, the global
         # purity once over the six states; the Schmidt oracle's lab grid is sampled once per
         # coupling (its first argument is the coupling's NormalModes), over its six states
-        calls = {"moments": [], "global": [], "purity": [], "samples": []}
+        calls = {"moments": [], "global": [], "purity": [], "samples": [], "makarov": [],
+                 "schmidt": []}
 
         def counted(key, fn):
             def wrapped(*args):
@@ -360,7 +361,14 @@ class TestVerification:
                             counted("global", oracle._global_purities))
         monkeypatch.setattr(purity, "_purities", counted("purity", purity._purities))
         monkeypatch.setattr(oracle, "_lab_samples", counted("samples", oracle._lab_samples))
+        monkeypatch.setattr(purity, "_makarov_weights",
+                            counted("makarov", purity._makarov_weights))
+        monkeypatch.setattr(purity, "makarov_schmidt", counted("schmidt", purity.makarov_schmidt))
         assert run_verification().passed
+        # Makarov's weights: one product per n + m = 0 .. 6, over all four mixings
+        assert [size for size, _, _ in calls["makarov"]] == list(range(1, 8))
+        assert all(len(mus) == 4 for _, mus, _ in calls["makarov"])
+        assert calls["schmidt"] == []
         for key in ("moments", "purity"):
             (couplings, states), = calls[key]
             assert len({(params, q) for params in couplings for q in states}) == 24, key

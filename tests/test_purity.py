@@ -384,6 +384,32 @@ def test_cached_route_is_bit_identical_to_the_per_call_route(bit_grid_reference)
     assert _bit_grid_mismatches(bit_grid_reference) == []
 
 
+# the verify mixings, both weak-coupling extremes and a strong mixing on either side of 1
+MAKAROV_MIXINGS = (1e-8, 1e-4, 0.2, 1.0 / math.sqrt(3.0), 0.9, 1.0, 3.0, 1e4)
+
+
+def test_makarov_blocks_are_bit_identical_to_the_one_state_route():
+    from oscpair.purity import _makarov_entropies, _makarov_weights
+
+    grid_mus = [diagonalize(SystemParams(1.0, wy, frac * wy)).mu
+                for wy in BIT_GRID_WY for frac in BIT_GRID_EPS]
+    # eps = 0 gives mu = 0 below resonance and mu = inf above it: the decoupled limits
+    assert {0.0, math.inf} <= set(grid_mus)
+    mus = list(MAKAROV_MIXINGS) + [mu for mu in grid_mus if 0.0 < mu < math.inf]
+    for size in range(1, 18):
+        block = _makarov_weights(size, mus, range(size)).tolist()
+        for mu, row in zip(mus, block):
+            for n, lam in enumerate(row):
+                assert tuple(lam) == makarov_schmidt(QuantumNumbers(n, size - 1 - n), mu).lambdas, (
+                    size, n, mu)
+
+    states = [QuantumNumbers(n, m) for n in range(9) for m in range(9)]
+    for mu in mus + grid_mus:
+        assert _makarov_entropies(states, mu) == [makarov_entropy(nm, mu) for nm in states], mu
+    for mu in (0.0, math.inf):
+        assert _makarov_entropies(states, mu) == [0.0] * len(states)
+
+
 @pytest.fixture
 def per_member_calls(monkeypatch):
     """The shapes of the one-member ``_power_nd`` calls made while the test runs.
