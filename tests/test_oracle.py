@@ -346,7 +346,8 @@ class TestVerification:
     def test_each_reference_point_is_computed_once(self, monkeypatch):
         # the exact purity and the moment oracle run once over the 4 x 6 table, the global
         # purity once over the six states; the Schmidt oracle's lab grid is sampled once per
-        # coupling (its first argument is the coupling's NormalModes), over its six states
+        # coupling (its first argument is the coupling's NormalModes), over its six states;
+        # Makarov's weights come from block products, with no one-state call
         calls = {"moments": [], "global": [], "purity": [], "samples": [], "makarov": [],
                  "schmidt": []}
 
