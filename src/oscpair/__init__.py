@@ -5,23 +5,25 @@ approximate Schmidt weights, and directional quantum-steering
 quantifiers, each cross-validated against independent quadrature and SVD
 oracles.
 
-``import oscpair`` loads only the numpy-free ``model``, ``moments`` and
-``steering`` modules. Every other public name, and every submodule
-(``oscpair.oracle``), is looked up on first access through the module
-``__getattr__`` of PEP 562: it imports the module that defines the name
-and returns that module's binding, which is not copied into this
+``import oscpair`` loads no submodule. Every public name, and every
+submodule (``oscpair.oracle``), is looked up on first access through the
+module ``__getattr__`` of PEP 562: it imports the module that defines the
+name and returns that module's binding, which is not copied into this
 namespace, so a rebinding in the defining module shows through
 ``oscpair.<name>`` too. ``_EXPORTS`` lists each public name once, under
 its module; ``__all__`` and ``__dir__`` come from it.
 
-``steering`` is bound at import: the function shares its submodule's name,
-and the import system binds the submodule over a name that is not yet
-bound the first time anything imports ``oscpair.steering``.
+The function ``steering`` shares its submodule's name, and the import
+system binds each submodule it loads on the package, which would hide the
+function behind the module. So the package module's class is a
+``ModuleType`` subclass whose ``__setattr__`` drops that one binding of
+the ``oscpair.steering`` module: ``oscpair.steering`` and ``from oscpair
+import steering`` give the function whatever is imported first, and
+``import oscpair.steering`` still loads the submodule. Every other
+assignment goes through.
 """
 
-import importlib
-
-from .steering import steering
+import sys as _sys  # under a private name: the namespace binds no public name
 
 _EXPORTS = {
     "model": ("SystemParams", "QuantumNumbers", "NormalModes",
@@ -49,6 +51,8 @@ __all__ = list(_HOME)
 
 
 def __getattr__(name: str):
+    import importlib  # here, not at import: a bare interpreter need not have loaded it
+
     if name in _HOME:
         return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     if name in _SUBMODULES:
@@ -58,3 +62,13 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__, *_SUBMODULES})
+
+
+class _Package(type(_sys)):  # types.ModuleType, without importing types
+    def __setattr__(self, name: str, value) -> None:
+        if name == "steering" and value is _sys.modules.get(f"{__name__}.steering"):
+            return  # the import system binding the submodule over the function's name
+        super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package

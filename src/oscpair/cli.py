@@ -9,16 +9,19 @@ sweep; a frequency outside ``SystemParams``'s domain fails before any row.
 Both formats come from one table writer, ``_write_table``, and an array's
 CSV text from ``_g17``.
 
-Only the commands that compute with numpy import it: ``wigner-eval``,
+This module loads ``model`` alone, and each command imports the layers it
+runs when it runs: ``moments`` imports ``moments``, ``steering-scan``
+imports ``steering`` (which loads ``moments``), and ``wigner-eval``,
 ``purity-scan`` and ``verify`` import ``wigner``, ``purity`` or ``oracle``
-(and numpy with them) when they run, and ``json`` is imported where JSON is
-written. ``spectrum``, ``moments`` and ``steering-scan`` run on the
-numpy-free ``model``, ``moments`` and ``steering`` alone; their ranges come
-from ``_linspace``, which gives ``numpy.linspace``'s points bit for bit.
+(and numpy with them; ``oracle`` loads the other layers). ``json`` is imported
+where JSON is written. ``spectrum``, ``moments`` and ``steering-scan``
+compute without numpy; their ranges come from ``_linspace``, which gives
+``numpy.linspace``'s points bit for bit.
 
 ``main`` builds its parser on the first call and reuses it for every later
-call in the process (the tests, a notebook, the benchmark): a build takes
-about 1.1 ms (timeit minimum, Python 3.11 on a 2-core VM). Called
+call in the process (the tests, a notebook, the benchmark): the first build
+in a fresh process takes about 2.7-4.9 ms, a warm rebuild about 1.0 ms
+(timeit minimum; Python 3.11 on a 2-core VM). Called
 before numpy is loaded, it sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` to 1 where they are unset; ``verify --json`` reports
 their values as ``blas_threads``.
@@ -41,8 +44,6 @@ from dataclasses import asdict, fields
 from typing import TYPE_CHECKING, TextIO
 
 from .model import QuantumNumbers, SystemParams, _two_product, cutoff_angle, diagonalize, energy
-from .moments import second_and_fourth_moments
-from .steering import SteeringResult, steering
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,8 +51,6 @@ if TYPE_CHECKING:
 STEERING_PRESETS = ("0.99", "0.8", "0.6")
 _EPSILON_FIELDS = ["omega_x", "omega_y", "epsilon"]
 _STATE_FIELDS = ["n", "m"]
-_STEERING_FIELDS = [f.name for f in fields(SteeringResult)]
-_steering_row = operator.attrgetter(*_STEERING_FIELDS)  # astuple would deep-copy each result
 _Axis = tuple[Sequence[str], Sequence[tuple]]  # field names, one tuple per point
 _Values = Callable[[SystemParams, list[QuantumNumbers]], list[tuple]]  # one row per state
 _BLOCK = 512  # rows per write at most: one whole-table string costs memory
@@ -309,10 +308,6 @@ def _purity_values(params: SystemParams, states: list[QuantumNumbers]) -> list[t
             for p, slm in zip(purity._purities([params], states)[0], makarov)]
 
 
-def _steering_values(params: SystemParams, states: list[QuantumNumbers]) -> list[tuple]:
-    return [_steering_row(steering(params, nm)) for nm in states]
-
-
 def cmd_spectrum(args, out: TextIO) -> int:
     if args.r_scan:
         rates = _kept(_parse_range(args.r_scan), "r", lambda r: r > 0,
@@ -324,6 +319,8 @@ def cmd_spectrum(args, out: TextIO) -> int:
 
 
 def cmd_moments(args, out: TextIO) -> int:
+    from .moments import second_and_fourth_moments
+
     params = SystemParams(args.omega_x, args.omega_y, args.epsilon)
     ms = second_and_fourth_moments(params, QuantumNumbers(args.n, args.m))
     _write_json({"omega_x": args.omega_x, "omega_y": args.omega_y, "epsilon": args.epsilon,
@@ -352,16 +349,23 @@ def cmd_purity_scan(args, out: TextIO) -> int:
 
 
 def cmd_steering_scan(args, out: TextIO) -> int:
+    from .steering import SteeringResult, steering
+
+    names = [f.name for f in fields(SteeringResult)]
+    row = operator.attrgetter(*names)  # astuple would deep-copy each result
+
+    def values(params: SystemParams, states: list[QuantumNumbers]) -> list[tuple]:
+        return [row(steering(params, nm)) for nm in states]
+
     if not args.preset:
-        return _scan(args, out, _steering_values, _STEERING_FIELDS)
+        return _scan(args, out, values, names)
     # the detuned sweep over the (n, 0) and (0, m) families: omega_x = 1 and
     # epsilon over [0, omega_y], without the rows at or beyond the stability bound
     omega_y = float(args.preset)
     eps_values = [e for e in _linspace(0.0, omega_y, args.steps) if 0.0 <= e < omega_y]
     states = [QuantumNumbers(n, 0) for n in range(1, args.n_max + 1)]
     states += [QuantumNumbers(0, m) for m in range(1, args.n_max + 1)]
-    return _sweep(1.0, omega_y, eps_values, states, _steering_values, _STEERING_FIELDS,
-                  args.format, out)
+    return _sweep(1.0, omega_y, eps_values, states, values, names, args.format, out)
 
 
 def cmd_verify(args, out: TextIO) -> int:

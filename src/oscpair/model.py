@@ -29,6 +29,7 @@ Conventions adopted here:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,6 +89,11 @@ class QuantumNumbers:
     m: int
 
     def __post_init__(self) -> None:
+        try:  # an integer type (int, numpy.int64) has __index__; a float, even 2.0, has not
+            operator.index(self.n), operator.index(self.m)
+        except TypeError:
+            raise ValueError(
+                f"quantum numbers must be integers, got ({self.n!r}, {self.m!r})") from None
         if self.n < 0 or self.m < 0:
             raise ValueError(f"quantum numbers must be non-negative, got ({self.n}, {self.m})")
 

@@ -69,9 +69,19 @@ def steering_weak_general(nm: QuantumNumbers, mu: float) -> float:
     exact witness can be negative where this form is positive: at
     ``(1, 0.1, 1e-4)`` the exact (1, 0) ``s_xy_raw`` is -8.8e-8, so
     ``s_xy = 0``, while this form gives 5.1e-9.
+
+    ``mu = inf``, which :func:`model.diagonalize` reports at ``epsilon = 0``
+    with ``omega_x < omega_y``, is the decoupled limit 0, and so is every
+    ``mu^2 > 1e153``: ``2 (1+mu^2)^2`` overflows from about 9.5e153, and
+    the form is below ``m / (2 mu^2) < 5e-154 m`` there. A negative or NaN
+    ``mu`` raises ``ValueError``.
     """
+    if not mu >= 0.0:  # also rejects NaN
+        raise ValueError(f"mixing parameter must be non-negative, got {mu}")
     n, m = nm.n, nm.m
     mu2 = mu * mu
+    if mu2 > 1e153:
+        return 0.0
     numerator = m + 2.0 * m * n - (m + n) * mu2 + (1 + 2 * m) * n * mu2 * mu2
     return max(-numerator / (2.0 * (1.0 + mu2) ** 2), 0.0)
 

@@ -27,6 +27,15 @@ def test_import_loads_no_numpy_and_purity_loads_numpy_only():
     assert _run(code) == ["False", "False", "False", "True"]
 
 
+def test_import_loads_no_submodule_and_binds_no_public_name():
+    # every public name is looked up on first access, steering too: the import adds the
+    # package alone to what a bare interpreter (python -c pass) has loaded
+    bare, loaded = (set(_run(f"{code}import sys; print(*sys.modules)"))
+                    for code in ("", "import oscpair; "))
+    assert loaded - bare == {"oscpair"}
+    assert _run("import oscpair; print(*[k for k in vars(oscpair) if k[0] != '_'])") == []
+
+
 def test_the_shipped_commands_do_not_load_the_jet_ring_ops():
     # oscpair.series holds the jet ring ops and oscpair.specfun the reference polynomials,
     # which only the tests and the benchmark use; the purity route, Miller's recurrence
@@ -56,6 +65,18 @@ def test_only_verify_loads_the_oracles():
         "print('oscpair.oracle' in sys.modules, 'numpy' in sys.modules)\n"
     )
     assert _run(code) == ["False", "True"]
+
+
+def test_wigner_eval_and_purity_scan_load_neither_moments_nor_steering():
+    code = (
+        "import os, sys\n"
+        "from oscpair.cli import main\n"
+        "for argv in (['wigner-eval', '--x=-1:1:3', '--n', '1'], ['purity-scan', '--epsilon', '0:0.5:3'],\n"
+        "             ['purity-scan', '--epsilon', '0:0.5:3', '--format', 'json']):\n"
+        "    assert main(argv + ['--output', os.devnull]) == 0, argv\n"
+        "print('oscpair.moments' in sys.modules, 'oscpair.steering' in sys.modules)\n"
+    )
+    assert _run(code) == ["False", "False"]
 
 
 # every command that computes without numpy, in both formats where it has two
@@ -91,19 +112,37 @@ def test_numpy_free_commands_write_the_same_bytes_without_numpy(tmp_path, capsys
         assert Path(path).read_bytes() == want.read_bytes(), argv
 
 
-@pytest.mark.parametrize("first", ["import oscpair.steering", "import oscpair.oracle",
+@pytest.mark.parametrize("first", ["import oscpair", "from oscpair import steering",
+                                   "import oscpair.steering", "import oscpair.oracle",
                                    "from oscpair.cli import main"])
 def test_steering_stays_the_function_whatever_loads_first(first):
-    # the function shares its submodule's name: the package binds it at import, before
-    # any import of the submodule could bind the module over a lazy name
-    code = (f"{first}\n"
-            "import types, oscpair\n"
+    # the function shares its submodule's name: the package's module class drops the
+    # import system's binding of the submodule over it, with no ImportWarning
+    code = ("import warnings; warnings.simplefilter('error')\n"
+            f"{first}\n"
+            "import sys, types, oscpair\n"
             "from oscpair import steering, QuantumNumbers, SystemParams\n"
+            "module = sys.modules['oscpair.steering']\n"
             "print(callable(steering), steering is oscpair.steering,\n"
             "      steering(SystemParams(1.0, 0.8, 0.5), QuantumNumbers(1, 0)).s_yx >= 0,\n"
+            "      isinstance(module, types.ModuleType) and module.steering is oscpair.steering,\n"
             "      isinstance(oscpair.oracle, types.ModuleType),\n"
             "      oscpair.run_verification is oscpair.oracle.run_verification)\n")
-    assert _run(code) == ["True"] * 5
+    assert _run(code) == ["True"] * 6
+
+
+def test_the_package_drops_only_the_binding_of_the_steering_submodule():
+    # any other assignment goes through, as a tracer's rebinding of the function does
+    code = ("import sys, oscpair, oscpair.steering\n"
+            "function, module = oscpair.steering, sys.modules['oscpair.steering']\n"
+            "oscpair.steering = len\n"
+            "print(oscpair.steering is len)\n"
+            "del oscpair.steering\n"
+            "oscpair.steering = module\n"
+            "print(oscpair.steering is function, 'steering' in vars(oscpair))\n"
+            "module.steering = abs\n"
+            "print(oscpair.steering is abs)\n")
+    assert _run(code) == ["True", "True", "False", "True"]
 
 
 def test_the_namespace_lists_each_name_once_and_copies_none():

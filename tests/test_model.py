@@ -95,6 +95,19 @@ def test_quantum_numbers_must_be_non_negative():
         QuantumNumbers(0, -3)
 
 
+@pytest.mark.parametrize("n, m", [(1.5, 0), (0, 2.0), ("1", 0), (None, 1)])
+def test_quantum_numbers_must_be_integers(n, m):
+    # a float names no state, even an integral one: energy and steering would answer
+    # for it, and purity_exact would fail far from the cause
+    with pytest.raises(ValueError, match="must be integers"):
+        QuantumNumbers(n, m)
+
+
+def test_numpy_integers_stay_quantum_numbers():
+    params, nm = SystemParams(1.0, 0.8, 0.3), QuantumNumbers(np.int64(2), np.int64(1))
+    assert energy(params, nm) == energy(params, QuantumNumbers(2, 1))
+
+
 @given(
     omega_x=st.floats(0.2, 3.0),
     omega_y=st.floats(0.2, 3.0),

@@ -164,6 +164,27 @@ class TestWeakClosedForm:
                 for m in range(1, 5):
                     assert steering_weak_general(QuantumNumbers(n, m), float(mu)) == 0.0
 
+    def test_the_swapped_decoupled_corner_is_the_limit_zero(self):
+        # diagonalize's mu is inf at eps = 0 with omega_x < omega_y, where steering is 0;
+        # 2 (1+mu^2)^2 overflows from mu^2 of about 9.5e153, where the form is below 5e-154 m
+        params = SystemParams(1.0, 2.0, 0.0)
+        mu = diagonalize(params).mu
+        assert mu == math.inf
+        for n in range(5):
+            for m in range(5):
+                nm = QuantumNumbers(n, m)
+                assert steering(params, nm).s_xy == 0.0
+                for big in (mu, 1e200, 1e100, 1e77):
+                    assert steering_weak_general(nm, big) == 0.0
+        # below the cut the form is kept: m / (2 mu^2) to rounding
+        assert steering_weak_general(QuantumNumbers(0, 3), 1e76) == pytest.approx(1.5e-152,
+                                                                                 rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [-1e-300, -1.0, -math.inf, math.nan])
+    def test_negative_or_nan_mixing_is_rejected(self, mu):
+        with pytest.raises(ValueError, match="non-negative"):
+            steering_weak_general(QuantumNumbers(1, 0), mu)
+
 
 class TestSelectionRules:
     @pytest.mark.parametrize("nm, want", [
