@@ -2,8 +2,9 @@
 
 The reference that ``oscpair.purity._power_nd`` must match bit for bit: the
 coefficients of ``a**alpha`` truncated to ``a.shape``, degree by degree, in a
-buffer zero-padded by the largest shift on each axis, with one gemv and one
-division per degree. Nothing is imported from ``oscpair``.
+buffer zero-padded by the largest shift on each axis, with one gemv per degree
+on the weights ``a_mu / a0 * ((alpha + 1)|mu| - d) / d``, rounded in that order, and
+no division after it. Nothing is imported from ``oscpair``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,6 @@ def reference_power_nd(a: np.ndarray, alpha: float) -> np.ndarray:
     flat[position[0]] = a0 ** alpha
     for d in range(1, degree.max() + 1):
         pos = position[degree == d]
-        weights = a_mu * ((alpha + 1.0) * mu_degree - d)
-        flat[pos] = weights @ flat[pos - mu_offset[:, None]] / (a0 * d)
+        weights = a_mu / a0 * ((alpha + 1.0) * mu_degree - d) / d
+        flat[pos] = weights @ flat[pos - mu_offset[:, None]]
     return buf[tuple(slice(p, None) for p in pad)].copy()
