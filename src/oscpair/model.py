@@ -55,8 +55,8 @@ class SystemParams:
     natural scale, each raw steering witness within 1e-13 of
     ``(nx+1)(ny+1)``, each ladder correlator within 2e-15 of its occupation
     scale (``nx+1``, ``ny+1`` or ``(nx+1)(ny+1)``), and at ``eps = 0`` off
-    resonance every purity up to (8,8) within 1e-14 of 1 (within 2e-14
-    between the decades).
+    resonance every purity up to (8,8) within 4e-15 of 1 (within 1e-15 at
+    the three points between the decades that the tests hold).
     """
 
     omega_x: float
