@@ -3,8 +3,8 @@
 The reference that ``oscpair.purity._power_nd`` must match bit for bit: the
 coefficients of ``a**alpha`` truncated to ``a.shape``, degree by degree, in a
 buffer zero-padded by the largest shift on each axis, with one gemv per degree
-on the weights ``a_mu / a0 * ((alpha + 1)|mu| - d) / d``, rounded in that order, and
-no division after it. Nothing is imported from ``oscpair``.
+on the weights ``a_mu / a0 * ((alpha + 1)|mu| - d) / d``, rounded in that
+order, and no division after it. Nothing is imported from ``oscpair``.
 """
 
 from __future__ import annotations
