@@ -303,7 +303,7 @@ def _scan(args, out: TextIO, values: _Values, names: list[str]) -> int:
 def _purity_values(params: SystemParams, states: list[QuantumNumbers]) -> list[tuple]:
     from . import purity
 
-    makarov = purity._makarov_entropies(states, diagonalize(params).mu)
+    makarov = map(purity._linear_entropy, purity._makarov_spectra(states, diagonalize(params).mu))
     return [(p, 1.0 - p, slm, 1.0 - p - slm)
             for p, slm in zip(purity._purities([params], states)[0], makarov)]
 

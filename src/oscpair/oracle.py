@@ -366,7 +366,8 @@ def run_verification() -> VerificationReport:
     (``purity._makarov_weights``); then one pass records the checks that read them.
     Module-level functions under test are resolved at call time, so a fault
     injected by rebinding (for instance a corrupted moment formula) surfaces as
-    a named failing check, at the point where it is largest.
+    a named failing check, at the point where it is largest; so does a Schmidt-oracle grid
+    that stays unresolved, as NaN on ``marginal-purity-svd``.
     """
     start = time.perf_counter()
     grid = [SystemParams(1.0, wy, frac * wy) for wy in (0.8, 1.0) for frac in (0.3, 0.9)]
@@ -390,7 +391,12 @@ def run_verification() -> VerificationReport:
             check.max_deviation, check.worst = float(dev), where(*point)
 
     with stage("schmidt-oracle"):
-        schmidts = [_gram_purities(p, states) for p in grid]
+        schmidts = []
+        for p in grid:
+            try:
+                schmidts.append(_gram_purities(p, states))
+            except RuntimeError:  # an unresolved grid reads NaN: marginal-purity-svd fails
+                schmidts.append([math.nan] * len(states))
     with stage("quadrature-oracles"):
         refs = _moment_sets(grid, states)
         lads = [[_ladder(p, ref) for ref in row] for p, row in zip(grid, refs)]

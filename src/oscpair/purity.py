@@ -90,14 +90,15 @@ strength, which is exactly where the approximation parts ways with the
 exact result. They are squared Wigner d-matrix elements, computed by
 exact diagonalisation of ``J_x`` (see :func:`makarov_schmidt`): one state's
 weights are the squared moduli of one column of ``V diag(exp(-i beta
-lambda)) V^T``, a gemv on the cached eigenvectors ``V`` of its block of
-total photon number ``n + m``. A table takes each block in one stacked
-product (``_makarov_weights``), every starting ``n`` and every ``mu`` at
-once: the stack runs the same gemv per column, so each weight has the bits
-the one-state route gives it (a gemm over the block would round
-differently). ``purity-scan`` and ``verify`` read their weights from such
-blocks; ``makarov_schmidt`` and ``makarov_entropy`` keep the single gemv,
-the cheaper route for one state.
+lambda)) V^T``, with ``V`` the cached eigenvectors of its block of total
+photon number ``n + m``. ``_makarov_spectra`` is the one entry point, and
+``makarov_schmidt``, ``makarov_entropy`` and ``purity-scan`` are tables over
+it: it checks ``mu``, takes the decoupled limits, makes one
+``_makarov_weights`` product per block and checks each state's sum.
+``_makarov_weights`` takes one state at one ``mu`` as a plain gemv and a
+larger block (``verify``'s: every starting ``n`` at four ``mu``) as one
+stacked product, which runs the same gemv per column, so both give a weight
+the same bits (a gemm over the block would round differently).
 """
 
 from __future__ import annotations
@@ -299,11 +300,13 @@ def purity_ground_closed(params: SystemParams) -> PurityResult:
 
 @functools.lru_cache(maxsize=64)
 def _jx_eigh(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of ``J_x`` for spin ``j = (size - 1)/2``."""
+    """Eigenvalues and eigenvectors of ``J_x`` for spin ``j = (size - 1)/2``, both real but
+    cast to complex once (an exact cast) for the complex products that use them."""
     # <k| J_x |k-1> = sqrt(k (n+m+1-k)) / 2 in the basis |k> = |j, k-j>
     k = np.arange(1, size)
     off = 0.5 * np.sqrt(k * (size - k))
     evals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    evals, vecs = evals.astype(complex), vecs.astype(complex)
     evals.flags.writeable = vecs.flags.writeable = False
     return evals, vecs
 
@@ -313,30 +316,46 @@ def _makarov_weights(size: int, mus: Sequence[float], starts: Sequence[int]) -> 
     finite positive ``mu`` in ``mus``: ``[i, j]`` holds ``lambda_0 .. lambda_{size-1}`` of
     ``starts[j]`` at ``mus[i]``.
 
-    One stacked product for the whole block, with the same operations, and so the same
-    bits, as ``makarov_schmidt``'s gemv for each state; the caller applies the sum guard.
+    One state at one ``mu`` takes the plain gemv; any larger block takes one stacked
+    product, which runs the same gemv per column, so both give every weight the same bits.
     """
     evals, vecs = _jx_eigh(size)
+    if len(mus) == len(starts) == 1:
+        column = vecs @ (np.exp(-2j * math.atan(mus[0]) * evals) * vecs[starts[0]])
+        return (column.real**2 + column.imag**2)[None, None]
     phases = np.exp(np.array([-2j * math.atan(mu) for mu in mus])[:, None] * evals)
     columns = np.matmul(vecs, (phases[:, None, :] * vecs[list(starts)])[..., None])[..., 0]
     return columns.real**2 + columns.imag**2
 
 
-def _checked(lam: list[float], n: int, m: int, mu: float) -> list[float]:
-    """``lam``, the weights of ``(n, m)`` at ``mu``; ``RuntimeError`` unless they sum to 1."""
-    total = math.fsum(lam)
-    if not abs(total - 1.0) <= 1e-8:
-        raise RuntimeError(
-            f"Schmidt weights sum to {total}, not 1, for state ({n}, {m}) at mu={mu}"
-        )
-    return lam
+def _makarov_spectra(states: Sequence[QuantumNumbers], mu: float) -> list[list[float]]:
+    """Makarov's weights ``lambda_0 .. lambda_{n+m}`` of each of ``states`` at ``mu``: one
+    ``_makarov_weights`` product per total ``n + m``, and the decoupled limits analytic.
 
-
-def _decoupled(mu: float) -> bool:
-    """Whether ``mu`` is a decoupled limit, 0 or inf; ``ValueError`` if negative or NaN."""
+    ``ValueError`` if ``mu`` is negative or NaN; ``RuntimeError``, naming the first state
+    in the order of ``states``, unless each state's weights sum to 1 within 1e-8.
+    """
     if not mu >= 0:  # also rejects NaN
         raise ValueError(f"mixing parameter must be non-negative, got {mu}")
-    return mu == 0.0 or math.isinf(mu)
+    if mu == 0.0 or math.isinf(mu):
+        return [[float(k == (nm.n if mu == 0.0 else nm.m)) for k in range(nm.n + nm.m + 1)]
+                for nm in states]
+    starts: dict[int, list[int]] = {}
+    for nm in states:
+        starts.setdefault(nm.n + nm.m, []).append(nm.n)
+    weights = {}
+    for total, ns in starts.items():
+        for n, lam in zip(ns, _makarov_weights(total + 1, [mu], ns)[0].tolist()):
+            weights[n, total - n] = lam
+    spectra = []
+    for nm in states:
+        lam = weights[nm.n, nm.m]
+        total = math.fsum(lam)
+        if not abs(total - 1.0) <= 1e-8:
+            raise RuntimeError(f"Schmidt weights sum to {total}, not 1, "
+                               f"for state ({nm.n}, {nm.m}) at mu={mu}")
+        spectra.append(lam)
+    return spectra
 
 
 def _linear_entropy(lam: list[float]) -> float:
@@ -358,43 +377,15 @@ def makarov_schmidt(nm: QuantumNumbers, mu: float) -> SchmidtSpectrum:
     stays accurate at every ``mu``; the explicit Jacobi sum cancels
     catastrophically at weak coupling. The decoupled limits are taken
     analytically: ``mu = 0`` gives a unit weight at ``k = n`` and
-    ``mu = inf`` (swapped decoupling) at ``k = m``.
+    ``mu = inf`` (swapped decoupling) at ``k = m``. A ``_makarov_spectra`` table of one.
     """
-    n, m = nm.n, nm.m
-    size = n + m + 1
-    if _decoupled(mu):
-        lam = [0.0] * size
-        lam[n if mu == 0.0 else m] = 1.0
-        return SchmidtSpectrum(lambdas=tuple(lam))
-
-    evals, vecs = _jx_eigh(size)
-    column = vecs @ (np.exp(-2j * math.atan(mu) * evals) * vecs[n])
-    return SchmidtSpectrum(lambdas=tuple(_checked((column.real**2 + column.imag**2).tolist(),
-                                                  n, m, mu)))
+    return SchmidtSpectrum(lambdas=tuple(_makarov_spectra([nm], mu)[0]))
 
 
 def makarov_entropy(nm: QuantumNumbers, mu: float) -> float:
-    """Linear entropy ``1 - sum(lambda_k^2)`` of the approximate weights (``_linear_entropy``)."""
-    return _linear_entropy(makarov_schmidt(nm, mu).lambdas)
-
-
-def _makarov_entropies(states: list[QuantumNumbers], mu: float) -> list[float]:
-    """``makarov_entropy`` of each state at ``mu``, the same floats and errors, from one
-    ``_makarov_weights`` product per total photon number ``n + m``.
-
-    The sum guard runs in the order of ``states``, so a failure names the state the
-    one-state route fails at first.
-    """
-    if _decoupled(mu):
-        return [0.0] * len(states)  # one unit weight per state: no cross term
-    starts: dict[int, list[int]] = {}
-    for nm in states:
-        starts.setdefault(nm.n + nm.m, []).append(nm.n)
-    weights = {}
-    for total, ns in starts.items():
-        for n, lam in zip(ns, _makarov_weights(total + 1, [mu], ns)[0].tolist()):
-            weights[n, total - n] = lam
-    return [_linear_entropy(_checked(weights[nm.n, nm.m], nm.n, nm.m, mu)) for nm in states]
+    """Linear entropy ``1 - sum(lambda_k^2)`` of the approximate weights (``_linear_entropy``
+    of ``_makarov_spectra`` of the one state)."""
+    return _linear_entropy(_makarov_spectra([nm], mu)[0])
 
 
 def entropy_gap(params: SystemParams, nm: QuantumNumbers) -> float:

@@ -466,3 +466,24 @@ class TestVerification:
         assert not check.passed
         assert math.isnan(check.max_deviation)
         assert check.worst == "n=1 m=1"
+
+    def test_unresolved_schmidt_oracle_fails_its_check_by_name(self, monkeypatch, capsys):
+        # eigenfunctions 0.1 % too large: no rule brings a norm deficit below 1e-14, so the
+        # Schmidt oracle raises at every coupling; verify still writes its whole report
+        from oscpair.cli import main
+
+        true_fn = wigner.eigenfunctions
+        monkeypatch.setattr(wigner, "eigenfunctions", lambda *args: 1.001 * true_fn(*args))
+        with pytest.raises(RuntimeError, match=r"\(0, 0\) unresolved at order 320"):
+            oracle._gram_purities(PARAMS, [QuantumNumbers(0, 0)])
+        checks = {c.name: c for c in run_verification().checks}
+        assert [name for name, c in checks.items() if not c.passed] == ["marginal-purity-svd"]
+        check = checks["marginal-purity-svd"]
+        assert math.isnan(check.max_deviation)
+        assert check.worst == f"omega_x=1.0 omega_y=0.8 epsilon={0.3 * 0.8} n=0 m=0"
+        assert main(["verify"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            f"{'FAIL' if name == 'marginal-purity-svd' else 'PASS'} {name}"
+            for name, *_ in self.CHECKS]
+        assert lines[-1].startswith("VERIFICATION FAILED in ")

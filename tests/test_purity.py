@@ -85,8 +85,8 @@ class TestPurityExact:
             for n in range(7):
                 for m in range(7):
                     res = purity_exact(params, QuantumNumbers(n, m))
-                    assert res.purity == pytest.approx(1.0, abs=1e-13)
-                    assert res.linear_entropy == pytest.approx(0.0, abs=1e-13)
+                    assert res.purity == pytest.approx(1.0, abs=1e-15)
+                    assert res.linear_entropy == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("params", list(PURITY_REFERENCE),
                              ids=lambda p: "wx%g-wy%g-eps%g" % p)
@@ -316,20 +316,24 @@ def _reference_purity(params, nm):
     return min(p, 1.0)
 
 
-def _reference_makarov_entropy(nm, mu):
+def _reference_makarov_weights(nm, mu):
     n, m = nm.n, nm.m
     size = n + m + 1
     if mu == 0.0 or math.isinf(mu):
         lam = [0.0] * size
         lam[n if mu == 0.0 else m] = 1.0
-    else:
-        k = np.arange(1, size)
-        off = 0.5 * np.sqrt(k * (size - k))
-        evals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-        column = vecs @ (np.exp(-2j * math.atan(mu) * evals) * vecs[n])
-        lam = (column.real**2 + column.imag**2).tolist()
-        if abs(math.fsum(lam) - 1.0) > 1e-8:
-            return ("raises", RuntimeError)
+        return lam
+    k = np.arange(1, size)
+    off = 0.5 * np.sqrt(k * (size - k))
+    evals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    column = vecs @ (np.exp(-2j * math.atan(mu) * evals) * vecs[n])
+    return (column.real**2 + column.imag**2).tolist()
+
+
+def _reference_makarov_entropy(nm, mu):
+    lam = _reference_makarov_weights(nm, mu)
+    if abs(math.fsum(lam) - 1.0) > 1e-8:
+        return ("raises", RuntimeError)
     return 2.0 * math.fsum(map(operator.mul, lam[1:], itertools.accumulate(lam)))
 
 
@@ -389,8 +393,8 @@ def test_cached_route_is_bit_identical_to_the_per_call_route(bit_grid_reference)
 MAKAROV_MIXINGS = (1e-8, 1e-4, 0.2, 1.0 / math.sqrt(3.0), 0.9, 1.0, 3.0, 1e4)
 
 
-def test_makarov_blocks_are_bit_identical_to_the_one_state_route():
-    from oscpair.purity import _makarov_entropies, _makarov_weights
+def test_makarov_weights_are_bit_identical_to_the_one_state_gemv():
+    from oscpair.purity import _linear_entropy, _makarov_spectra, _makarov_weights
 
     grid_mus = [diagonalize(SystemParams(1.0, wy, frac * wy)).mu
                 for wy in BIT_GRID_WY for frac in BIT_GRID_EPS]
@@ -398,17 +402,22 @@ def test_makarov_blocks_are_bit_identical_to_the_one_state_route():
     assert {0.0, math.inf} <= set(grid_mus)
     mus = list(MAKAROV_MIXINGS) + [mu for mu in grid_mus if 0.0 < mu < math.inf]
     for size in range(1, 18):
+        # the stacked product over the whole block, and the gemv of one state at one mu
         block = _makarov_weights(size, mus, range(size)).tolist()
         for mu, row in zip(mus, block):
             for n, lam in enumerate(row):
-                assert tuple(lam) == makarov_schmidt(QuantumNumbers(n, size - 1 - n), mu).lambdas, (
-                    size, n, mu)
+                want = _reference_makarov_weights(QuantumNumbers(n, size - 1 - n), mu)
+                assert lam == want, (size, n, mu)
+                assert _makarov_weights(size, [mu], [n]).tolist() == [[want]], (size, n, mu)
 
     states = [QuantumNumbers(n, m) for n in range(9) for m in range(9)]
     for mu in mus + grid_mus:
-        assert _makarov_entropies(states, mu) == [makarov_entropy(nm, mu) for nm in states], mu
+        table = _makarov_spectra(states, mu)
+        assert table == [_reference_makarov_weights(nm, mu) for nm in states], mu
+        assert [_linear_entropy(lam) for lam in table] == [makarov_entropy(nm, mu)
+                                                          for nm in states], mu
     for mu in (0.0, math.inf):
-        assert _makarov_entropies(states, mu) == [0.0] * len(states)
+        assert [_linear_entropy(lam) for lam in _makarov_spectra(states, mu)] == [0.0] * 81
 
 
 @pytest.fixture
