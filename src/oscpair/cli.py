@@ -24,7 +24,7 @@ in a fresh process takes about 2.7-4.9 ms, a warm rebuild about 1.0 ms
 (timeit minimum; Python 3.11 on a 2-core VM). Called
 before numpy is loaded, it sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` to 1 where they are unset; ``verify --json`` reports
-their values as ``blas_threads``.
+their values as ``blas_threads``, and writes a NaN deviation as ``null``.
 
 Exit codes: 0 success, 1 validation or output error, 2 verification failure.
 """
@@ -374,7 +374,11 @@ def cmd_verify(args, out: TextIO) -> int:
     report = run_verification()
     if args.json:
         threads = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
-        _write_json({**report.as_dict(), "blas_threads": threads}, out)
+        payload = {**report.as_dict(), "blas_threads": threads}
+        for check in payload["checks"]:  # JSON has no NaN: a deviation without a value is null
+            if math.isnan(check["max_deviation"]):
+                check["max_deviation"] = None
+        _write_json(payload, out)
     else:
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"

@@ -12,21 +12,25 @@ check:
 * The singular values of ``Psi_(n, m)`` sampled on one Gauss-Hermite grid
   in lab coordinates, weighted so that the samples are an orthogonal image
   of the state's Hermite amplitudes in lab-local bases: the Schmidt
-  coefficients, with their truncation residual. Its rule is its own: 24
-  nodes per axis, raised (48, 96, 192, 320) until every state's norm
-  deficit is below 1e-14, where each quadrature oracle sizes its rule from
-  the largest state (on the reference grid, 6 nodes for the moment oracle
-  and 8 for the global purity). It evaluates the states with
-  ``wigner.eigenfunctions`` and shares nothing with the generating function.
+  coefficients, with their truncation residual. Its grid's order is its
+  own: 24 nodes per axis, raised (48, 96, 192, 320) for a coupling until
+  every state's norm deficit is below 1e-14, where each quadrature oracle
+  sizes its rule from the largest state (on the reference grid, 6 nodes for
+  the moment oracle and 8 for the global purity). It evaluates the states
+  with ``wigner.eigenfunctions`` and shares nothing with the generating
+  function.
+
+Every rule comes from ``gauss_hermite``, which builds it in one pass of the
+Hermite-function recurrence, with no ``numpy.polynomial``.
 
 ``run_verification`` sweeps a built-in parameter grid through all checks
 and returns a machine-readable report; the CLI ``verify`` command wraps
 it. It computes each table once and records the checks from them: the
 exact purity and the moment oracle over the whole 4 couplings x 6 states
 table (``_moment_sets``: one rule, one set of mode factors, one batched
-contraction), the Schmidt oracle once per coupling (``_gram_purities``: one
-lab grid, each state's purity from the Gram matrix of its samples, no SVD),
-the global-purity integral once per quantum number
+contraction), the Schmidt oracle once over the 4 couplings (``_gram_purities``:
+one stacked lab grid, each state's purity from the Gram matrix of its samples,
+no SVD), the global-purity integral once per quantum number
 (``_global_purities``), and Makarov's weights once per total photon number
 ``n + m``, over all four mixings (``purity._makarov_weights``).
 ``schmidt_oracle`` keeps the SVD, for the spectrum and the entropies.
@@ -57,23 +61,48 @@ class QuadratureRule:
     A rule with ``len(nodes)`` nodes integrates polynomials of degree up to
     ``2*len(nodes) - 1`` against the Gaussian weight exactly. ``flat_weights``,
     ``w exp(t^2)``, do the same for an integrand that carries the Gaussian
-    itself, as the Wigner function does; they overflow above about 350 nodes.
+    itself, as the Wigner function does. They are built directly, and are finite
+    up to 765 nodes, past which ``psi_0`` underflows at the outermost nodes; from 729
+    nodes on it is subnormal there, and those nodes' flat weights lose digits.
+    ``weights`` may underflow to 0 at the outer nodes of a large rule, where
+    ``exp(-t^2)`` does.
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
+    flat_weights: np.ndarray
 
     @cached_property
-    def flat_weights(self) -> np.ndarray:
-        return self.weights * np.exp(self.nodes * self.nodes)
+    def weights(self) -> np.ndarray:
+        return self.flat_weights * np.exp(-self.nodes * self.nodes)
 
 
 @lru_cache(maxsize=None)
 def gauss_hermite(order: int) -> QuadratureRule:
+    """The Gauss-Hermite rule of ``order`` nodes, from one pass of the Hermite-function recurrence.
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix of the Hermite
+    polynomials, whose off-diagonal is ``sqrt(k/2)`` (Golub and Welsch, Math. Comp. 23,
+    221 (1969)). One pass of the orthonormal recurrence gives ``psi_(N-1)`` and ``psi_N``
+    there; one Newton step on the zeros of ``psi_N`` refines each node, and ``psi_(N-1)``
+    is carried to it to first order, along ``psi_(N-1)' = t psi_(N-1) - sqrt(2N) psi_N``.
+    The flat weights are ``1 / (N psi_(N-1)(t)^2)``. Nodes and weights are symmetrized and
+    the weights scaled so that ``sum w = sqrt(pi)``, as numpy's ``hermgauss`` does.
+    """
     if order < 1:
         raise ValueError(f"rule order must be positive, got {order}")
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    return QuadratureRule(nodes=nodes, weights=weights)
+    t = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1.0, order)), -1))
+    prev, cur = np.zeros(order), math.pi**-0.25 * np.exp(-0.5 * t * t)
+    for k in range(order):  # psi_(k+1) = sqrt(2/(k+1)) t psi_k - sqrt(k/(k+1)) psi_(k-1)
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * t * cur - math.sqrt(k / (k + 1.0)) * prev
+    root = math.sqrt(2.0 * order)
+    step = cur / (root * prev)  # psi_N / psi_N' at a zero of psi_N
+    prev -= step * (t * prev - root * cur)
+    t -= step
+    flat = 1.0 / (order * prev * prev)
+    flat = 0.5 * (flat + flat[::-1])
+    t = 0.5 * (t - t[::-1])
+    flat *= math.sqrt(math.pi) / np.sum(flat * np.exp(-t * t))
+    return QuadratureRule(nodes=t, flat_weights=flat)
 
 
 # exponents (a, b, c, d) of <x^a p^b y^c q^d>: the ten table moments, <xq> and <py>
@@ -200,47 +229,66 @@ class SchmidtOracleResult:
     norm_deficit: float
 
 
-# Gauss-Hermite orders tried per axis, up to the limit of ``QuadratureRule.flat_weights``
+# Gauss-Hermite orders tried per axis; the flat weights would hold up to 765 nodes
 _ORDERS = (24, 48, 96, 192, 320)
+# a state's lab grid resolves it when its norm deficit is below this
+_RESOLVED = 1e-14
 
 
-def _lab_samples(modes: NormalModes,
-                 states: list[QuantumNumbers]) -> tuple[np.ndarray, list[float]]:
-    """Every state's weighted lab-grid samples ``A_ij``, stacked, and its norm deficit.
+def _lab_samples(modes: list[NormalModes], states: list[QuantumNumbers]
+                 ) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Every state's weighted lab-grid samples ``A_ij`` at every coupling, and its norm deficit.
 
     Nodes ``t`` of one rule give ``x_i = t_i / sqrt(Omega_x)`` and ``y_j = t_j /
-    sqrt(Omega_y)``, with ``Omega_x = sqrt(<p^2>/<x^2>)`` of the ground state (likewise
-    ``Omega_y``), and ``A_ij = sqrt(W_i) Psi_(n, m)(x_i, y_j) sqrt(V_j)`` with ``W_i = w_i
-    exp(t_i^2) / sqrt(Omega_x)``. ``A`` is an orthogonal image of the state's Hermite
-    amplitudes in the lab-local bases of frequency ``Omega``, so its singular values are
-    the Schmidt coefficients. The order grows until every deficit is ``| ||A||_F^2 - 1 |
-    < 1e-14``. Each grid runs each mode's Hermite recurrence once, up to the largest
-    ``n`` or ``m`` of ``states`` (``wigner.eigenfunctions``, which caps them at 64).
+    sqrt(Omega_y)``, with ``Omega_x = sqrt(<p^2>/<x^2>)`` of the coupling's ground state
+    (likewise ``Omega_y``), and ``A_ij = sqrt(W_i) Psi_(n, m)(x_i, y_j) sqrt(V_j)`` with
+    ``W_i = w_i exp(t_i^2) / sqrt(Omega_x)``. ``A`` is an orthogonal image of the state's
+    Hermite amplitudes in the lab-local bases of frequency ``Omega``, so its singular
+    values are the Schmidt coefficients. The couplings share one stacked grid per order,
+    on which each mode's Hermite recurrence runs once, up to the largest ``n`` or ``m`` of
+    ``states`` (``wigner.eigenfunctions``, which caps them at 64); the order grows through
+    ``_ORDERS`` for the couplings where a deficit ``| ||A||_F^2 - 1 |`` is not below 1e-14.
+
+    One group per order that resolved couplings, the last also holding those left
+    unresolved: the couplings' indices, their samples ``(k, S, N, N)`` and deficits ``(k, S)``.
     """
-    vx, vy, s2, c2 = modes.vartheta_x, modes.vartheta_y, modes.s2, modes.c2
-    om_x = math.sqrt((vx * c2 + vy * s2) / (c2 / vx + s2 / vy))  # sqrt(<p^2>/<x^2>)
-    om_y = math.sqrt((vx * s2 + vy * c2) / (s2 / vx + c2 / vy))  # sqrt(<q^2>/<y^2>)
+    # per coupling: Omega_x, Omega_y, the rotation and the normal frequencies
+    scales = []
+    for m in modes:
+        vx, vy, s2, c2 = m.vartheta_x, m.vartheta_y, m.s2, m.c2
+        om_x = math.sqrt((vx * c2 + vy * s2) / (c2 / vx + s2 / vy))  # sqrt(<p^2>/<x^2>)
+        om_y = math.sqrt((vx * s2 + vy * c2) / (s2 / vx + c2 / vy))  # sqrt(<q^2>/<y^2>)
+        scales.append((math.sqrt(om_x), math.sqrt(om_y), (om_x * om_y) ** 0.25, m.c, m.s, vx, vy))
+    groups, pending = [], list(range(len(modes)))
     for order in _ORDERS:
         rule = gauss_hermite(order)
         t, root_w = rule.nodes, np.sqrt(rule.flat_weights)
-        big = wigner.lab_to_normal(modes, PhasePoint(t[:, None] / math.sqrt(om_x), 0.0,
-                                                     t[None, :] / math.sqrt(om_y), 0.0))
-        weight = np.outer(root_w, root_w) / (om_x * om_y) ** 0.25
-        amps = weight * wigner.eigenfunctions(modes, states, big.X, big.Y)
-        deficits = np.abs(np.sum(amps * amps, axis=(1, 2)) - 1.0).tolist()
-        if max(deficits) < 1e-14:
-            return amps, deficits
-    q, deficit = next((q, d) for q, d in zip(states, deficits) if not d < 1e-14)
-    raise RuntimeError(f"({q.n}, {q.m}) unresolved at order {order}: deficit {deficit:.3e}")
+        columns = np.array([scales[i] for i in pending]).T[..., None, None]
+        root_x, root_y, quarter, c, s, vx, vy = columns  # each (k, 1, 1) over the couplings
+        x, y = t[:, None] / root_x, t[None, :] / root_y
+        weight = root_w[:, None] * root_w[None, :] / quarter
+        amps = weight * wigner.eigenfunctions(vx, vy, states, c * x + s * y, c * y - s * x)
+        amps = amps.swapaxes(0, 1)
+        deficits = np.abs(np.sum(amps * amps, axis=(-2, -1)) - 1.0)
+        done = np.all(deficits < _RESOLVED, axis=1) | (order == _ORDERS[-1])
+        if np.any(done):
+            groups.append(([pending[k] for k in np.flatnonzero(done)], amps[done], deficits[done]))
+        pending = [pending[k] for k in np.flatnonzero(~done)]
+        if not pending:
+            return groups
 
 
 def _schmidt(params: SystemParams, states: list[QuantumNumbers]) -> list[SchmidtOracleResult]:
     """``schmidt_oracle`` for each state: one lab grid and one stacked SVD."""
-    amps, deficits = _lab_samples(model.diagonalize(params), states)
+    ((_, (amps,), (deficits,)),) = _lab_samples([model.diagonalize(params)], states)
+    for q, deficit in zip(states, deficits):
+        if not deficit < _RESOLVED:
+            raise RuntimeError(f"({q.n}, {q.m}) unresolved at order {amps.shape[-1]}: "
+                               f"deficit {deficit:.3e}")
     svs = np.linalg.svd(amps, compute_uv=False)
     svs /= np.sqrt(np.sum(svs * svs, axis=1, keepdims=True))
     results = []
-    for sv, deficit in zip(svs, deficits):
+    for sv, deficit in zip(svs, deficits.tolist()):
         lam = sv[sv > 1e-9] ** 2
         pur = float(np.sum(lam**2))
         vn = float(-np.sum(lam * np.log(lam)))
@@ -254,15 +302,28 @@ def schmidt_oracle(params: SystemParams, nm: QuantumNumbers) -> SchmidtOracleRes
     return _schmidt(params, [nm])[0]
 
 
-def _gram_purities(params: SystemParams, states: list[QuantumNumbers]) -> list[float]:
-    """The Schmidt oracle's purity of each state, without an SVD.
+def _gram_purities(couplings: list[SystemParams], states: list[QuantumNumbers]
+                   ) -> tuple[list[list[float]], list[list[float]], list[int]]:
+    """The Schmidt oracle's purity of each state at each coupling, without an SVD.
 
     ``Tr rho^2 = ||A A^T||_F^2 / ||A||_F^4`` of the state's ``_lab_samples`` matrix
-    ``A`` is the ``sum sigma^4 / (sum sigma^2)^2`` of its singular values.
+    ``A`` is the ``sum sigma^4 / (sum sigma^2)^2`` of its singular values. Returns the
+    purities (NaN where the grid left the state unresolved), the norm deficits, one row
+    per coupling, and each coupling's final order.
     """
-    amps, _ = _lab_samples(model.diagonalize(params), states)
-    gram = amps @ amps.transpose(0, 2, 1)
-    return (np.sum(gram * gram, axis=(1, 2)) / np.sum(amps * amps, axis=(1, 2)) ** 2).tolist()
+    purities = np.empty((len(couplings), len(states)))
+    deficits = np.empty_like(purities)
+    orders = [0] * len(couplings)
+    for members, amps, group_deficits in _lab_samples(list(map(model.diagonalize, couplings)),
+                                                      states):
+        gram = amps @ amps.swapaxes(-1, -2)
+        purities[members] = (np.sum(gram * gram, axis=(-2, -1))
+                             / np.sum(amps * amps, axis=(-2, -1)) ** 2)
+        deficits[members] = group_deficits
+        for i in members:
+            orders[i] = amps.shape[-1]
+    purities[~(deficits < _RESOLVED)] = math.nan
+    return purities.tolist(), deficits.tolist(), orders
 
 
 def marginal_purity_quadrature(params: SystemParams, nm: QuantumNumbers) -> float:
@@ -356,18 +417,26 @@ def _point(p: SystemParams, q: QuantumNumbers) -> str:
     return f"omega_x={p.omega_x} omega_y={p.omega_y} epsilon={p.epsilon} n={q.n} m={q.m}"
 
 
+def _schmidt_point(p: SystemParams, q: QuantumNumbers, order: int, deficit: float) -> str:
+    """``_point``, with the order and deficit where the Schmidt oracle left the state unresolved."""
+    if deficit < _RESOLVED:
+        return _point(p, q)
+    return f"{_point(p, q)} unresolved at order {order}: deficit {deficit:.3e}"
+
+
 def run_verification() -> VerificationReport:
     """Run the oracle suite over the built-in reference grid.
 
     Each table is computed once: the exact purity, the moment oracle and the closed
     forms over the couplings and states (``_purities``, ``_moment_sets``), the Schmidt
-    oracle once per coupling (``_gram_purities``), the global-purity integrals once per
+    oracle on one stacked lab grid (``_gram_purities``), the global-purity integrals once per
     quantum number (``_global_purities``), Makarov's weights once per ``n + m``
     (``purity._makarov_weights``); then one pass records the checks that read them.
     Module-level functions under test are resolved at call time, so a fault
     injected by rebinding (for instance a corrupted moment formula) surfaces as
-    a named failing check, at the point where it is largest; so does a Schmidt-oracle grid
-    that stays unresolved, as NaN on ``marginal-purity-svd``.
+    a named failing check, at the point where it is largest; so does a state that the
+    Schmidt oracle's grid leaves unresolved, as NaN on ``marginal-purity-svd``, whose
+    ``worst`` then gives the grid's order and the state's deficit.
     """
     start = time.perf_counter()
     grid = [SystemParams(1.0, wy, frac * wy) for wy in (0.8, 1.0) for frac in (0.3, 0.9)]
@@ -391,12 +460,8 @@ def run_verification() -> VerificationReport:
             check.max_deviation, check.worst = float(dev), where(*point)
 
     with stage("schmidt-oracle"):
-        schmidts = []
-        for p in grid:
-            try:
-                schmidts.append(_gram_purities(p, states))
-            except RuntimeError:  # an unresolved grid reads NaN: marginal-purity-svd fails
-                schmidts.append([math.nan] * len(states))
+        # an unresolved state reads NaN: marginal-purity-svd fails and names it
+        schmidts, deficits, orders = _gram_purities(grid, states)
     with stage("quadrature-oracles"):
         refs = _moment_sets(grid, states)
         lads = [[_ladder(p, ref) for ref in row] for p, row in zip(grid, refs)]
@@ -417,10 +482,13 @@ def run_verification() -> VerificationReport:
 
     for q, norm in zip(states, norms):
         record("global-purity", abs(norm - 1.0), q.n, q.m, where="n={} m={}".format)
-    for p, ground, exact_row, *rows in zip(grid, grounds, exacts, schmidts, refs, lads, closed):
+    for p, ground, exact_row, order, deficit_row, *rows in zip(
+            grid, grounds, exacts, orders, deficits, schmidts, refs, lads, closed):
         record("ground-purity-closed-form", abs(exact_row[0] - ground), p, states[0])
-        for q, exact, schmidt, ref, lad, (ms, (ax, ay), ex, lm) in zip(states, exact_row, *rows):
-            record("marginal-purity-svd", abs(exact - schmidt), p, q)
+        for q, exact, deficit, schmidt, ref, lad, (ms, (ax, ay), ex, lm) in zip(
+                states, exact_row, deficit_row, *rows):
+            record("marginal-purity-svd", abs(exact - schmidt), p, q, order, deficit,
+                   where=_schmidt_point)
             record("moment-table", max(abs(ref["xq"]), abs(ref["py"]),
                                        *(abs(got - ref[name]) / max(abs(ref[name]), 1e-2)
                                          for name, got in vars(ms).items())), p, q)

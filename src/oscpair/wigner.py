@@ -117,23 +117,25 @@ def normal_to_lab(modes: NormalModes, pt: RotatedPhasePoint) -> PhasePoint:
     )
 
 
-def eigenfunctions(modes: NormalModes, states: list[QuantumNumbers], X, Y) -> np.ndarray:
+def eigenfunctions(vartheta_x, vartheta_y, states: list[QuantumNumbers], X, Y) -> np.ndarray:
     """Normalized stationary wavefunctions of ``states`` in normal-mode coordinates, stacked.
 
-    Each is a product of two harmonic-oscillator eigenfunctions with frequencies
-    ``vartheta_x`` and ``vartheta_y``; each mode's Hermite recurrence runs once, up
-    to the largest quantum number of that mode among ``states``.
+    Each is a product of two harmonic-oscillator eigenfunctions with the normal
+    frequencies ``vartheta_x`` and ``vartheta_y``: numbers, or arrays that broadcast
+    against ``X`` and ``Y`` (one frequency per coupling of a stacked grid). Each mode's
+    Hermite recurrence runs once, up to the largest quantum number of that mode among
+    ``states``. The result's first axis runs over ``states``, the others over the
+    broadcast shape.
     """
-    vx, vy = modes.vartheta_x, modes.vartheta_y
     top_n, top_m = max(q.n for q in states), max(q.m for q in states)
-    fx = vx**0.25 * hermite_functions(top_n, np.sqrt(vx) * np.asarray(X, dtype=float))
-    fy = vy**0.25 * hermite_functions(top_m, np.sqrt(vy) * np.asarray(Y, dtype=float))
+    fx = vartheta_x**0.25 * hermite_functions(top_n, np.sqrt(vartheta_x) * np.asarray(X, float))
+    fy = vartheta_y**0.25 * hermite_functions(top_m, np.sqrt(vartheta_y) * np.asarray(Y, float))
     return np.stack([fx[q.n] * fy[q.m] for q in states])
 
 
 def eigenfunction(modes: NormalModes, nm: QuantumNumbers, X, Y):
     """``eigenfunctions`` of one state; at the origin the ground state is ``(vx*vy/pi^2)**0.25``."""
-    out = eigenfunctions(modes, [nm], X, Y)[0]
+    out = eigenfunctions(modes.vartheta_x, modes.vartheta_y, [nm], X, Y)[0]
     return out if np.ndim(out) else float(out)
 
 

@@ -605,6 +605,30 @@ class TestVerify:
         assert set(json.loads(out)["blas_threads"].values()) == {None}
         assert not set(self.BLAS) & set(os.environ)
 
+    def test_json_report_is_strict_json(self, capsys, monkeypatch):
+        # an unresolved Schmidt-oracle state gives marginal-purity-svd a NaN deviation,
+        # which the report writes as null: strict parsers reject a bare NaN
+        from oscpair import wigner
+
+        true_fn = wigner.eigenfunctions
+
+        def one_state_off(*args):
+            out = true_fn(*args)
+            out[3] *= 1.001
+            return out
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        monkeypatch.setattr(wigner, "eigenfunctions", one_state_off)
+        code, out, _ = run_cli(capsys, "verify", "--json")
+        assert code == 2
+        checks = {c["name"]: c for c in json.loads(out, parse_constant=reject)["checks"]}
+        assert checks["marginal-purity-svd"]["max_deviation"] is None
+        assert checks["marginal-purity-svd"]["passed"] is False
+        assert all(isinstance(c["max_deviation"], float) for name, c in checks.items()
+                   if name != "marginal-purity-svd")
+
     def test_injected_fault_fails_with_exit_two(self, capsys, monkeypatch):
         from oscpair import moments as moments_module
 

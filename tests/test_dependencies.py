@@ -67,6 +67,23 @@ def test_only_verify_loads_the_oracles():
     assert _run(code) == ["False", "True"]
 
 
+def test_verify_does_not_load_numpy_polynomial():
+    # the oracles build their Gauss-Hermite rules themselves; where numpy's own import
+    # loads numpy.polynomial (numpy 1), there is nothing to see
+    code = (
+        "import contextlib, io, sys, numpy\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+        "from oscpair.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify']) == 0\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    bare, after = _run(code)
+    if bare == "True":
+        pytest.skip("import numpy loads numpy.polynomial")
+    assert after == "False"
+
+
 def test_wigner_eval_and_purity_scan_load_neither_moments_nor_steering():
     code = (
         "import os, sys\n"

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -70,6 +71,32 @@ def rotated_global_purity(params, nm):
     return math.pi**2 * float((w_vals * w_vals) @ rw @ rw @ rw @ rw)
 
 
+def reference_rule(order, starts):
+    """40-digit nodes and flat weights ``exp(t^2) w`` of the ``order``-node Gauss-Hermite rule.
+
+    Each node is Newton's iteration on the orthonormal Hermite polynomial ``p_N`` from
+    its float in ``starts``, with ``p_N' = sqrt(2N) p_(N-1)``, and its flat weight is
+    ``exp(t^2) / (N p_(N-1)(t)^2)``.
+    """
+    with mp.workdps(40):
+        def pair(t):  # (p_(N-1), p_N) at t
+            prev, cur = mp.mpf(0), mp.pi ** mp.mpf(-0.25)
+            for k in range(order):
+                prev, cur = cur, mp.sqrt(mp.mpf(2) / (k + 1)) * t * cur - mp.sqrt(
+                    mp.mpf(k) / (k + 1)) * prev
+            return prev, cur
+
+        out = []
+        for start in starts:
+            t = mp.mpf(float(start))
+            for _ in range(4):
+                prev, cur = pair(t)
+                t -= cur / (mp.sqrt(2 * order) * prev)
+            prev, _ = pair(t)
+            out.append((float(t), float(mp.exp(t * t) / (order * prev * prev))))
+        return out
+
+
 class TestQuadratureRule:
     def test_weights_positive_and_normalized(self):
         rule = gauss_hermite(24)
@@ -87,6 +114,36 @@ class TestQuadratureRule:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             gauss_hermite(0)
+
+    @pytest.mark.parametrize("order, flat_tol", [(6, 1.5e-15), (8, 1e-15), (24, 5e-15),
+                                                 (96, 1.5e-14)])
+    def test_matches_a_40_digit_rule(self, order, flat_tol):
+        # numpy's hermgauss reads 1.7e-15, 1.9e-15, 3.9e-15 and 3.7e-14 on the flat weights
+        rule = gauss_hermite(order)
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.array_equal(rule.flat_weights, rule.flat_weights[::-1])
+        half = order // 2
+        for t, flat, (want_t, want_flat) in zip(rule.nodes[half:], rule.flat_weights[half:],
+                                                reference_rule(order, rule.nodes[half:])):
+            assert abs(t - want_t) <= 4e-16 * want_t
+            assert abs(flat - want_flat) <= flat_tol * want_flat
+
+    def test_large_rule_agrees_with_hermgauss(self):
+        # at 320 nodes the rule reads 3.2e-14 from a 40-digit one on the flat weights, and
+        # hermgauss 1.1e-13
+        rule = gauss_hermite(320)
+        t, w = np.polynomial.hermite.hermgauss(320)
+        np.testing.assert_allclose(rule.nodes, t, rtol=5e-16, atol=0)
+        np.testing.assert_allclose(rule.flat_weights, w * np.exp(t * t), rtol=2e-13, atol=0)
+
+    @pytest.mark.parametrize("order", [400, 560, 720])
+    def test_flat_weights_stay_finite_past_the_old_overflow(self, order):
+        # w exp(t^2) overflowed above about 350 nodes; the flat weights are built directly
+        rule = gauss_hermite(order)
+        assert np.all(np.isfinite(rule.flat_weights)) and np.all(rule.flat_weights > 0.0)
+        assert rule.weights.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        got = float(np.sum(rule.weights * rule.nodes**2))
+        assert got == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-13)
 
 
 class TestMomentOracle:
@@ -283,7 +340,7 @@ class TestSchmidtOracle:
             params = SystemParams(1.0, wy, frac * wy)
             for n in range(9):
                 states = [QuantumNumbers(n, m) for m in range(9)]
-                gram = oracle._gram_purities(params, states)
+                (gram,), _, _ = oracle._gram_purities([params], states)
                 svd = [res.purity for res in oracle._schmidt(params, states)]
                 for q, a, b in zip(states, gram, svd):
                     assert abs(a - b) <= 2e-15, (frac, q, a - b)
@@ -296,8 +353,8 @@ class TestSchmidtOracle:
                             sc=mu / (1.0 + mu * mu), gap_x=0.0, gap_y=0.0)
         for n in range(7):
             for m in range(7):
-                (amp,), _ = oracle._lab_samples(modes, [QuantumNumbers(n, m)])
-                got = np.sort(np.linalg.svd(amp, compute_uv=False) ** 2)
+                ((_, amps, _),) = oracle._lab_samples([modes], [QuantumNumbers(n, m)])
+                got = np.sort(np.linalg.svd(amps[0, 0], compute_uv=False) ** 2)
                 want = np.zeros_like(got)
                 want[-(n + m + 1):] = np.sort(makarov_schmidt(QuantumNumbers(n, m), mu).lambdas)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -345,9 +402,9 @@ class TestVerification:
 
     def test_each_reference_point_is_computed_once(self, monkeypatch):
         # the exact purity and the moment oracle run once over the 4 x 6 table, the global
-        # purity once over the six states; the Schmidt oracle's lab grid is sampled once per
-        # coupling (its first argument is the coupling's NormalModes), over its six states;
-        # Makarov's weights come from block products, with no one-state call
+        # purity once over the six states; the Schmidt oracle's lab grid is sampled once, over
+        # the four couplings' NormalModes and the six states; Makarov's weights come from
+        # block products, with no one-state call
         calls = {"moments": [], "global": [], "purity": [], "samples": [], "makarov": [],
                  "schmidt": []}
 
@@ -375,10 +432,9 @@ class TestVerification:
             assert len({(params, q) for params in couplings for q in states}) == 24, key
         (states,), = calls["global"]
         assert states == calls["purity"][0][1]
-        samples = calls["samples"]
-        assert len(samples) == 4 and len({modes for modes, _ in samples}) == 4
-        assert all(states == calls["purity"][0][1] for _, states in samples)
-        assert len(samples[0][1]) == 6
+        (modes, states), = calls["samples"]
+        assert len(modes) == 4 and len(set(modes)) == 4
+        assert states == calls["purity"][0][1] and len(states) == 6
 
     def test_runs_no_svd(self, monkeypatch):
         # the Schmidt check reads Tr rho^2 from each state's Gram matrix
@@ -396,14 +452,15 @@ class TestVerification:
         assert schmidt.max_deviation <= 2e-15
 
     def test_builds_one_rule_per_size(self, monkeypatch):
-        # from a cold cache: the Schmidt grid (24), the moment rule (6) and the global rule (8)
-        built, hermgauss = [], np.polynomial.hermite.hermgauss
+        # from a cold cache: the Schmidt grid (24), the moment rule (6) and the global rule (8),
+        # each from the eigenvalues of its own Jacobi matrix
+        built, eigvalsh = [], np.linalg.eigvalsh
 
-        def recording(order):
-            built.append(order)
-            return hermgauss(order)
+        def recording(a, *args, **kwargs):
+            built.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", recording)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         oracle.gauss_hermite.cache_clear()
         assert run_verification().passed
         assert sorted(built) == [6, 8, 24]
@@ -469,21 +526,60 @@ class TestVerification:
 
     def test_unresolved_schmidt_oracle_fails_its_check_by_name(self, monkeypatch, capsys):
         # eigenfunctions 0.1 % too large: no rule brings a norm deficit below 1e-14, so the
-        # Schmidt oracle raises at every coupling; verify still writes its whole report
+        # Schmidt oracle leaves every state unresolved; verify still writes its whole report
         from oscpair.cli import main
 
         true_fn = wigner.eigenfunctions
         monkeypatch.setattr(wigner, "eigenfunctions", lambda *args: 1.001 * true_fn(*args))
         with pytest.raises(RuntimeError, match=r"\(0, 0\) unresolved at order 320"):
-            oracle._gram_purities(PARAMS, [QuantumNumbers(0, 0)])
+            oracle._schmidt(PARAMS, [QuantumNumbers(0, 0)])
         checks = {c.name: c for c in run_verification().checks}
         assert [name for name, c in checks.items() if not c.passed] == ["marginal-purity-svd"]
         check = checks["marginal-purity-svd"]
         assert math.isnan(check.max_deviation)
-        assert check.worst == f"omega_x=1.0 omega_y=0.8 epsilon={0.3 * 0.8} n=0 m=0"
+        assert re.fullmatch(rf"omega_x=1.0 omega_y=0.8 epsilon={0.3 * 0.8} n=0 m=0 "
+                            r"unresolved at order 320: deficit 2\.\d{3}e-03", check.worst)
         assert main(["verify"]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines[:-1]] == [
             f"{'FAIL' if name == 'marginal-purity-svd' else 'PASS'} {name}"
             for name, *_ in self.CHECKS]
         assert lines[-1].startswith("VERIFICATION FAILED in ")
+
+    def test_unresolved_state_fails_alone(self, monkeypatch):
+        # only (1, 1) is 0.1 % too large: it alone reads NaN, at every coupling, and the
+        # report names it with its order and deficit; the other five states keep their values
+        true_fn, bad = wigner.eigenfunctions, 3
+
+        def one_state_off(*args):
+            out = true_fn(*args)
+            out[bad] *= 1.001
+            return out
+
+        monkeypatch.setattr(wigner, "eigenfunctions", one_state_off)
+        grid = [SystemParams(1.0, wy, frac * wy) for wy in (0.8, 1.0) for frac in (0.3, 0.9)]
+        states = [QuantumNumbers(n, m) for n, m in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))]
+        purities, deficits, orders = oracle._gram_purities(grid, states)
+        assert orders == [320] * 4
+        exact = purity._purities(grid, states)
+        for purity_row, deficit_row, exact_row in zip(purities, deficits, exact):
+            assert math.isnan(purity_row[bad]) and deficit_row[bad] > 1e-3
+            for k in set(range(6)) - {bad}:
+                assert deficit_row[k] < 1e-14
+                assert abs(purity_row[k] - exact_row[k]) <= 1e-12
+        check = {c.name: c for c in run_verification().checks}["marginal-purity-svd"]
+        assert not check.passed and math.isnan(check.max_deviation)
+        assert re.fullmatch(rf"omega_x=1.0 omega_y=0.8 epsilon={0.3 * 0.8} n=1 m=1 "
+                            r"unresolved at order 320: deficit 2\.\d{3}e-03", check.worst)
+
+    def test_one_stacked_grid_gives_each_couplings_purities(self):
+        # the stacked grid and one grid per coupling give the same bits, also where the
+        # couplings need different orders (24, 48 and 320 here)
+        grid = [SystemParams(1.0, wy, frac * wy) for wy in (0.8, 1.0) for frac in (0.3, 0.9)]
+        grid.append(SystemParams(1.0, 0.8, 0.9999 * 0.8))
+        states = [QuantumNumbers(n, m) for n, m in ((0, 0), (1, 1), (2, 1), (6, 6))]
+        table = oracle._gram_purities(grid, states)
+        assert table[2] == [24, 48, 24, 48, 320]
+        for k, params in enumerate(grid):
+            single = oracle._gram_purities([params], states)
+            assert [column[k] for column in table] == [row[0] for row in single], params

@@ -65,7 +65,7 @@ class TestEigenfunction:
         vx, vy = MODES.vartheta_x, MODES.vartheta_y
         big_x, big_y = np.linspace(-5.0, 5.0, 23)[:, None], np.linspace(-4.0, 6.0, 19)[None, :]
         states = [QuantumNumbers(n, m) for n, m in ((0, 0), (3, 1), (1, 0), (0, 7), (8, 8), (2, 2))]
-        table = eigenfunctions(MODES, states, big_x, big_y)
+        table = eigenfunctions(vx, vy, states, big_x, big_y)
         assert table.shape == (len(states), 23, 19)
         for q, got in zip(states, table):
             single = eigenfunction(MODES, q, big_x, big_y)
@@ -75,7 +75,7 @@ class TestEigenfunction:
             assert got.tobytes() == product.tobytes(), q
         point = eigenfunction(MODES, QuantumNumbers(2, 1), 0.3, -0.4)
         assert type(point) is float
-        assert point == eigenfunctions(MODES, [QuantumNumbers(2, 1)], 0.3, -0.4)[0]
+        assert point == eigenfunctions(vx, vy, [QuantumNumbers(2, 1)], 0.3, -0.4)[0]
 
 
 class TestRotation:
