@@ -281,6 +281,7 @@ def _lab_samples(modes: list[NormalModes], states: list[QuantumNumbers]
 def _schmidt(params: SystemParams, states: list[QuantumNumbers]) -> list[SchmidtOracleResult]:
     """``schmidt_oracle`` for each state: one lab grid and one stacked SVD."""
     ((_, (amps,), (deficits,)),) = _lab_samples([model.diagonalize(params)], states)
+    deficits = deficits.tolist()
     for q, deficit in zip(states, deficits):
         if not deficit < _RESOLVED:
             raise RuntimeError(f"({q.n}, {q.m}) unresolved at order {amps.shape[-1]}: "
@@ -288,7 +289,7 @@ def _schmidt(params: SystemParams, states: list[QuantumNumbers]) -> list[Schmidt
     svs = np.linalg.svd(amps, compute_uv=False)
     svs /= np.sqrt(np.sum(svs * svs, axis=1, keepdims=True))
     results = []
-    for sv, deficit in zip(svs, deficits.tolist()):
+    for sv, deficit in zip(svs, deficits):
         lam = sv[sv > 1e-9] ** 2
         pur = float(np.sum(lam**2))
         vn = float(-np.sum(lam * np.log(lam)))
