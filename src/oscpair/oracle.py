@@ -21,7 +21,8 @@ check:
   function.
 
 Every rule comes from ``gauss_hermite``, which builds it in one pass of the
-Hermite-function recurrence, with no ``numpy.polynomial``.
+Hermite-function recurrence, ``wigner.hermite_functions``, with no
+``numpy.polynomial``.
 
 ``run_verification`` sweeps a built-in parameter grid through all checks
 and returns a machine-readable report; the CLI ``verify`` command wraps
@@ -33,7 +34,8 @@ one stacked lab grid, each state's purity from the Gram matrix of its samples,
 no SVD), the global-purity integral once per quantum number
 (``_global_purities``), and Makarov's weights once per total photon number
 ``n + m``, over all four mixings (``purity._makarov_weights``).
-``schmidt_oracle`` keeps the SVD, for the spectrum and the entropies.
+``schmidt_oracle`` samples one state on the same lab grids (``_lab_samples``) and
+takes one SVD, for the spectrum and the entropies.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ class QuadratureRule:
     ``2*len(nodes) - 1`` against the Gaussian weight exactly. ``flat_weights``,
     ``w exp(t^2)``, do the same for an integrand that carries the Gaussian
     itself, as the Wigner function does. They are built directly, and are finite
-    up to 765 nodes, past which ``psi_0`` underflows at the outermost nodes; from 729
-    nodes on it is subnormal there, and those nodes' flat weights lose digits.
+    up to 765 nodes, the most ``gauss_hermite`` builds: past that ``psi_0`` underflows at
+    the outermost nodes. From 729 nodes on it is subnormal there, and those nodes' flat
+    weights lose digits.
     ``weights`` may underflow to 0 at the outer nodes of a large rule, where
     ``exp(-t^2)`` does.
     """
@@ -78,22 +81,21 @@ class QuadratureRule:
 
 @lru_cache(maxsize=None)
 def gauss_hermite(order: int) -> QuadratureRule:
-    """The Gauss-Hermite rule of ``order`` nodes, from one pass of the Hermite-function recurrence.
+    """The Gauss-Hermite rule of ``order`` nodes; ``ValueError`` unless ``1 <= order <= 765``.
 
     The nodes are the eigenvalues of the symmetric Jacobi matrix of the Hermite
     polynomials, whose off-diagonal is ``sqrt(k/2)`` (Golub and Welsch, Math. Comp. 23,
-    221 (1969)). One pass of the orthonormal recurrence gives ``psi_(N-1)`` and ``psi_N``
-    there; one Newton step on the zeros of ``psi_N`` refines each node, and ``psi_(N-1)``
-    is carried to it to first order, along ``psi_(N-1)' = t psi_(N-1) - sqrt(2N) psi_N``.
-    The flat weights are ``1 / (N psi_(N-1)(t)^2)``. Nodes and weights are symmetrized and
-    the weights scaled so that ``sum w = sqrt(pi)``, as numpy's ``hermgauss`` does.
+    221 (1969)). One pass of the orthonormal recurrence, ``wigner.hermite_functions``,
+    gives ``psi_(N-1)`` and ``psi_N`` there; one Newton step on the zeros of ``psi_N``
+    refines each node, and ``psi_(N-1)`` is carried to it to first order, along
+    ``psi_(N-1)' = t psi_(N-1) - sqrt(2N) psi_N``. The flat weights are
+    ``1 / (N psi_(N-1)(t)^2)``. Nodes and weights are symmetrized and the weights scaled
+    so that ``sum w = sqrt(pi)``, as numpy's ``hermgauss`` does.
     """
-    if order < 1:
-        raise ValueError(f"rule order must be positive, got {order}")
+    if not 1 <= order <= 765:  # past 765 nodes psi_0 underflows at the outermost nodes
+        raise ValueError(f"rule order must be between 1 and 765, got {order}")
     t = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1.0, order)), -1))
-    prev, cur = np.zeros(order), math.pi**-0.25 * np.exp(-0.5 * t * t)
-    for k in range(order):  # psi_(k+1) = sqrt(2/(k+1)) t psi_k - sqrt(k/(k+1)) psi_(k-1)
-        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * t * cur - math.sqrt(k / (k + 1.0)) * prev
+    prev, cur = wigner.hermite_functions(order, t)[-2:]
     root = math.sqrt(2.0 * order)
     step = cur / (root * prev)  # psi_N / psi_N' at a zero of psi_N
     prev -= step * (t * prev - root * cur)
@@ -229,7 +231,7 @@ class SchmidtOracleResult:
     norm_deficit: float
 
 
-# Gauss-Hermite orders tried per axis; the flat weights would hold up to 765 nodes
+# Gauss-Hermite orders tried per axis; gauss_hermite builds rules of up to 765 nodes
 _ORDERS = (24, 48, 96, 192, 320)
 # a state's lab grid resolves it when its norm deficit is below this
 _RESOLVED = 1e-14
@@ -278,29 +280,20 @@ def _lab_samples(modes: list[NormalModes], states: list[QuantumNumbers]
             return groups
 
 
-def _schmidt(params: SystemParams, states: list[QuantumNumbers]) -> list[SchmidtOracleResult]:
-    """``schmidt_oracle`` for each state: one lab grid and one stacked SVD."""
-    ((_, (amps,), (deficits,)),) = _lab_samples([model.diagonalize(params)], states)
-    deficits = deficits.tolist()
-    for q, deficit in zip(states, deficits):
-        if not deficit < _RESOLVED:
-            raise RuntimeError(f"({q.n}, {q.m}) unresolved at order {amps.shape[-1]}: "
-                               f"deficit {deficit:.3e}")
-    svs = np.linalg.svd(amps, compute_uv=False)
-    svs /= np.sqrt(np.sum(svs * svs, axis=1, keepdims=True))
-    results = []
-    for sv, deficit in zip(svs, deficits):
-        lam = sv[sv > 1e-9] ** 2
-        pur = float(np.sum(lam**2))
-        vn = float(-np.sum(lam * np.log(lam)))
-        results.append(SchmidtOracleResult(singular_values=sv, purity=pur, linear_entropy=1.0 - pur,
-                                           von_neumann=vn, norm_deficit=deficit))
-    return results
-
-
 def schmidt_oracle(params: SystemParams, nm: QuantumNumbers) -> SchmidtOracleResult:
     """Schmidt coefficients of ``Psi_(n, m)`` for ``n, m <= 64``; ``RuntimeError`` if unresolved."""
-    return _schmidt(params, [nm])[0]
+    ((_, amps, deficits),) = _lab_samples([model.diagonalize(params)], [nm])
+    deficit = float(deficits[0, 0])
+    if not deficit < _RESOLVED:
+        raise RuntimeError(f"({nm.n}, {nm.m}) unresolved at order {amps.shape[-1]}: "
+                           f"deficit {deficit:.3e}")
+    sv = np.linalg.svd(amps[0, 0], compute_uv=False)
+    sv /= np.sqrt(np.sum(sv * sv))
+    lam = sv[sv > 1e-9] ** 2
+    pur = float(np.sum(lam**2))
+    vn = float(-np.sum(lam * np.log(lam)))
+    return SchmidtOracleResult(singular_values=sv, purity=pur, linear_entropy=1.0 - pur,
+                               von_neumann=vn, norm_deficit=deficit)
 
 
 def _gram_purities(couplings: list[SystemParams], states: list[QuantumNumbers]

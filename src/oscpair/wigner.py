@@ -10,7 +10,8 @@ are obtained by rotating the phase-space point and evaluating the
 separable form, so the two paths agree identically by construction; the
 explicit lab-frame formula is kept as a cross-check identity in the test
 suite. All evaluators broadcast over numpy arrays. The Hermite and Laguerre
-recurrences behind them, and the degree cap ``DEGREE_CAP``, live here too.
+recurrences behind them live here too; ``DEGREE_CAP`` caps the quantum numbers of
+``eigenfunctions`` and the degree of ``laguerre``, not ``hermite_functions``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .model import NormalModes, QuantumNumbers
 
-#: Degree cap bounding factorial growth in normalizations and binomials.
+#: Degree cap of ``eigenfunctions``, ``laguerre`` and ``specfun``'s reference polynomials.
 DEGREE_CAP = 64
 
 
@@ -38,9 +39,9 @@ def hermite_functions(top: int, x) -> np.ndarray:
 
     Row ``n`` of the result holds degree ``n`` over the shape of ``x``. Evaluated
     by the normalized recurrence, which keeps values O(1) even where the bare
-    polynomial overflows against the Gaussian tail.
+    polynomial overflows against the Gaussian tail. ``top`` has no cap:
+    ``oracle.gauss_hermite`` runs it to the order of its rule.
     """
-    _check_degree(top)
     x = np.asarray(x, dtype=float)
     f = np.empty((top + 1,) + x.shape)
     f[0] = np.exp(-0.5 * x * x) * math.pi ** -0.25
@@ -124,12 +125,15 @@ def eigenfunctions(vartheta_x, vartheta_y, states: list[QuantumNumbers], X, Y) -
     frequencies ``vartheta_x`` and ``vartheta_y``: numbers, or arrays that broadcast
     against ``X`` and ``Y`` (one frequency per coupling of a stacked grid). Each mode's
     Hermite recurrence runs once, up to the largest quantum number of that mode among
-    ``states``. The result's first axis runs over ``states``, the others over the
-    broadcast shape.
+    ``states``, which ``DEGREE_CAP`` bounds. The frequencies go through numpy as arrays,
+    so a number and a one-element array give the same bits. The result's first axis runs
+    over ``states``, the others over the broadcast shape.
     """
     top_n, top_m = max(q.n for q in states), max(q.m for q in states)
-    fx = vartheta_x**0.25 * hermite_functions(top_n, np.sqrt(vartheta_x) * np.asarray(X, float))
-    fy = vartheta_y**0.25 * hermite_functions(top_m, np.sqrt(vartheta_y) * np.asarray(Y, float))
+    _check_degree(max(top_n, top_m))
+    vx, vy = np.asarray(vartheta_x, float), np.asarray(vartheta_y, float)
+    fx = vx**0.25 * hermite_functions(top_n, np.sqrt(vx) * np.asarray(X, float))
+    fy = vy**0.25 * hermite_functions(top_m, np.sqrt(vy) * np.asarray(Y, float))
     return np.stack([fx[q.n] * fy[q.m] for q in states])
 
 
