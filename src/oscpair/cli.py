@@ -11,7 +11,7 @@ CSV text from ``_g17``.
 
 This module loads ``model`` alone, and each command imports the layers it
 runs when it runs: ``moments`` imports ``moments``, ``steering-scan``
-imports ``steering`` (which loads ``moments``), and ``wigner-eval``,
+imports ``steering`` (and ``moments`` for its first record), and ``wigner-eval``,
 ``purity-scan`` and ``verify`` import ``wigner``, ``purity`` or ``oracle``
 (and numpy with them; ``oracle`` loads the other layers). ``json`` is imported
 where JSON is written. ``spectrum``, ``moments`` and ``steering-scan``

@@ -1,19 +1,17 @@
 """Closed-form phase-space moments and ladder correlators of the stationary states.
 
-Second and fourth moments of the lab-frame quadratures follow from the
-separable normal-mode state by rotating the quadrature operators, written
-in the exact weights ``c2, s2, sc`` of :func:`model.diagonalize`. Every
-entry is validated against the exact Gauss-Hermite quadrature oracle.
-
-The ladder correlators come from the Bogoliubov expansion of ``a_x`` and
-``a_y`` instead: a normal mode of frequency ``v`` with ``k`` quanta enters
-``a`` of the lab frequency ``w`` as ``U A + V A^dag``, ``U, V = (w +/- v) /
-(2 sqrt(wv))``, with rotation weights ``(c, -s)`` in ``a_x`` and ``(s, c)``
-in ``a_y``. ``V`` is ``(w^2 - v^2) / ((w + v) 2 sqrt(wv))``, with the gap
-``w^2 - v^2`` from :func:`model.diagonalize`, so a small ``V`` keeps its
-relative accuracy. Occupations are sums of non-negative terms, and ``<Nx Ny>``
-is its Wick part plus the Fock-state fourth cumulant ``-k(k+1)`` of each mode,
-so no terms of order one cancel in floating point at weak coupling.
+At each coupling every closed form here is a fixed polynomial in ``(n, m)``.
+:func:`_closed_forms` computes the coefficients, plain floats, once per
+``SystemParams`` object, which keeps them as its record next to
+:func:`model.diagonalize`'s; each public function evaluates them for one state.
+The quadrature moments rotate the separable normal-mode state by the weights
+of :func:`model.diagonalize`. The ladder correlators, and the steering
+witnesses of :mod:`oscpair.steering`, come from the Bogoliubov expansion ``U A
++ V A^dag`` of ``a_x`` and ``a_y`` over the normal modes. No coefficient
+subtracts terms of order one: each small factor (``vx - vy = D / (vx + vy)``,
+``cos 2theta = (wx^2 - wy^2) / D``, the gaps in ``V``) is written out, so
+ground states and weak couplings keep their relative accuracy. README
+"Numerical conventions" gives each form and its accuracy.
 """
 
 from __future__ import annotations
@@ -63,35 +61,98 @@ class LadderMoments(NamedTuple):
     cross_mag_sq: float
 
 
+class _ClosedForms(NamedTuple):
+    """One coupling's coefficients; the function that reads each group says how."""
+
+    moments: tuple[float, ...]
+    ladder: tuple[float, ...]
+    witness: tuple[float, ...]
+
+
+def _closed_forms(params: SystemParams) -> _ClosedForms:
+    """Every coefficient at ``params``; read it as ``params._closed_forms``."""
+    modes = model.diagonalize(params)
+    wx, wy, eps = params.omega_x, params.omega_y, params.epsilon
+    vx, vy, c2, s2, sc = modes.vartheta_x, modes.vartheta_y, modes.c2, modes.s2, modes.sc
+    s2c2, delta = sc * sc, (wx - wy) * (wx + wy)
+    disc = math.hypot(delta, 2.0 * eps)  # vx^2 - vy^2
+    # c2 - s2, exactly 0 at resonance, and vx - vy
+    cos2, split = (delta / disc if disc else 0.0), disc / (vx + vy)
+    square = 0.25 * cos2 * cos2
+    moments = (0.5 * c2 / vx, 0.5 * s2 / vy, 0.5 * s2 / vx, 0.5 * c2 / vy,
+               0.5 * c2 * vx, 0.5 * s2 * vy, 0.5 * s2 * vx, 0.5 * c2 * vy,
+               sc / vx, sc / vy, 0.5 * sc * split / (vx * vy), sc * vx, sc * vy, 0.5 * sc * split,
+               0.5 * s2c2 / (vx * vx), 0.5 * s2c2 / (vy * vy), square / (vx * vy),
+               0.5 * s2c2 * vx * vx, 0.5 * s2c2 * vy * vy, square * vx * vy, 0.5 * s2c2,
+               0.25 * (s2 * s2 * vx / vy + c2 * c2 * vy / vx),
+               0.25 * (s2 * s2 * vy / vx + c2 * c2 * vx / vy))
+
+    def bogoliubov(w: float, v: float, gap: float) -> tuple[float, float, float]:
+        """``U, V, U^2 + V^2`` of the lab frequency ``w`` in the mode ``v``; ``gap = w^2 - v^2``."""
+        r = 2.0 * math.sqrt(w * v)
+        u, v = (w + v) / r, gap / ((w + v) * r)
+        return u, v, u * u + v * v
+
+    # a_x, a_y in the mode vx (V <= 0), then in the mode vy (V >= 0)
+    (u1, v1, e1), (u2, v2, e2) = bogoliubov(wx, vx, -modes.gap_x), bogoliubov(wy, vx, -modes.gap_y)
+    (u3, v3, e3), (u4, v4, e4) = bogoliubov(wx, vy, modes.gap_y), bogoliubov(wy, vy, modes.gap_x)
+    nx0, ny0 = c2 * v1 * v1 + s2 * v3 * v3, s2 * v2 * v2 + c2 * v4 * v4
+    nx_n, nx_m, ny_n, ny_m = c2 * e1, s2 * e3, s2 * e2, c2 * e4
+    root, g1, g2 = math.sqrt(wx * wy), u1 * u2 + v1 * v2, u3 * u4 + v3 * v4
+    cross0 = -sc * (split / (vx * vy)) * (eps / root) * (eps / (vx * vy + wx * wy)) / 4.0
+    # pair0 <= 0, pair_n <= 0, pair_m >= 0
+    pair0, pair_n, pair_m = sc * (u1 * v2 - u3 * v4), u1 * v2 + v1 * u2, u3 * v4 + v3 * u4
+    # <Nx Ny>'s nm coefficient c2^2 e1 e4 + s2^2 e2 e3 - 2 s2c2 (g1 g2 + pair_n pair_m) as
+    # non-negative terms, from e1 e4 - e2 e3 = -gaps and u1 v2 - v1 u2 = u3 v4 - v3 u4 = h
+    gaps, h = disc * delta / (4.0 * wx * wy * vx * vy), (wy - wx) / (2.0 * root)
+    diagonal, anti = math.sqrt(e1 * e4), math.sqrt(e2 * e3)
+    tilt = ((cos2 * e1 * e4 - s2 * s2 * gaps if delta >= 0.0 else cos2 * e2 * e3 - c2 * c2 * gaps)
+            / (c2 * diagonal + s2 * anti))  # c2 sqrt(e1 e4) - s2 sqrt(e2 e3)
+    ladder = (nx0, nx_n, nx_m, ny0, ny_n, ny_m, cross0, sc * g1, sc * g2,
+              s2c2 * (e1 * e2 + 2.0 * u1 * v1 * u2 * v2),
+              s2c2 * (e3 * e4 + 2.0 * u3 * v3 * u4 * v4),
+              tilt * tilt - 2.0 * s2c2 * pair_n * pair_m
+              + 2.0 * s2c2 * h * h * (g1 * g1 + g2 * g2 + h * h) / (diagonal * anti + g1 * g2),
+              nx0 * ny_n + nx_n * ny0 + 2.0 * (cross0 * sc * g1 + pair0 * sc * pair_n),
+              nx0 * ny_m + nx_m * ny0 - 2.0 * (cross0 * sc * g2 + pair0 * sc * pair_m),
+              nx0 * ny0 + cross0 * cross0 + pair0 * pair0)
+
+    def linear(c2, s2, cos2, v1, v2, e1, v3, v4, e2, uv, pair):
+        """One witness's linear coefficient: ``s2 cos2 / 2`` plus terms of one sign."""
+        return (0.5 * s2 * cos2 + s2 * (c2 * v1 * v1 - v2 * v2) - s2c2 * v2 * v2 * e1
+                + 2.0 * s2c2 * uv * pair - c2 * c2 * e1 * v4 * v4 - s2 * s2 * e2 * v3 * v3)
+
+    # kappa - (nx ny + |<a_x a_y>|^2 + ny/2) by monomial; swapping x and y maps S_xy to S_yx
+    common = nx0 * ny0 + pair0 * pair0
+    witness = (-s2c2 * (u1 * u1 * v2 * v2 + v1 * v1 * u2 * u2),
+               -s2c2 * (u3 * u3 * v4 * v4 + v3 * v3 * u4 * u4),
+               2.0 * s2c2 * pair_n * pair_m - (c2 * c2 * e1 * e4 + s2 * s2 * e2 * e3),
+               linear(c2, s2, cos2, v1, v2, e1, v3, v4, e2, u3 * v4, pair_n),
+               linear(s2, c2, -cos2, v3, v4, e3, v1, v2, e4, u1 * v2, pair_m),
+               0.0 - (common + 0.5 * ny0),
+               linear(s2, c2, -cos2, v2, v1, e2, v4, v3, e1, u4 * v3, pair_n),
+               linear(c2, s2, cos2, v4, v3, e4, v2, v1, e3, u2 * v1, pair_m),
+               0.0 - (common + 0.5 * nx0))
+    return _ClosedForms(moments, ladder, witness)
+
+
 def second_and_fourth_moments(params: SystemParams, nm: QuantumNumbers) -> MomentSet:
     """All ten closed-form moments of the state ``Psi_(n, m)``."""
-    modes = model.diagonalize(params)
-    vx, vy = modes.vartheta_x, modes.vartheta_y
-    s2, c2, sc = modes.s2, modes.c2, modes.sc
-    s2c2 = sc * sc
-
-    nn = 2 * nm.n + 1
-    mm = 2 * nm.m + 1
-    kn = 1 + 2 * nm.n * (1 + nm.n)
-    km = 1 + 2 * nm.m * (1 + nm.m)
-
-    xx = nn * c2 / (2.0 * vx) + mm * s2 / (2.0 * vy)
-    yy = nn * s2 / (2.0 * vx) + mm * c2 / (2.0 * vy)
-    pp = 0.5 * (nn * vx * c2 + mm * vy * s2)
-    qq = 0.5 * (nn * vx * s2 + mm * vy * c2)
-    xy = 0.5 * sc * (nn / vx - mm / vy)
-    pq = 0.5 * sc * (nn * vx - mm * vy)
-
-    xxyy = (3.0 * (km * vx * vx + kn * vy * vy) * s2c2
-            + nn * mm * vx * vy * (1.0 - 6.0 * s2c2)) / (4.0 * vx * vx * vy * vy)
-    ppqq = (3.0 * (km * vy * vy + kn * vx * vx) * s2c2
-            + nn * mm * vx * vy * (1.0 - 6.0 * s2c2)) / 4.0
-    quartic = nm.n * (nm.n + 1) + nm.m * (nm.m + 1) + 1
-    xxqq = 0.5 * quartic * s2c2 + nn * mm * (s2 * s2 * vx * vx + c2 * c2 * vy * vy) / (4.0 * vx * vy)
-    yypp = 0.5 * quartic * s2c2 + nn * mm * (s2 * s2 * vy * vy + c2 * c2 * vx * vx) / (4.0 * vx * vy)
-
-    return MomentSet(xx=xx, yy=yy, pp=pp, qq=qq, xy=xy, pq=pq,
-                     xxyy=xxyy, ppqq=ppqq, xxqq=xxqq, yypp=yypp)
+    (xx_n, xx_m, yy_n, yy_m, pp_n, pp_m, qq_n, qq_m, xy_x, xy_y, xy_split, pq_x, pq_y, pq_split,
+     xxyy_n, xxyy_m, xxyy_nm, ppqq_n, ppqq_m, ppqq_nm, quartic, xxqq, yypp) = \
+        params._closed_forms.moments
+    n, m = nm.n, nm.m
+    nn, mm, kn, km = 2 * n + 1, 2 * m + 1, n * (n + 1) + 1, m * (m + 1) + 1
+    if n >= m:  # at n = m only the split terms are left
+        xy, pq = xy_x * (n - m) - xy_split * mm, pq_x * (n - m) + pq_split * mm
+    else:
+        xy, pq = xy_y * (n - m) - xy_split * nn, pq_y * (n - m) + pq_split * nn
+    return MomentSet(xx=xx_n * nn + xx_m * mm, yy=yy_n * nn + yy_m * mm,
+                     pp=pp_n * nn + pp_m * mm, qq=qq_n * nn + qq_m * mm, xy=xy, pq=pq,
+                     xxyy=xxyy_n * kn + xxyy_m * km + xy * xy + xxyy_nm * (nn * mm),
+                     ppqq=ppqq_n * kn + ppqq_m * km + pq * pq + ppqq_nm * (nn * mm),
+                     xxqq=quartic * (kn + km - 1) + xxqq * (nn * mm),
+                     yypp=quartic * (kn + km - 1) + yypp * (nn * mm))
 
 
 def uncertainty_areas(params: SystemParams, nm: QuantumNumbers) -> tuple[float, float]:
@@ -101,32 +162,10 @@ def uncertainty_areas(params: SystemParams, nm: QuantumNumbers) -> tuple[float, 
     stationary states, so the areas are square roots of moment products.
     At resonance (``mu = 1``) the two areas coincide for every state.
     """
-    ms = second_and_fourth_moments(params, nm)
-    return math.sqrt(ms.xx * ms.pp), math.sqrt(ms.yy * ms.qq)
-
-
-def _bogoliubov(params: SystemParams, nm: QuantumNumbers) -> tuple[float, ...]:
-    """``(nx, ny, <a_x a_y^dag>, <a_x a_y>, kappa)``, ``-kappa`` the fourth cumulant of ``Nx Ny``.
-
-    ``ux, vx`` and ``uy, vy`` are ``U, V`` of ``a_x`` and ``a_y`` for each normal mode,
-    and ``gx, gy`` its gaps ``wx^2 - v^2`` and ``wy^2 - v^2``.
-    """
-    modes = model.diagonalize(params)
-    wx, wy = params.omega_x, params.omega_y
-    nx = ny = cross = pair = kappa = 0.0
-    for v, k, rx2, ry2, rxy, gx, gy in (
-            (modes.vartheta_x, nm.n, modes.c2, modes.s2, modes.sc, -modes.gap_x, -modes.gap_y),
-            (modes.vartheta_y, nm.m, modes.s2, modes.c2, -modes.sc, modes.gap_y, modes.gap_x)):
-        rx, ry = 2.0 * math.sqrt(wx * v), 2.0 * math.sqrt(wy * v)
-        ux, vx = (wx + v) / rx, gx / ((wx + v) * rx)
-        uy, vy = (wy + v) / ry, gy / ((wy + v) * ry)
-        nx += rx2 * (ux * ux * k + vx * vx * (k + 1))
-        ny += ry2 * (uy * uy * k + vy * vy * (k + 1))
-        cross += rxy * (ux * uy * (k + 1) + vx * vy * k)
-        pair += rxy * (ux * vy * (k + 1) + vx * uy * k)
-        kappa += rx2 * ry2 * k * (k + 1) * ((ux * ux + vx * vx) * (uy * uy + vy * vy)
-                                            + 2.0 * ux * vx * uy * vy)
-    return nx, ny, cross, pair, kappa
+    xx_n, xx_m, yy_n, yy_m, pp_n, pp_m, qq_n, qq_m = params._closed_forms.moments[:8]
+    nn, mm = 2 * nm.n + 1, 2 * nm.m + 1
+    return (math.sqrt((xx_n * nn + xx_m * mm) * (pp_n * nn + pp_m * mm)),
+            math.sqrt((yy_n * nn + yy_m * mm) * (qq_n * nn + qq_m * mm)))
 
 
 def excitation_numbers(params: SystemParams, nm: QuantumNumbers) -> ExcitationNumbers:
@@ -135,12 +174,19 @@ def excitation_numbers(params: SystemParams, nm: QuantumNumbers) -> ExcitationNu
     ``V^2 (k+1)`` is nonzero whenever the normal and bare frequencies
     differ; that is why the coupled ground state is populated.
     """
-    nx, ny, *_ = _bogoliubov(params, nm)
-    return ExcitationNumbers(nx=nx, ny=ny)
+    nx0, nx_n, nx_m, ny0, ny_n, ny_m = params._closed_forms.ladder[:6]
+    return ExcitationNumbers(nx=nx0 + nx_n * nm.n + nx_m * nm.m, ny=ny0 + ny_n * nm.n + ny_m * nm.m)
 
 
 def ladder_moments(params: SystemParams, nm: QuantumNumbers) -> LadderMoments:
     """Correlators ``<Nx>``, ``<Ny>``, ``<Nx Ny>`` and ``|<a_x a_y^dag>|^2``."""
-    nx, ny, cross, pair, kappa = _bogoliubov(params, nm)
-    return LadderMoments(nx=nx, ny=ny, nxny=nx * ny + cross * cross + pair * pair - kappa,
+    (nx0, nx_n, nx_m, ny0, ny_n, ny_m, cross0, cross_n, cross_m,
+     nxny_nn, nxny_mm, nxny_nm, nxny_n, nxny_m, nxny0) = params._closed_forms.ladder
+    n, m = nm.n, nm.m
+    # cross0 + cross_n n - cross_m m with cross_n - cross_m = 2 cross0 <= 0: one sign for n <= m
+    cross = (cross0 * (2 * m + 1) + cross_n * (n - m) if n > m
+             else cross0 * (2 * n + 1) + cross_m * (n - m))
+    nxny = (nxny_nn * (n * (n - 1)) + nxny_mm * (m * (m - 1)) + nxny_nm * (n * m)
+            + nxny_n * n + nxny_m * m + nxny0)
+    return LadderMoments(nx=nx0 + nx_n * n + nx_m * m, ny=ny0 + ny_n * n + ny_m * m, nxny=nxny,
                          cross_mag_sq=cross * cross)

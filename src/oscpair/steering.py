@@ -10,26 +10,25 @@ weak-coupling closed form below identically and is pinned by the
 cross-validation tests. The pre-clamp values are kept on the result for
 diagnostics (steering onset thresholds sit where they cross zero).
 
-Every state is a Fock state of the normal modes, so ``<Nx Ny>`` is its
-Wick part ``nx ny + |<a_x a_y^dag>|^2 + |<a_x a_y>|^2`` minus the cumulant
-``kappa`` of :func:`moments._bogoliubov`. The cross term cancels
+Every state is a Fock state of the normal modes, so the cross term cancels
 symbolically and the raw witness is ``kappa - (nx ny + |<a_x a_y>|^2 +
-ny/2)``: no O(1) terms cancel in floating point, so it keeps its relative
-accuracy at weak coupling. In the ground state ``kappa = 0`` and the
-witness is a negated sum of non-negative terms, which roundoff cannot
-lift above zero.
+ny/2)``, ``kappa`` the Fock cumulant of ``<Nx Ny>``. At each coupling it is
+a quadratic in ``(n, m)`` whose six coefficients :mod:`oscpair.moments`
+keeps on the ``SystemParams`` object: those of ``n^2``, ``m^2``, ``nm`` and
+``1`` are negated sums of non-negative terms, and those of ``n`` and ``m``
+are ``s2 cos(2 theta) / 2`` and ``-c2 cos(2 theta) / 2`` plus terms of one
+sign, with ``cos 2theta = (wx^2 - wy^2) / D`` exactly 0 at resonance.
 
 For these stationary states steering is maximally asymmetric (at most one
 direction is nonzero), resonant oscillators never steer, and a ground
-state never steers anything. At weak resonant coupling the first two hold
-to 2e-15: roundoff in its O(n^2) terms sets the sign of an O(eps^2) witness.
+state never steers anything. At resonance and in the ground state every
+coefficient is non-positive, so roundoff cannot lift the witness above zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import moments
 from .model import QuantumNumbers, SystemParams
 
 
@@ -46,12 +45,13 @@ class SteeringResult:
 
 def steering(params: SystemParams, nm: QuantumNumbers) -> SteeringResult:
     """Steering in both directions for the state ``Psi_(n, m)``."""
-    nx, ny, _, pair, kappa = moments._bogoliubov(params, nm)
-    common = nx * ny + pair * pair
-    # kappa is +0.0 in the ground state, so a vanishing witness is +0.0, and so is its clamp
-    raw_xy, raw_yx = kappa - (common + 0.5 * ny), kappa - (common + 0.5 * nx)
-    s_xy = max(raw_xy, 0.0)
-    s_yx = max(raw_yx, 0.0)
+    c_nn, c_mm, c_nm, xy_n, xy_m, raw_xy, yx_n, yx_m, raw_yx = params._closed_forms.witness
+    n, m = nm.n, nm.m
+    quadratic = (c_nn * n + c_nm * m) * n + c_mm * m * m
+    # the constants are +0.0 where they vanish, so a vanishing witness is +0.0, and so is its clamp
+    raw_xy += xy_n * n + xy_m * m + quadratic
+    raw_yx += yx_n * n + yx_m * m + quadratic
+    s_xy, s_yx = max(raw_xy, 0.0), max(raw_yx, 0.0)
     return SteeringResult(s_xy=s_xy, s_yx=s_yx, delta=abs(s_xy - s_yx),
                           s_xy_raw=raw_xy, s_yx_raw=raw_yx)
 
@@ -65,10 +65,8 @@ def steering_weak_general(nm: QuantumNumbers, mu: float) -> float:
     ``n mu^2 (1 - mu^2) / (2 (1+mu^2)^2)``, which vanishes at both
     decoupling (``mu = 0``) and resonance (``mu = 1``).
 
-    It holds at weak coupling near resonance only. Far from resonance the
-    exact witness can be negative where this form is positive: at
-    ``(1, 0.1, 1e-4)`` the exact (1, 0) ``s_xy_raw`` is -8.8e-8, so
-    ``s_xy = 0``, while this form gives 5.1e-9.
+    It holds at weak coupling near resonance only; README gives a state
+    where the exact witness is negative and this form positive.
 
     ``mu = inf``, which :func:`model.diagonalize` reports at ``epsilon = 0``
     with ``omega_x < omega_y``, is the decoupled limit 0, and so is every
@@ -93,7 +91,6 @@ def selection_rules(nm: QuantumNumbers) -> tuple[bool, bool]:
     other direction. Two excited oscillators cannot steer each other.
 
     Like :func:`steering_weak_general`, these hold at weak coupling near
-    resonance only: at ``(1, 0.1, 1e-4)`` the state (1, 0) has ``s_xy = 0``,
-    yet the rules say ``x`` steers ``y``.
+    resonance only.
     """
     return (nm.n != 0 and nm.m == 0, nm.m != 0 and nm.n == 0)

@@ -130,6 +130,31 @@ def test_ladder_correlators_within_the_occupation_scale():
     assert worst[0] <= 2e-15, worst
 
 
+def test_ladder_correlators_and_witnesses_keep_relative_accuracy():
+    # relative to each value itself wherever it is a normal float, on the grid plus three
+    # couplings of order one down to 1e-8 of the bound: no closed form subtracts terms of
+    # order one. The moment route cancels them down to eps^2, two digits per decade of eps,
+    # and a value below its last 20 digits (an exact 0 at eps = 0) is left out
+    extra = [(1.0, wy, f * wy) for wy in (0.8, 0.1, 1.0) for f in FRACTIONS + (1 - 1e-8,)]
+    errors = []
+    for (wx, wy, eps), (n, m) in itertools.product(POINTS + extra, STATES):
+        params, nm = SystemParams(wx, wy, eps), QuantumNumbers(n, m)
+        lm, res = ladder_moments(params, nm), steering(params, nm)
+        digits = 150 + (2 * max(0, -math.floor(math.log10(eps / (wx * wy)))) if eps else 0)
+        with mp.workdps(digits):
+            nx, ny, nxny, cross = ladder(wx, wy, eps, n, m, digits)
+            floor = max(sys.float_info.min, mp.mpf(10) ** (20 - digits) * (nx + 1) * (ny + 1))
+            for name, got, want in (
+                    ("nx", lm.nx, nx), ("ny", lm.ny, ny), ("nxny", lm.nxny, nxny),
+                    ("cross_mag_sq", lm.cross_mag_sq, cross**2),
+                    ("s_xy_raw", res.s_xy_raw, cross**2 - (nxny + ny / 2)),
+                    ("s_yx_raw", res.s_yx_raw, cross**2 - (nxny + nx / 2))):
+                if abs(want) >= floor:
+                    errors.append((abs(got - want) / abs(want), (wx, wy, eps, n, m, name)))
+    worst = _worst(errors)
+    assert worst[0] <= 2e-15, worst
+
+
 def test_decoupled_states_are_pure_off_resonance():
     # 1.6e-15 measured on the decades and 2.2e-16 at the three points between them; the
     # worst of 41 log-spaced omega_y in [0.01, 100] is 2.9e-15, (3,8) at 0.501

@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oscpair import (PhasePoint, QuantumNumbers, SystemParams, cutoff_angle, diagonalize, energy,
-                     purity_exact, second_and_fourth_moments, steering, wigner_lab)
-from oscpair import model, run_verification
+                     ladder_moments, purity_exact, second_and_fourth_moments, steering, wigner_lab)
+from oscpair import model, moments, run_verification
 from oscpair.cli import main
 from oscpair.model import FREQUENCY_RANGE
 
@@ -198,25 +198,50 @@ class TestCouplingRecord:
         assert astuple(params) == (1.0, 0.8, 0.5)
         assert [f.name for f in dataclasses.fields(params)] == ["omega_x", "omega_y", "epsilon"]
 
-    def test_verify_computes_once_per_coupling(self, computed):
+    @pytest.fixture
+    def closed(self, monkeypatch):
+        """The parameters of each closed-form record computed while the test runs."""
+        seen, compute = [], moments._closed_forms
+
+        def counted(params):
+            seen.append(params)
+            return compute(params)
+
+        monkeypatch.setattr(moments, "_closed_forms", counted)
+        return seen
+
+    def test_one_closed_form_record_per_object(self, computed, closed):
+        params, nm = SystemParams(1.0, 0.8, 0.5), QuantumNumbers(2, 1)
+        second_and_fourth_moments(params, nm), ladder_moments(params, nm), steering(params, nm)
+        assert closed == [params] and computed == [params]
+        assert params._closed_forms is params._closed_forms
+        # a new object, even an equal one, computes afresh
+        assert SystemParams(1.0, 0.8, 0.5)._closed_forms == params._closed_forms
+        assert len(closed) == 2
+
+    def test_verify_computes_once_per_coupling(self, computed, closed):
         # the four reference couplings, then the steering loops' 3 and 2
         assert run_verification().passed
-        assert len(computed) == 9
+        assert len(computed) == 9 and len(closed) == 9
         assert len({id(params) for params in computed}) == 9
+        assert {id(params) for params in closed} == {id(params) for params in computed}
 
-    def test_preset_sweep_computes_once_per_coupling(self, computed, monkeypatch):
+    def test_preset_sweep_computes_once_per_coupling(self, computed, closed, monkeypatch):
         argv = ["steering-scan", "--preset", "0.8"]
         cached = io.StringIO()
         with contextlib.redirect_stdout(cached):
             assert main(argv) == 0
-        assert len(computed) == 160
+        assert len(computed) == 160 and len(closed) == 160
         assert cached.getvalue().count("\n") == 1 + 1920
-        # every row recomputing its modes, as without the record, writes the same bytes
+        # every row recomputing its modes and its closed forms, as without the records,
+        # writes the same bytes
         monkeypatch.setattr(model, "diagonalize", lambda params: model._normal_modes(params))
+        monkeypatch.setattr(SystemParams, "_closed_forms",
+                            property(lambda params: moments._closed_forms(params)))
         fresh = io.StringIO()
         with contextlib.redirect_stdout(fresh):
             assert main(argv) == 0
-        assert len(computed) == 160 + 1920
+        assert len(computed) == 160 + 1920 and len(closed) == 160 + 1920
         assert fresh.getvalue() == cached.getvalue()
 
 

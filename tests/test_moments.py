@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,7 +15,7 @@ from oscpair import (
     uncertainty_areas,
 )
 from oscpair.oracle import ladder_oracle, moment_set_oracle
-from ladder_reference import ladder
+from ladder_reference import DPS, ladder, moments
 
 MOMENT_NAMES = ("xx", "yy", "pp", "qq", "xy", "pq", "xxyy", "ppqq", "xxqq", "yypp")
 
@@ -63,6 +64,20 @@ def test_symmetric_resonant_state_has_no_position_correlation():
     ms = second_and_fourth_moments(params, QuantumNumbers(2, 2))
     assert ms.xy == pytest.approx(0.0, abs=1e-8)
     assert ms.pq == pytest.approx(0.0, abs=1e-8)
+
+
+def test_ground_state_correlators_at_weak_resonant_coupling():
+    # each a difference of terms of order one, unless written through vx - vy = D / (vx + vy):
+    # <a_x a_y^dag> = -6.25e-26 read -2.2e-16 that way, and xy and pq read 0
+    params, nm = SystemParams(1.0, 1.0, 1e-8), QuantumNumbers(0, 0)
+    ms = second_and_fourth_moments(params, nm)
+    with mp.workdps(DPS):
+        want = moments(*map(mp.mpf, (1.0, 1.0, 1e-8)), 0, 0)
+        cross = ladder(1.0, 1.0, 1e-8, 0, 0)[3]
+    assert abs(ms.xy - want["xy"]) <= 1e-15 * abs(want["xy"])
+    assert abs(ms.pq - want["pq"]) <= 1e-15 * abs(want["pq"])
+    assert abs(ladder_moments(params, nm).cross_mag_sq - cross**2) <= 2e-14 * cross**2
+    assert float(cross) == pytest.approx(-6.25e-26, rel=1e-14)
 
 
 @pytest.mark.parametrize("params", GRID)
