@@ -37,7 +37,7 @@ GOLDEN = [
      0, "51214a4198b09a7fdf9622b788da672aac10aefc956361264d8b8658e3864839",
      _warn_eps(["0.9"], "0.8")),
     (["moments", "--omega-y", "0.8", "--epsilon", "0.5", "--n", "2", "--m", "1"],
-     0, "d18e1f7b44f7a4bfb74be328740401c5995d01fbaf1a78f844404b89e308fb0d", ""),
+     0, "e6d95ef6d957f5c11c100d7c6b6e633eb8bbe9086c2a83af43b6a75d1053d32e", ""),
     (["wigner-eval", "--omega-y", "1", "--epsilon", "0.5", "--n", "1", "--m", "0",
       "--x=-2:2:41", "--p=-2:2:41"],
      0, "c16b799bf0393e53926837b35914d524da30e94a23bf14f8a62113ddefcab496", ""),
@@ -60,25 +60,25 @@ GOLDEN = [
      0, "abff6a1d53169a9857b7fce8cacc4f9425c9e5e219f93e0813cdb33636ec314f", ""),
     (["steering-scan", "--omega-y", "0.8", "--epsilon", "0:0.9:7", "--n-max", "3",
       "--m-max", "3"],
-     0, "95840596c3a76064283476d8c2e164c9cb9382b293490dfd615933a456cc05a4",
+     0, "7f32d6f39f33582e1a7136d8549bbcda835ae0278a9eac601593928c257b4c29",
      _warn_eps(["0.9"], "0.8")),
     (["steering-scan", "--preset", "0.8"],
-     0, "d6bc34b352d69c458f7fbe6947adaf6fcd2b29fa99e992de61a9836671502011", ""),
+     0, "032adaf27939790ca28f7ced5bdfe64ed3bad22360c1e771abedd7d2a4e2aeaa", ""),
     (["steering-scan", "--preset", "0.6", "--steps", "5", "--format", "json"],
-     0, "68c61b38e976ca9ee889d95dce728340eaf1038d48f070be045ccf3c330d8db1", ""),
+     0, "3b0186df99db1c844171337a41e4dd8ba48a1d3f2d90133e247cd954c909f94f", ""),
     # the JSON side of the r table
     (["spectrum", "--r-scan=0.5:2:4", "--format", "json"],
      0, "7ba4679d89958510c513ea297c55d323242bd3b7c94aeeab8348337b555251d2", ""),
     # a preset sweep with non-default state and epsilon counts
     (["steering-scan", "--preset", "0.99", "--n-max", "2", "--steps", "7"],
-     0, "2eeb3f20808f6629df21609664a214397b81bf00386d5e556dcc803300c5487d", ""),
+     0, "0cbcdb48de2aebc06d524c15ab35e7afcdb41f99b96fb36c6427b3677be8e52c", ""),
     # JSON tables of many blocks: the 11^4 (6,6) grid (14,641 records) and the
     # 0.8 preset sweep (1,920 records)
     (["wigner-eval", "--omega-y", "0.8", "--epsilon", "0.76", "--n", "6", "--m", "6"] + GRID_11
      + ["--format", "json"],
      0, "8d59f20da08033ec3e82cd8a4da3249ba3752e2021c1dfceafd0f21a95ae0650", ""),
     (["steering-scan", "--preset", "0.8", "--format", "json"],
-     0, "c154ad1f20f81e0863c67e9ebc3a25eb67c0a4b771e8a179fbac41e4979ff1f0", ""),
+     0, "4e01c34af0a273a0172f41cf4a6e0f79af06c11e09cbe0d6c44a9959a3c5b5e5", ""),
     # every r skipped: the header alone
     (["spectrum", "--r-scan=-1:0:3"], 0,
      "620459d2f35fbcf247cdb00012167c52291abf157103a07fad24a490e1359443",
