@@ -87,15 +87,13 @@ def _closed_forms(params: SystemParams) -> _ClosedForms:
                0.25 * (s2 * s2 * vx / vy + c2 * c2 * vy / vx),
                0.25 * (s2 * s2 * vy / vx + c2 * c2 * vx / vy))
 
-    def bogoliubov(w: float, v: float, gap: float) -> tuple[float, float, float]:
-        """``U, V, U^2 + V^2`` of the lab frequency ``w`` in the mode ``v``; ``gap = w^2 - v^2``."""
-        r = 2.0 * math.sqrt(w * v)
-        u, v = (w + v) / r, gap / ((w + v) * r)
-        return u, v, u * u + v * v
-
-    # a_x, a_y in the mode vx (V <= 0), then in the mode vy (V >= 0)
-    (u1, v1, e1), (u2, v2, e2) = bogoliubov(wx, vx, -modes.gap_x), bogoliubov(wy, vx, -modes.gap_y)
-    (u3, v3, e3), (u4, v4, e4) = bogoliubov(wx, vy, modes.gap_y), bogoliubov(wy, vy, modes.gap_x)
+    # U, V and U^2 + V^2 of a_x, a_y in the mode vx (V <= 0), then in the mode vy (V >= 0)
+    r1, r2, r3, r4 = (2.0 * math.sqrt(wx * vx), 2.0 * math.sqrt(wy * vx),
+                      2.0 * math.sqrt(wx * vy), 2.0 * math.sqrt(wy * vy))
+    u1, u2, u3, u4 = (wx + vx) / r1, (wy + vx) / r2, (wx + vy) / r3, (wy + vy) / r4
+    v1, v2 = -modes.gap_x / ((wx + vx) * r1), -modes.gap_y / ((wy + vx) * r2)
+    v3, v4 = modes.gap_y / ((wx + vy) * r3), modes.gap_x / ((wy + vy) * r4)
+    e1, e2, e3, e4 = u1 * u1 + v1 * v1, u2 * u2 + v2 * v2, u3 * u3 + v3 * v3, u4 * u4 + v4 * v4
     nx0, ny0 = c2 * v1 * v1 + s2 * v3 * v3, s2 * v2 * v2 + c2 * v4 * v4
     nx_n, nx_m, ny_n, ny_m = c2 * e1, s2 * e3, s2 * e2, c2 * e4
     root, g1, g2 = math.sqrt(wx * wy), u1 * u2 + v1 * v2, u3 * u4 + v3 * v4
@@ -117,21 +115,21 @@ def _closed_forms(params: SystemParams) -> _ClosedForms:
               nx0 * ny_m + nx_m * ny0 - 2.0 * (cross0 * sc * g2 + pair0 * sc * pair_m),
               nx0 * ny0 + cross0 * cross0 + pair0 * pair0)
 
-    def linear(c2, s2, cos2, v1, v2, e1, v3, v4, e2, uv, pair):
-        """One witness's linear coefficient: ``s2 cos2 / 2`` plus terms of one sign."""
-        return (0.5 * s2 * cos2 + s2 * (c2 * v1 * v1 - v2 * v2) - s2c2 * v2 * v2 * e1
-                + 2.0 * s2c2 * uv * pair - c2 * c2 * e1 * v4 * v4 - s2 * s2 * e2 * v3 * v3)
-
-    # kappa - (nx ny + |<a_x a_y>|^2 + ny/2) by monomial; swapping x and y maps S_xy to S_yx
-    common = nx0 * ny0 + pair0 * pair0
+    # kappa - (nx ny + |<a_x a_y>|^2 + ny/2) by monomial, and S_yx's with x and y swapped: each
+    # linear coefficient is +/- cos2 / 2 times a weight plus terms of one sign
+    common, sq = nx0 * ny0 + pair0 * pair0, s2c2 + s2c2
     witness = (-s2c2 * (u1 * u1 * v2 * v2 + v1 * v1 * u2 * u2),
                -s2c2 * (u3 * u3 * v4 * v4 + v3 * v3 * u4 * u4),
-               2.0 * s2c2 * pair_n * pair_m - (c2 * c2 * e1 * e4 + s2 * s2 * e2 * e3),
-               linear(c2, s2, cos2, v1, v2, e1, v3, v4, e2, u3 * v4, pair_n),
-               linear(s2, c2, -cos2, v3, v4, e3, v1, v2, e4, u1 * v2, pair_m),
+               sq * pair_n * pair_m - (c2 * c2 * e1 * e4 + s2 * s2 * e2 * e3),
+               (0.5 * s2 * cos2 + s2 * (c2 * v1 * v1 - v2 * v2) - s2c2 * v2 * v2 * e1
+                + sq * (u3 * v4) * pair_n - c2 * c2 * e1 * v4 * v4 - s2 * s2 * e2 * v3 * v3),
+               (-0.5 * c2 * cos2 + c2 * (s2 * v3 * v3 - v4 * v4) - s2c2 * v4 * v4 * e3
+                + sq * (u1 * v2) * pair_m - s2 * s2 * e3 * v2 * v2 - c2 * c2 * e4 * v1 * v1),
                0.0 - (common + 0.5 * ny0),
-               linear(s2, c2, -cos2, v2, v1, e2, v4, v3, e1, u4 * v3, pair_n),
-               linear(c2, s2, cos2, v4, v3, e4, v2, v1, e3, u2 * v1, pair_m),
+               (-0.5 * c2 * cos2 + c2 * (s2 * v2 * v2 - v1 * v1) - s2c2 * v1 * v1 * e2
+                + sq * (u4 * v3) * pair_n - s2 * s2 * e2 * v3 * v3 - c2 * c2 * e1 * v4 * v4),
+               (0.5 * s2 * cos2 + s2 * (c2 * v4 * v4 - v3 * v3) - s2c2 * v3 * v3 * e4
+                + sq * (u2 * v1) * pair_m - c2 * c2 * e4 * v1 * v1 - s2 * s2 * e3 * v2 * v2),
                0.0 - (common + 0.5 * nx0))
     return _ClosedForms(moments, ladder, witness)
 
@@ -147,12 +145,12 @@ def second_and_fourth_moments(params: SystemParams, nm: QuantumNumbers) -> Momen
         xy, pq = xy_x * (n - m) - xy_split * mm, pq_x * (n - m) + pq_split * mm
     else:
         xy, pq = xy_y * (n - m) - xy_split * nn, pq_y * (n - m) + pq_split * nn
-    return MomentSet(xx=xx_n * nn + xx_m * mm, yy=yy_n * nn + yy_m * mm,
-                     pp=pp_n * nn + pp_m * mm, qq=qq_n * nn + qq_m * mm, xy=xy, pq=pq,
-                     xxyy=xxyy_n * kn + xxyy_m * km + xy * xy + xxyy_nm * (nn * mm),
-                     ppqq=ppqq_n * kn + ppqq_m * km + pq * pq + ppqq_nm * (nn * mm),
-                     xxqq=quartic * (kn + km - 1) + xxqq * (nn * mm),
-                     yypp=quartic * (kn + km - 1) + yypp * (nn * mm))
+    return MomentSet(xx_n * nn + xx_m * mm, yy_n * nn + yy_m * mm,  # by position: the faster call
+                     pp_n * nn + pp_m * mm, qq_n * nn + qq_m * mm, xy, pq,
+                     xxyy_n * kn + xxyy_m * km + xy * xy + xxyy_nm * (nn * mm),
+                     ppqq_n * kn + ppqq_m * km + pq * pq + ppqq_nm * (nn * mm),
+                     quartic * (kn + km - 1) + xxqq * (nn * mm),
+                     quartic * (kn + km - 1) + yypp * (nn * mm))
 
 
 def uncertainty_areas(params: SystemParams, nm: QuantumNumbers) -> tuple[float, float]:
@@ -175,7 +173,7 @@ def excitation_numbers(params: SystemParams, nm: QuantumNumbers) -> ExcitationNu
     differ; that is why the coupled ground state is populated.
     """
     nx0, nx_n, nx_m, ny0, ny_n, ny_m = params._closed_forms.ladder[:6]
-    return ExcitationNumbers(nx=nx0 + nx_n * nm.n + nx_m * nm.m, ny=ny0 + ny_n * nm.n + ny_m * nm.m)
+    return ExcitationNumbers(nx0 + nx_n * nm.n + nx_m * nm.m, ny0 + ny_n * nm.n + ny_m * nm.m)
 
 
 def ladder_moments(params: SystemParams, nm: QuantumNumbers) -> LadderMoments:
@@ -188,5 +186,4 @@ def ladder_moments(params: SystemParams, nm: QuantumNumbers) -> LadderMoments:
              else cross0 * (2 * n + 1) + cross_m * (n - m))
     nxny = (nxny_nn * (n * (n - 1)) + nxny_mm * (m * (m - 1)) + nxny_nm * (n * m)
             + nxny_n * n + nxny_m * m + nxny0)
-    return LadderMoments(nx=nx0 + nx_n * n + nx_m * m, ny=ny0 + ny_n * n + ny_m * m, nxny=nxny,
-                         cross_mag_sq=cross * cross)
+    return LadderMoments(nx0 + nx_n * n + nx_m * m, ny0 + ny_n * n + ny_m * m, nxny, cross * cross)

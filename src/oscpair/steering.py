@@ -52,8 +52,7 @@ def steering(params: SystemParams, nm: QuantumNumbers) -> SteeringResult:
     raw_xy += xy_n * n + xy_m * m + quadratic
     raw_yx += yx_n * n + yx_m * m + quadratic
     s_xy, s_yx = max(raw_xy, 0.0), max(raw_yx, 0.0)
-    return SteeringResult(s_xy=s_xy, s_yx=s_yx, delta=abs(s_xy - s_yx),
-                          s_xy_raw=raw_xy, s_yx_raw=raw_yx)
+    return SteeringResult(s_xy, s_yx, abs(s_xy - s_yx), raw_xy, raw_yx)
 
 
 def steering_weak_general(nm: QuantumNumbers, mu: float) -> float:
