@@ -64,8 +64,10 @@ def steering_weak_general(nm: QuantumNumbers, mu: float) -> float:
     ``n mu^2 (1 - mu^2) / (2 (1+mu^2)^2)``, which vanishes at both
     decoupling (``mu = 0``) and resonance (``mu = 1``).
 
-    It holds at weak coupling near resonance only; README gives a state
-    where the exact witness is negative and this form positive.
+    It holds at weak coupling near resonance only. Far from resonance the
+    exact witness can be negative where this form is positive: at
+    ``(1, 0.1, 1e-4)`` the exact (1, 0) ``s_xy_raw`` is -8.8e-8, so
+    ``s_xy = 0``, while this form gives 5.1e-9.
 
     ``mu = inf``, which :func:`model.diagonalize` reports at ``epsilon = 0``
     with ``omega_x < omega_y``, is the decoupled limit 0, and so is every
@@ -90,6 +92,7 @@ def selection_rules(nm: QuantumNumbers) -> tuple[bool, bool]:
     other direction. Two excited oscillators cannot steer each other.
 
     Like :func:`steering_weak_general`, these hold at weak coupling near
-    resonance only.
+    resonance only: at ``(1, 0.1, 1e-4)`` the state (1, 0) has ``s_xy = 0``,
+    yet the rules say ``x`` steers ``y``.
     """
     return (nm.n != 0 and nm.m == 0, nm.m != 0 and nm.n == 0)
