@@ -212,7 +212,8 @@ class TestCouplingRecord:
 
     def test_one_closed_form_record_per_object(self, computed, closed):
         params, nm = SystemParams(1.0, 0.8, 0.5), QuantumNumbers(2, 1)
-        second_and_fourth_moments(params, nm), ladder_moments(params, nm), steering(params, nm)
+        for evaluate in (second_and_fourth_moments, ladder_moments, steering):
+            evaluate(params, nm)
         assert closed == [params] and computed == [params]
         assert params._closed_forms is params._closed_forms
         # a new object, even an equal one, computes afresh

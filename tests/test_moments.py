@@ -67,8 +67,8 @@ def test_symmetric_resonant_state_has_no_position_correlation():
 
 
 def test_ground_state_correlators_at_weak_resonant_coupling():
-    # each a difference of terms of order one, unless written through vx - vy = D / (vx + vy):
-    # <a_x a_y^dag> = -6.25e-26 read -2.2e-16 that way, and xy and pq read 0
+    # each is a difference of terms of order one unless written through vx - vy = D / (vx + vy):
+    # as such a difference <a_x a_y^dag> = -6.25e-26 reads -2.2e-16, and xy keeps 8 digits
     params, nm = SystemParams(1.0, 1.0, 1e-8), QuantumNumbers(0, 0)
     ms = second_and_fourth_moments(params, nm)
     with mp.workdps(DPS):
